@@ -13,21 +13,20 @@ every sample, not just the hits.  Usage:
 from __future__ import annotations
 
 import argparse
-import random
+import sys
 from collections import Counter
 
 from hypercode import (
-    Hypergraph,
+    connected_uniform_samples,
     from_generator,
     graph_self_duality_criterion,
     incidence_matrix,
-    is_connected,
     is_self_dual,
     is_self_orthogonal,
 )
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--n-max", type=int, default=6)
@@ -35,28 +34,29 @@ def main() -> None:
     parser.add_argument("--uniform", type=int, default=2)
     args = parser.parse_args()
 
-    rng = random.Random(args.seed)
-    low = max(2, args.uniform)
+    try:
+        samples = connected_uniform_samples(
+            args.seed, n_max=args.n_max, budget=args.budget, uniform=args.uniform
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     connected = 0
     self_orthogonal = Counter()
     self_dual = Counter()
     criterion_checked = 0
     criterion_mismatches = 0
 
-    for _ in range(args.budget):
-        n = rng.randint(low, args.n_max)
-        m = rng.randint(1, 2 * n)
-        edges = tuple(tuple(sorted(rng.sample(range(n), args.uniform))) for _ in range(m))
-        hypergraph = Hypergraph(n, edges)
-        if not is_connected(hypergraph):
-            continue
+    for hypergraph in samples:
         connected += 1
+        key = (hypergraph.num_vertices, hypergraph.num_edges)
         code = from_generator(incidence_matrix(hypergraph))
         if is_self_orthogonal(code):
-            self_orthogonal[(n, m)] += 1
+            self_orthogonal[key] += 1
         dual_now = is_self_dual(code)
         if dual_now:
-            self_dual[(n, m)] += 1
+            self_dual[key] += 1
         if args.uniform == 2:
             criterion_checked += 1
             if graph_self_duality_criterion(hypergraph) != dual_now:
@@ -70,7 +70,8 @@ def main() -> None:
             f"counting criterion vs direct check: {criterion_mismatches} mismatches "
             f"on {criterion_checked} connected graphs"
         )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -10,8 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .codes import (
@@ -129,29 +127,22 @@ def _analyze(
     weights: bool,
     early_exit: int | None,
     cap: int | None,
-    threads: int,
 ) -> AnalysisReport:
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if threads < 1:
-        raise ValueError("threads must be positive")
 
     value: int | None = None
     witness: tuple[int, ...] | None = None
     exact: bool | None = None
     if code.dimension > 0:
-        pool_ctx = ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
-        with pool_ctx as pool:
-            map_fn = map if pool is None else pool.map
-            kwargs = dict(early_exit=early_exit, cap=cap, num_ranges=threads, map_fn=map_fn)
-            code_result = None
-            eonv_result = None
-            if method in ("codeword", "both"):
-                code_result = codeword_distance_search(code, **kwargs)
-            if method in ("eonv", "both"):
-                if eonv_input is None:
-                    raise ValueError("the eonv engine needs a hypergraph input")
-                eonv_result = eonv_distance_search(eonv_input, **kwargs)
+        code_result = None
+        eonv_result = None
+        if method in ("codeword", "both"):
+            code_result = codeword_distance_search(code, early_exit=early_exit, cap=cap)
+        if method in ("eonv", "both"):
+            if eonv_input is None:
+                raise ValueError("the eonv engine needs a hypergraph input")
+            eonv_result = eonv_distance_search(eonv_input, early_exit=early_exit, cap=cap)
         if method == "codeword":
             value, exact = code_result.value, code_result.exact
         elif method == "eonv":
@@ -188,7 +179,6 @@ def analyze_hypergraph(
     weights: bool = False,
     early_exit: int | None = None,
     cap: int | None = None,
-    threads: int = 1,
 ) -> AnalysisReport:
     """Analyze the binary code generated by a hypergraph's incidence matrix.
 
@@ -203,7 +193,6 @@ def analyze_hypergraph(
         weights=weights,
         early_exit=early_exit,
         cap=cap,
-        threads=threads,
     )
 
 
@@ -214,7 +203,6 @@ def analyze_matrix(
     weights: bool = False,
     early_exit: int | None = None,
     cap: int | None = None,
-    threads: int = 1,
 ) -> AnalysisReport:
     """Analyze the binary code generated by an arbitrary matrix.
 
@@ -233,5 +221,4 @@ def analyze_matrix(
         weights=weights,
         early_exit=early_exit,
         cap=cap,
-        threads=threads,
     )

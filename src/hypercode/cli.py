@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from typing import Sequence
 
@@ -29,17 +28,17 @@ from .codes import (
     is_self_orthogonal,
     structural_self_orthogonality,
 )
-from .gf2core import parse_matrix
+from .gf2core import BitMatrix, parse_matrix
 from .gf2poly import GF2Poly, cyclic_code_dimension, poly_gcd
 from .hypergraph import (
     Hypergraph,
     block_row,
     circulant_hypergraph,
     complete_3partite,
+    connected_uniform_samples,
     fano_circulant,
     format_hypergraph,
     incidence_matrix,
-    is_connected,
     parse_hypergraph,
     projective_geometry,
 )
@@ -78,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=["auto", "hypergraph", "matrix"],
         default="auto",
-        help="input format; auto tries the hypergraph format first",
+        help="input format; auto asks for --format when both formats parse",
     )
     analyze.add_argument(
         "--method",
@@ -93,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="T",
         help="stop at the first weight <= T; the result is then an upper bound",
     )
-    analyze.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     analyze.add_argument("--csv", action="store_true", help="emit one flat CSV row instead of JSON")
 
     verify = sub.add_parser("verify", help="run the built-in verification suite")
@@ -159,37 +157,48 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _read_input(path: str) -> str:
+    """The input text; raises OSError, or ValueError for non-ASCII input."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as handle:
-        return handle.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="ascii") as handle:
+            text = handle.read()
+    if not text.isascii():
+        raise ValueError("the input is not ASCII text")
+    return text
+
+
+def _parse_auto(text: str) -> tuple[Hypergraph | None, BitMatrix | None]:
+    """Parse in the one format that accepts the text; both or neither is an error."""
+    try:
+        hypergraph = parse_hypergraph(text)
+    except ValueError:
+        return None, parse_matrix(text)
+    try:
+        parse_matrix(text)
+    except ValueError:
+        return hypergraph, None
+    raise ValueError(
+        "the text is both a valid hypergraph and a valid matrix; choose one with --format"
+    )
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         text = _read_input(args.input)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    hypergraph = None
-    matrix = None
     try:
         if args.format == "hypergraph":
-            hypergraph = parse_hypergraph(text)
+            hypergraph, matrix = parse_hypergraph(text), None
         elif args.format == "matrix":
-            matrix = parse_matrix(text)
+            hypergraph, matrix = None, parse_matrix(text)
         else:
-            try:
-                hypergraph = parse_hypergraph(text)
-            except ValueError:
-                matrix = parse_matrix(text)
+            hypergraph, matrix = _parse_auto(text)
     except ValueError as exc:
         print(f"error: cannot parse {args.input}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    if args.threads < 1:
-        print("error: --threads must be positive", file=sys.stderr)
         return EXIT_PARSE
 
     try:
@@ -199,7 +208,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 method=args.method,
                 weights=args.weights,
                 early_exit=args.early_exit,
-                threads=args.threads,
             )
         else:
             report = analyze_matrix(
@@ -207,7 +215,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 method=args.method,
                 weights=args.weights,
                 early_exit=args.early_exit,
-                threads=args.threads,
             )
     except EngineDisagreement as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -240,29 +247,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_selfdual_scan(args: argparse.Namespace) -> int:
-    if args.n_max < 2:
-        print("error: --n-max must be at least 2", file=sys.stderr)
-        return EXIT_PARSE
-    if args.uniform < 1 or args.uniform > args.n_max:
-        print("error: --uniform must lie between 1 and --n-max", file=sys.stderr)
-        return EXIT_PARSE
-    if args.budget < 0:
-        print("error: --budget must be non-negative", file=sys.stderr)
+    try:
+        samples = connected_uniform_samples(
+            args.seed, n_max=args.n_max, budget=args.budget, uniform=args.uniform
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    rng = random.Random(args.seed)
-    low = max(2, args.uniform)
     scanned = 0
     findings = 0
-    for _ in range(args.budget):
-        n = rng.randint(low, args.n_max)
-        m = rng.randint(1, 2 * n)
-        edges = tuple(
-            tuple(sorted(rng.sample(range(n), args.uniform))) for _ in range(m)
-        )
-        hypergraph = Hypergraph(n, edges)
-        if not is_connected(hypergraph):
-            continue
+    for hypergraph in samples:
         scanned += 1
         code = from_generator(incidence_matrix(hypergraph))
         self_orth = is_self_orthogonal(code)
@@ -271,9 +266,9 @@ def _cmd_selfdual_scan(args: argparse.Namespace) -> int:
             continue
         findings += 1
         finding = {
-            "vertices": n,
-            "edge_count": m,
-            "edges_1based": [[v + 1 for v in edge] for edge in edges],
+            "vertices": hypergraph.num_vertices,
+            "edge_count": hypergraph.num_edges,
+            "edges_1based": [[v + 1 for v in edge] for edge in hypergraph.edges],
             "rank": code.dimension,
             "self_orthogonal": self_orth,
             "self_dual": self_dual,

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
 
 from .gf2core import BitMatrix, gram, nullspace_basis, rref
-from .hypergraph import Hypergraph, edges_at, eonv_search, incidence_matrix, is_connected
+from .hypergraph import Hypergraph, edges_at, eonv_search, is_connected
 from .limits import EnumerationCapError, resolve_enum_cap
 
 
@@ -69,53 +68,16 @@ class DistanceResult:
     witness: tuple[int, ...] | None = None
 
 
-def _codeword_scan_range(
-    rows: Sequence[int], start: int, stop: int, early_exit: int | None
-) -> tuple[int | None, bool]:
-    # Gray-code walk over message indices; one basis-row XOR per step.
-    # Kept separate from the subset engine so the two distance routes stay
-    # independently checkable.
-    acc = 0
-    pending = start ^ (start >> 1)
-    while pending:
-        low = pending & -pending
-        acc ^= rows[low.bit_length() - 1]
-        pending ^= low
-    best: int | None = None
-    for i in range(start, stop):
-        if i != start:
-            acc ^= rows[(i & -i).bit_length() - 1]
-        if i == 0:
-            continue
-        w = acc.bit_count()
-        if best is None or w < best:
-            best = w
-            if early_exit is not None and w <= early_exit:
-                return best, False
-    return best, True
-
-
-def _scan_codeword_task(task):
-    return _codeword_scan_range(*task)
-
-
 def codeword_distance_search(
-    code: LinearCode,
-    *,
-    early_exit: int | None = None,
-    cap: int | None = None,
-    num_ranges: int = 1,
-    map_fn: Callable = map,
+    code: LinearCode, *, early_exit: int | None = None, cap: int | None = None
 ) -> DistanceResult:
     """Minimum nonzero codeword weight by exhaustive message-space enumeration.
 
     Walks all 2^k - 1 nonzero messages in Gray-code order, XORing one basis
-    row per step.  ``num_ranges``/``map_fn`` split the message space into
-    contiguous ranges (each re-seeded at its start) for parallel workers;
-    the minimum is a deterministic reduction, so the result does not depend
-    on the partitioning.  With ``early_exit`` the scan stops at the first
-    weight <= early_exit and the result is flagged as an upper bound; such
-    searches run as a single range so the bound is partition-independent.
+    row per step.  With ``early_exit`` the scan stops at the first weight
+    <= early_exit and the result is flagged as an upper bound.  The loop is
+    kept separate from the subset engine so the two distance routes stay
+    independently checkable.
     """
     k = code.dimension
     if k == 0:
@@ -126,21 +88,17 @@ def codeword_distance_search(
         raise EnumerationCapError(
             f"codeword search needs {total - 1} evaluations, above the cap of {limit}"
         )
-    if early_exit is not None:
-        num_ranges = 1
-    num_ranges = max(1, min(num_ranges, total))
     rows = code.basis.rows
-    bounds = [(total * r) // num_ranges for r in range(num_ranges + 1)]
-    tasks = [(rows, lo, hi, early_exit) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    best: int | None = None
-    exact = True
-    for value, completed in map_fn(_scan_codeword_task, tasks):
-        exact = exact and completed
-        if value is not None and (best is None or value < best):
-            best = value
-    if best is None:
-        raise ValueError("no nonzero codeword found")
-    return DistanceResult(best, exact, "codeword")
+    best = code.length + 1  # above every weight; basis combinations are nonzero
+    acc = 0
+    for i in range(1, total):
+        acc ^= rows[(i & -i).bit_length() - 1]
+        w = acc.bit_count()
+        if w < best:
+            best = w
+            if early_exit is not None and w <= early_exit:
+                return DistanceResult(best, False, "codeword")
+    return DistanceResult(best, True, "codeword")
 
 
 def min_distance(code: LinearCode, *, cap: int | None = None) -> int:
@@ -149,21 +107,10 @@ def min_distance(code: LinearCode, *, cap: int | None = None) -> int:
 
 
 def eonv_distance_search(
-    hypergraph: Hypergraph,
-    *,
-    early_exit: int | None = None,
-    cap: int | None = None,
-    num_ranges: int = 1,
-    map_fn: Callable = map,
+    hypergraph: Hypergraph, *, early_exit: int | None = None, cap: int | None = None
 ) -> DistanceResult:
     """Minimum distance of the incidence code by vertex-subset enumeration."""
-    result = eonv_search(
-        hypergraph,
-        early_exit=early_exit,
-        cap=cap,
-        num_ranges=num_ranges,
-        map_fn=map_fn,
-    )
+    result = eonv_search(hypergraph, early_exit=early_exit, cap=cap)
     return DistanceResult(result.weight, result.exact, "eonv", result.witness)
 
 
@@ -173,28 +120,6 @@ def min_distance_via_eonv(hypergraph: Hypergraph, *, cap: int | None = None) -> 
     Must equal ``min_distance(from_generator(incidence_matrix(hypergraph)))``.
     """
     return eonv_search(hypergraph, cap=cap).weight
-
-
-def auto_distance_search(
-    hypergraph: Hypergraph,
-    *,
-    early_exit: int | None = None,
-    cap: int | None = None,
-    num_ranges: int = 1,
-    map_fn: Callable = map,
-) -> DistanceResult:
-    """Run whichever engine enumerates the smaller space.
-
-    The codeword engine walks 2^k messages, the subset engine 2^n vertex
-    subsets; the rank k never exceeds the row count n, so ties (and in
-    practice almost all inputs) go to the codeword engine.  Both engines
-    stay explicitly invokable for cross-validation.
-    """
-    code = from_generator(incidence_matrix(hypergraph))
-    kwargs = dict(early_exit=early_exit, cap=cap, num_ranges=num_ranges, map_fn=map_fn)
-    if code.dimension <= hypergraph.num_vertices:
-        return codeword_distance_search(code, **kwargs)
-    return eonv_distance_search(hypergraph, **kwargs)
 
 
 def weight_distribution(code: LinearCode, *, cap: int | None = None) -> dict[int, int]:
@@ -207,11 +132,10 @@ def weight_distribution(code: LinearCode, *, cap: int | None = None) -> dict[int
             f"weight distribution needs {total} evaluations, above the cap of {limit}"
         )
     rows = code.basis.rows
-    counts: dict[int, int] = {}
+    counts = {0: 1}
     acc = 0
-    for i in range(total):
-        if i:
-            acc ^= rows[(i & -i).bit_length() - 1]
+    for i in range(1, total):
+        acc ^= rows[(i & -i).bit_length() - 1]
         w = acc.bit_count()
         counts[w] = counts.get(w, 0) + 1
     return dict(sorted(counts.items()))

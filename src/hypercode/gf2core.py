@@ -5,8 +5,7 @@ holds coordinate ``j``, XOR is vector addition, and ``int.bit_count`` is
 the Hamming weight.  Arbitrary-precision ints make the packing width a
 non-issue while keeping the inner loops single machine operations per row.
 
-Everything here is a pure function on immutable values, so results are
-safe to share across threads.
+Everything here is a pure function on immutable values.
 """
 
 from __future__ import annotations

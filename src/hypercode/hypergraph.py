@@ -15,9 +15,10 @@ Gray-code walk so each step costs one row XOR and one popcount.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator
 
 from .gf2core import BitMatrix, BitVector
 from .limits import EnumerationCapError, resolve_enum_cap
@@ -149,98 +150,48 @@ def _mask_to_vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _subset_scan_range(
-    rows: Sequence[int], start: int, stop: int, early_exit: int | None
-) -> tuple[int | None, tuple[int, ...] | None, bool]:
-    """Scan subset indices [start, stop) in Gray-code order.
+def eonv_search(
+    hypergraph: Hypergraph, *, early_exit: int | None = None, cap: int | None = None
+) -> SubsetSearchResult:
+    """Minimize |eonv(S)| over nonempty subsets S with eonv(S) nonempty.
 
-    Index i denotes the subset gray(i) = i ^ (i >> 1); consecutive indices
-    differ in bit (i & -i).bit_length() - 1, so each step is one row XOR.
-    Returns the best nonzero weight, its lexicographically smallest witness
-    within the range, and whether the range was scanned to completion.
+    Walks the subset indices 1 .. 2^n - 1 in Gray-code order: index i
+    denotes the subset gray(i) = i ^ (i >> 1), and consecutive indices
+    differ in vertex (i & -i).bit_length() - 1, so each step is one row XOR
+    and one popcount.  The witness is the lexicographically smallest
+    minimizer.  With ``early_exit`` the scan stops at the first weight
+    <= early_exit and the result is an upper bound (``exact`` is False).
     """
+    rows = hypergraph.vertex_rows
+    if not any(rows):
+        raise ValueError("the incidence matrix is zero; there is no nonzero codeword")
+    total = 1 << hypergraph.num_vertices
+    limit = resolve_enum_cap(cap)
+    if total - 1 > limit:
+        raise EnumerationCapError(
+            f"subset search needs {total - 1} evaluations, above the cap of {limit}"
+        )
+    # A nonzero row exists, so its singleton subset sets a real minimum.
+    best_w = hypergraph.num_edges + 1
+    best_wit: tuple[int, ...] = ()
     acc = 0
-    pending = start ^ (start >> 1)
-    while pending:
-        low = pending & -pending
-        acc ^= rows[low.bit_length() - 1]
-        pending ^= low
-    best_w: int | None = None
-    best_wit: tuple[int, ...] | None = None
-    for i in range(start, stop):
-        if i != start:
-            acc ^= rows[(i & -i).bit_length() - 1]
-        if i == 0:
-            continue
+    for i in range(1, total):
+        acc ^= rows[(i & -i).bit_length() - 1]
         w = acc.bit_count()
         if w == 0:
             continue
-        if best_w is None or w < best_w:
+        if w < best_w:
             best_w = w
             best_wit = _mask_to_vertices(i ^ (i >> 1))
             if early_exit is not None and w <= early_exit:
-                return best_w, best_wit, False
+                return SubsetSearchResult(best_w, best_wit, False)
         elif w == best_w:
             mask = i ^ (i >> 1)
             if (mask & -mask).bit_length() - 1 <= best_wit[0]:
                 candidate = _mask_to_vertices(mask)
                 if candidate < best_wit:
                     best_wit = candidate
-    return best_w, best_wit, True
-
-
-def eonv_search(
-    hypergraph: Hypergraph,
-    *,
-    early_exit: int | None = None,
-    cap: int | None = None,
-    num_ranges: int = 1,
-    map_fn: Callable = map,
-) -> SubsetSearchResult:
-    """Minimize |eonv(S)| over nonempty subsets S with eonv(S) nonempty.
-
-    Exhausts all 2^n - 1 subsets unless ``early_exit`` is given, in which
-    case the scan stops at the first weight <= early_exit and the result is
-    an upper bound (``exact`` is False).  The subset space may be split into
-    ``num_ranges`` contiguous index ranges evaluated through ``map_fn``
-    (e.g. a thread pool's map); the result, including the lexicographically
-    smallest witness among minimizers, does not depend on the partitioning.
-    Early-exit searches always run as a single range so that the reported
-    bound is partition-independent too.
-    """
-    rows = hypergraph.vertex_rows
-    if not any(rows):
-        raise ValueError("the incidence matrix is zero; there is no nonzero codeword")
-    n = hypergraph.num_vertices
-    total = 1 << n
-    limit = resolve_enum_cap(cap)
-    if total - 1 > limit:
-        raise EnumerationCapError(
-            f"subset search needs {total - 1} evaluations, above the cap of {limit}"
-        )
-    if early_exit is not None:
-        num_ranges = 1
-    num_ranges = max(1, min(num_ranges, total))
-    bounds = [(total * r) // num_ranges for r in range(num_ranges + 1)]
-    tasks = [
-        (rows, lo, hi, early_exit) for lo, hi in zip(bounds, bounds[1:]) if lo < hi
-    ]
-    results = list(map_fn(_scan_subset_task, tasks))
-    best: tuple[int, tuple[int, ...]] | None = None
-    exact = True
-    for weight, witness, completed in results:
-        exact = exact and completed
-        if weight is None:
-            continue
-        if best is None or (weight, witness) < best:
-            best = (weight, witness)
-    if best is None:
-        raise ValueError("no nonzero codeword found")
-    return SubsetSearchResult(best[0], best[1], exact)
-
-
-def _scan_subset_task(task):
-    return _subset_scan_range(*task)
+    return SubsetSearchResult(best_w, best_wit, True)
 
 
 def eonv_min(hypergraph: Hypergraph) -> tuple[int, tuple[int, ...]]:
@@ -439,8 +390,36 @@ def random_uniform_hypergraph(
     return Hypergraph(num_vertices, edges)
 
 
+def connected_uniform_samples(
+    seed: int, *, n_max: int, budget: int, uniform: int = 2
+) -> Iterator[Hypergraph]:
+    """The connected hypergraphs among ``budget`` seeded random draws.
+
+    Each draw picks a vertex count n in [max(2, uniform), n_max] and an edge
+    count in [1, 2n], then builds a ``uniform``-uniform hypergraph with
+    :func:`random_uniform_hypergraph`.  The parameters are checked at the
+    call, before the first draw.
+    """
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
+    if not 1 <= uniform <= n_max:
+        raise ValueError(f"uniform must lie between 1 and n_max, got {uniform}")
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+    rng = random.Random(seed)
+    low = max(2, uniform)
+    draws = (
+        random_uniform_hypergraph(rng, n, rng.randint(1, 2 * n), uniform)
+        for n in (rng.randint(low, n_max) for _ in range(budget))
+    )
+    return filter(is_connected, draws)
+
+
 # ---------------------------------------------------------------------------
 # Text format
+
+_DIGITS_AND_SEPARATORS = b"0123456789 \t\n"
+_LEADING_ZERO = re.compile(rb"[ \t\n]0[0-9]")
 
 
 def format_hypergraph(hypergraph: Hypergraph) -> str:
@@ -456,31 +435,37 @@ def format_hypergraph(hypergraph: Hypergraph) -> str:
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    """Parse the hypergraph text format; blank lines and '#' comments are ignored."""
-    lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    """Parse the hypergraph text format; blank lines and '#' comments are ignored.
+
+    Every token must be a plain decimal integer, ``0|[1-9][0-9]*``.  ``int``
+    alone would also take ``01``, ``+1``, ``1_0`` and non-ASCII digits, and
+    so let a matrix file such as ``2 2 / 01 / 01`` pass for a hypergraph.
+    """
+    lines = []
+    for line in text.splitlines():
+        line = line.strip()
+        if line and line[0] != "#":
+            lines.append(line)
     if not lines:
         raise ValueError("empty hypergraph file")
     header = lines[0].split()
     if len(header) != 2:
         raise ValueError(f"hypergraph header must be '<vertices> <edges>', got {lines[0]!r}")
-    try:
-        num_vertices, num_edges = int(header[0]), int(header[1])
-    except ValueError:
-        raise ValueError(f"hypergraph header must be two integers, got {lines[0]!r}") from None
+    # Two C-level passes over the whole text stand in for a token-by-token
+    # match: nothing but ASCII digits and separators, and no zero that
+    # starts a longer token.  Non-ASCII characters encode to "?".
+    data = ("\n" + "\n".join(lines)).encode("ascii", "replace")
+    if data.translate(None, _DIGITS_AND_SEPARATORS) or _LEADING_ZERO.search(data):
+        raise ValueError("hypergraph tokens must be plain decimal integers, 0|[1-9][0-9]*")
+    num_vertices, num_edges = int(header[0]), int(header[1])
     body = lines[1:]
     if len(body) != num_edges:
         raise ValueError(f"expected {num_edges} edge lines, found {len(body)}")
     edges = []
     for line in body:
-        try:
-            vertices = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise ValueError(f"edge line must hold integers, got {line!r}") from None
-        if any(a >= b for a, b in zip(vertices, vertices[1:])):
-            raise ValueError(f"edge vertices must be strictly ascending: {line!r}")
-        edges.append(tuple(vertices))
+        vertices = list(map(int, line.split()))
+        # Repeats pass this test; Hypergraph rejects them.
+        if vertices != sorted(vertices):
+            raise ValueError(f"edge vertices must be ascending: {line!r}")
+        edges.append(vertices)
     return Hypergraph(num_vertices, tuple(edges))

@@ -37,12 +37,6 @@ class TestAnalyzeHypergraph:
         assert by_codewords.witness is None
         assert by_subsets.witness == (0,)
 
-    def test_threads_do_not_change_the_report(self):
-        hg = complete_3partite(3)
-        single = analyze_hypergraph(hg, method="both", weights=True)
-        pooled = analyze_hypergraph(hg, method="both", weights=True, threads=4)
-        assert single == pooled
-
     def test_early_exit_flags_inexact(self):
         report = analyze_hypergraph(fano_circulant(), method="both", early_exit=7)
         assert report.distance_exact is False

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import json
+import sys
 
 import pytest
 
@@ -97,17 +99,54 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["min_distance"] == 1
 
+    def test_leading_zero_matrix_is_not_read_as_a_hypergraph(self, tmp_path, capsys):
+        path = tmp_path / "m.mat"
+        path.write_text("2 2\n01\n01\n")
+        code, auto, _ = run_cli(capsys, "analyze", str(path))
+        assert code == 0
+        _, forced, _ = run_cli(capsys, "analyze", str(path), "--format", "matrix")
+        assert auto == forced
+        data = json.loads(auto)
+        assert (data["min_distance"], data["self_dual"]) == (1, False)
+
+    def test_text_valid_in_both_formats_asks_for_format(self, tmp_path, capsys):
+        path = tmp_path / "both.txt"
+        path.write_text("1 1\n0\n")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert "--format" in err and err.count("\n") == 1
+        for fmt in ("hypergraph", "matrix"):
+            code, _, _ = run_cli(capsys, "analyze", str(path), "--format", fmt)
+            assert code == 0
+
+    @pytest.mark.parametrize("edge", ["01", "+1", "1_0"])
+    def test_non_canonical_integer_tokens_exit_2(self, tmp_path, capsys, edge):
+        path = tmp_path / "bad.hg"
+        path.write_text(f"11 1\n{edge}\n")
+        code, _, err = run_cli(capsys, "analyze", str(path), "--format", "hypergraph")
+        assert code == 2
+        assert "plain decimal integers" in err
+
+    def test_non_ascii_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "accent.hg"
+        path.write_bytes("2 1\n0 1 # caf\u00e9\n".encode("utf-8"))
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("data", ["2 1\n0 \u0661\n".encode("utf-8"), b"2 1\n0 \xff\n"])
+    def test_non_ascii_stdin_exits_2(self, capsys, monkeypatch, data):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        code, out, err = run_cli(capsys, "analyze", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read -") and err.count("\n") == 1
+
     def test_csv_output(self, capsys, fano_file):
         code, out, _ = run_cli(capsys, "analyze", str(fano_file), "--csv")
         assert code == 0
         header, row = out.splitlines()
         assert header.startswith("length,dimension,min_distance")
         assert row.startswith("7,4,3,both,1,false,false")
-
-    def test_threads_do_not_change_output(self, capsys, fano_file):
-        _, single, _ = run_cli(capsys, "analyze", str(fano_file))
-        _, pooled, _ = run_cli(capsys, "analyze", str(fano_file), "--threads", "4")
-        assert single == pooled
 
     def test_early_exit_flags_bound(self, capsys, fano_file):
         code, out, _ = run_cli(capsys, "analyze", str(fano_file), "--early-exit", "7")
@@ -224,6 +263,11 @@ class TestSelfdualScan:
             capsys, "selfdual-scan", "--n-max", "3", "--seed", "1", "--uniform", "9"
         )
         assert code == 2
+        code, _, err = run_cli(
+            capsys, "selfdual-scan", "--n-max", "3", "--seed", "1", "--budget", "-1"
+        )
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestPoly:

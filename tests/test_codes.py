@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
@@ -28,7 +27,6 @@ from hypercode import (
     min_distance,
     min_distance_via_eonv,
     nullspace_basis,
-    random_hypergraph,
     rank,
     row_space_equal,
     structural_self_orthogonality,
@@ -133,40 +131,12 @@ class TestSearchControls:
         assert not result.exact
         assert result.value == 3
 
-    @pytest.mark.parametrize("num_ranges", [1, 2, 3, 8])
-    def test_partition_invariance(self, num_ranges):
-        rng = random.Random(17)
-        for _ in range(20):
-            hg = random_hypergraph(rng, rng.randint(1, 8), rng.randint(1, 10))
-            code = from_generator(incidence_matrix(hg))
-            base = codeword_distance_search(code)
-            split = codeword_distance_search(code, num_ranges=num_ranges)
-            assert (base.value, base.exact) == (split.value, split.exact)
-
-    def test_thread_pool_map_matches_sequential(self):
-        code = from_generator(incidence_matrix(complete_3partite(3)))
-        sequential = codeword_distance_search(code)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = codeword_distance_search(code, num_ranges=4, map_fn=pool.map)
-        assert (sequential.value, sequential.exact) == (threaded.value, threaded.exact)
-
     def test_eonv_search_result_fields(self):
         result = eonv_distance_search(fano_circulant())
         assert result.method == "eonv"
         assert result.value == 3
         assert result.witness == (0,)
         assert result.exact
-
-    def test_auto_search_picks_the_smaller_space(self):
-        from hypercode import auto_distance_search
-
-        result = auto_distance_search(fano_circulant())
-        assert result.method == "codeword"  # rank 4 < 7 vertices
-        assert result.value == 3
-        rng = random.Random(29)
-        for _ in range(30):
-            hg = random_hypergraph(rng, rng.randint(1, 8), rng.randint(1, 10))
-            assert auto_distance_search(hg).value == min_distance_via_eonv(hg)
 
 
 class TestWeightDistribution:

@@ -19,6 +19,7 @@ from hypercode import (
     circulant_hypergraph,
     complement_edge,
     complete_3partite,
+    connected_uniform_samples,
     edges_at,
     eonv,
     eonv_min,
@@ -216,23 +217,15 @@ class TestEonvMin:
             assert candidates, "edges are nonempty, a singleton always hits one"
             assert eonv_min(hg) == min(candidates)
 
-    @pytest.mark.parametrize("num_ranges", [1, 2, 3, 5, 8])
-    def test_partition_invariance(self, num_ranges):
-        rng = random.Random(7)
-        for _ in range(20):
-            hg = random_hypergraph(rng, rng.randint(1, 8), rng.randint(1, 10))
-            base = eonv_search(hg)
-            split = eonv_search(hg, num_ranges=num_ranges)
-            assert (base.weight, base.witness, base.exact) == (
-                split.weight,
-                split.witness,
-                split.exact,
-            )
-
     def test_early_exit_flags_upper_bound(self):
         result = eonv_search(fano_circulant(), early_exit=7)
         assert not result.exact
         assert result.weight >= 3
+
+    def test_early_exit_stops_at_the_first_weight_within_the_threshold(self):
+        # gray(1) = {0} is the first subset scanned and already has weight 3
+        result = eonv_search(fano_circulant(), early_exit=3)
+        assert (result.weight, result.witness, result.exact) == (3, (0,), False)
 
     def test_cap_enforced(self):
         with pytest.raises(Exception) as excinfo:
@@ -505,6 +498,30 @@ class TestRandomGenerators:
         with pytest.raises(ValueError):
             random_uniform_hypergraph(random.Random(5), 3, 2, 4)
 
+    def test_connected_samples_replay_the_uniform_generator(self):
+        rng = random.Random(13)
+        expected = []
+        for _ in range(200):
+            n = rng.randint(3, 7)
+            hg = random_uniform_hypergraph(rng, n, rng.randint(1, 2 * n), 3)
+            if is_connected(hg):
+                expected.append(hg)
+        samples = list(connected_uniform_samples(13, n_max=7, budget=200, uniform=3))
+        assert samples == expected
+        assert samples and all(hg.is_uniform(3) for hg in samples)
+
+    def test_connected_samples_draw_at_least_two_vertices(self):
+        # a 1-uniform hypergraph is connected only on one vertex
+        assert list(connected_uniform_samples(2, n_max=4, budget=100, uniform=1)) == []
+
+    @pytest.mark.parametrize(
+        "n_max, budget, uniform",
+        [(1, 10, 1), (4, 10, 0), (4, 10, 5), (4, -1, 2)],
+    )
+    def test_connected_samples_reject_bad_parameters_at_the_call(self, n_max, budget, uniform):
+        with pytest.raises(ValueError):
+            connected_uniform_samples(1, n_max=n_max, budget=budget, uniform=uniform)
+
 
 class TestHypergraphTextFormat:
     def test_known_file(self):
@@ -537,3 +554,24 @@ class TestHypergraphTextFormat:
     def test_parse_errors(self, text):
         with pytest.raises(ValueError):
             parse_hypergraph(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2 2\n01\n01\n",  # a matrix file, not vertex 1 twice
+            "3 1\n+1\n",
+            "11 1\n1_0\n",
+            "03 1\n0\n",
+            "3 1\n00 1\n",
+            "3 1\n0 \u0661\n",  # ARABIC-INDIC DIGIT ONE
+            "3 1\n0\u00a001\n",  # a leading zero behind a non-ASCII space
+            "3 1\n-0 1\n",
+        ],
+    )
+    def test_tokens_must_be_plain_decimal_integers(self, text):
+        with pytest.raises(ValueError, match="plain decimal integers"):
+            parse_hypergraph(text)
+
+    def test_multi_digit_and_zero_tokens_parse(self):
+        text = "12 2\n0 10 11\n\t9  10\n"
+        assert parse_hypergraph(text) == Hypergraph(12, ((0, 10, 11), (9, 10)))
