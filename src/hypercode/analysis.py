@@ -77,28 +77,26 @@ class AnalysisReport:
         return json.dumps(self.to_json_dict())
 
     def to_csv(self) -> str:
-        def flag(value: bool | None) -> str:
-            return "" if value is None else ("true" if value else "false")
+        """Header plus one row: the fields of :meth:`to_json_dict`, flattened.
 
-        row = {
-            "length": self.length,
-            "dimension": self.dimension,
-            "min_distance": "" if self.min_distance is None else self.min_distance,
-            "min_distance_method": self.method,
-            "witness_subset": ""
-            if self.witness is None
-            else " ".join(str(v + 1) for v in self.witness),
-            "self_orthogonal": flag(self.self_orthogonal),
-            "self_dual": flag(self.self_dual),
-            "weight_distribution": ""
-            if self.weight_dist is None
-            else ";".join(f"{w}:{c}" for w, c in sorted(self.weight_dist.items())),
-            "distance_exact": flag(self.distance_exact),
-        }
+        An omitted field is an empty cell, a flag is ``true``/``false``, the
+        witness is space-separated and the weight distribution reads
+        ``w:count;...``.
+        """
+
+        def cell(value):
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            if isinstance(value, list):
+                return " ".join(map(str, value))
+            if isinstance(value, dict):
+                return ";".join(f"{w}:{c}" for w, c in value.items())
+            return value
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        writer.writerow(row)
+        writer.writerow({key: cell(value) for key, value in self.to_json_dict().items()})
         return buf.getvalue()
 
 
@@ -126,7 +124,6 @@ def _analyze(
     method: str,
     weights: bool,
     early_exit: int | None,
-    cap: int | None,
 ) -> AnalysisReport:
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -138,11 +135,11 @@ def _analyze(
         code_result = None
         eonv_result = None
         if method in ("codeword", "both"):
-            code_result = codeword_distance_search(code, early_exit=early_exit, cap=cap)
+            code_result = codeword_distance_search(code, early_exit=early_exit)
         if method in ("eonv", "both"):
             if eonv_input is None:
                 raise ValueError("the eonv engine needs a hypergraph input")
-            eonv_result = eonv_distance_search(eonv_input, early_exit=early_exit, cap=cap)
+            eonv_result = eonv_distance_search(eonv_input, early_exit=early_exit)
         if method == "codeword":
             value, exact = code_result.value, code_result.exact
         elif method == "eonv":
@@ -158,7 +155,7 @@ def _analyze(
             value = min(code_result.value, eonv_result.value)
             witness = eonv_result.witness
 
-    dist = weight_distribution(code, cap=cap) if weights else None
+    dist = weight_distribution(code) if weights else None
     return AnalysisReport(
         length=code.length,
         dimension=code.dimension,
@@ -178,7 +175,6 @@ def analyze_hypergraph(
     method: str = "both",
     weights: bool = False,
     early_exit: int | None = None,
-    cap: int | None = None,
 ) -> AnalysisReport:
     """Analyze the binary code generated by a hypergraph's incidence matrix.
 
@@ -192,7 +188,6 @@ def analyze_hypergraph(
         method=method,
         weights=weights,
         early_exit=early_exit,
-        cap=cap,
     )
 
 
@@ -202,7 +197,6 @@ def analyze_matrix(
     method: str = "both",
     weights: bool = False,
     early_exit: int | None = None,
-    cap: int | None = None,
 ) -> AnalysisReport:
     """Analyze the binary code generated by an arbitrary matrix.
 
@@ -220,5 +214,4 @@ def analyze_matrix(
         method=method,
         weights=weights,
         early_exit=early_exit,
-        cap=cap,
     )

@@ -1,11 +1,14 @@
-"""Binary linear codes from generator matrices.
+"""Binary linear codes from generator matrices, and the two distance engines.
 
 A code is the row space of its generator matrix.  Two independent
-minimum-distance engines are provided on purpose: message-space enumeration
-over the 2^k combinations of basis rows, and vertex-subset enumeration over
-the 2^n rows of an incidence matrix.  Their agreement on incidence codes is
-the core correctness property of the package, so the two loops share no
-code; see :func:`hypercode.hypergraph.eonv_search` for the subset side.
+minimum-distance engines are provided on purpose, each one function that
+returns a :class:`DistanceResult`: :func:`codeword_distance_search`
+enumerates the 2^k combinations of basis rows, and
+:func:`eonv_distance_search` the 2^n vertex subsets of a hypergraph, rows of
+its incidence matrix.  Their agreement on incidence codes is the core
+correctness property of the package, so the two loops sit side by side and
+share no code.  Both check their evaluation count against the one cap in
+:mod:`hypercode.limits` before they start.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gf2core import BitMatrix, gram, nullspace_basis, rref
-from .hypergraph import Hypergraph, edges_at, eonv_search, is_connected
-from .limits import EnumerationCapError, resolve_enum_cap
+from .gf2core import BitMatrix, gram, nullspace_basis, rref, set_bits
+from .hypergraph import Hypergraph, edges_at, is_connected
+from .limits import check_enum_cap
 
 
 @dataclass(frozen=True)
@@ -64,12 +67,11 @@ class DistanceResult:
 
     value: int
     exact: bool
-    method: str
     witness: tuple[int, ...] | None = None
 
 
 def codeword_distance_search(
-    code: LinearCode, *, early_exit: int | None = None, cap: int | None = None
+    code: LinearCode, *, early_exit: int | None = None
 ) -> DistanceResult:
     """Minimum nonzero codeword weight by exhaustive message-space enumeration.
 
@@ -83,11 +85,7 @@ def codeword_distance_search(
     if k == 0:
         raise ValueError("the zero code has no nonzero codeword")
     total = 1 << k
-    limit = resolve_enum_cap(cap)
-    if total - 1 > limit:
-        raise EnumerationCapError(
-            f"codeword search needs {total - 1} evaluations, above the cap of {limit}"
-        )
+    check_enum_cap("codeword search", total - 1)
     rows = code.basis.rows
     best = code.length + 1  # above every weight; basis combinations are nonzero
     acc = 0
@@ -97,40 +95,56 @@ def codeword_distance_search(
         if w < best:
             best = w
             if early_exit is not None and w <= early_exit:
-                return DistanceResult(best, False, "codeword")
-    return DistanceResult(best, True, "codeword")
-
-
-def min_distance(code: LinearCode, *, cap: int | None = None) -> int:
-    """Exact minimum distance by codeword enumeration."""
-    return codeword_distance_search(code, cap=cap).value
+                return DistanceResult(best, False)
+    return DistanceResult(best, True)
 
 
 def eonv_distance_search(
-    hypergraph: Hypergraph, *, early_exit: int | None = None, cap: int | None = None
+    hypergraph: Hypergraph, *, early_exit: int | None = None
 ) -> DistanceResult:
-    """Minimum distance of the incidence code by vertex-subset enumeration."""
-    result = eonv_search(hypergraph, early_exit=early_exit, cap=cap)
-    return DistanceResult(result.weight, result.exact, "eonv", result.witness)
+    """Minimum distance of the incidence code by vertex-subset enumeration.
 
-
-def min_distance_via_eonv(hypergraph: Hypergraph, *, cap: int | None = None) -> int:
-    """Exact minimum distance of the incidence code via the subset engine.
-
-    Must equal ``min_distance(from_generator(incidence_matrix(hypergraph)))``.
+    Minimizes |eonv(S)| over nonempty subsets S with eonv(S) nonempty.
+    Walks the subset indices 1 .. 2^n - 1 in Gray-code order: index i
+    denotes the subset gray(i) = i ^ (i >> 1), and consecutive indices
+    differ in vertex (i & -i).bit_length() - 1, so each step is one row XOR
+    and one popcount.  The witness is the lexicographically smallest
+    minimizer.  With ``early_exit`` the scan stops at the first weight
+    <= early_exit and the result is an upper bound (``exact`` is False).
     """
-    return eonv_search(hypergraph, cap=cap).weight
+    rows = hypergraph.vertex_rows
+    if not any(rows):
+        raise ValueError("the incidence matrix is zero; there is no nonzero codeword")
+    total = 1 << hypergraph.num_vertices
+    check_enum_cap("subset search", total - 1)
+    # A nonzero row exists, so its singleton subset sets a real minimum.
+    best_w = hypergraph.num_edges + 1
+    best_wit: tuple[int, ...] = ()
+    acc = 0
+    for i in range(1, total):
+        acc ^= rows[(i & -i).bit_length() - 1]
+        w = acc.bit_count()
+        if w == 0:
+            continue
+        if w < best_w:
+            best_w = w
+            best_wit = set_bits(i ^ (i >> 1))
+            if early_exit is not None and w <= early_exit:
+                return DistanceResult(best_w, False, best_wit)
+        elif w == best_w:
+            mask = i ^ (i >> 1)
+            if (mask & -mask).bit_length() - 1 <= best_wit[0]:
+                candidate = set_bits(mask)
+                if candidate < best_wit:
+                    best_wit = candidate
+    return DistanceResult(best_w, True, best_wit)
 
 
-def weight_distribution(code: LinearCode, *, cap: int | None = None) -> dict[int, int]:
+def weight_distribution(code: LinearCode) -> dict[int, int]:
     """Weight counts over all 2^k codewords (the zero word included)."""
     k = code.dimension
     total = 1 << k
-    limit = resolve_enum_cap(cap)
-    if total > limit:
-        raise EnumerationCapError(
-            f"weight distribution needs {total} evaluations, above the cap of {limit}"
-        )
+    check_enum_cap("weight distribution", total)
     rows = code.basis.rows
     counts = {0: 1}
     acc = 0
@@ -153,7 +167,7 @@ def is_self_orthogonal(code: LinearCode) -> bool:
 
 def is_self_dual(code: LinearCode) -> bool:
     """Whether the code equals its dual (self-orthogonal with dimension = length/2)."""
-    return is_self_orthogonal(code) and 2 * code.dimension == code.length
+    return 2 * code.dimension == code.length and is_self_orthogonal(code)
 
 
 def structural_self_orthogonality(hypergraph: Hypergraph) -> bool:

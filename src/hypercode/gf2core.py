@@ -10,8 +10,18 @@ Everything here is a pure function on immutable values.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+def set_bits(bits: int) -> tuple[int, ...]:
+    """Indices of the set bits of a non-negative int, in ascending order."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -86,13 +96,7 @@ class BitVector:
 
     @property
     def support(self) -> tuple[int, ...]:
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
+        return set_bits(self.bits)
 
     def dot(self, other: "BitVector") -> int:
         """Inner product over GF(2)."""
@@ -311,6 +315,9 @@ def matvec(matrix: BitMatrix, vector: BitVector) -> BitVector:
     return BitVector(matrix.num_rows, bits)
 
 
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")
+
+
 def format_matrix(matrix: BitMatrix) -> str:
     """Serialize to the matrix text format.
 
@@ -324,19 +331,26 @@ def format_matrix(matrix: BitMatrix) -> str:
 
 
 def parse_matrix(text: str) -> BitMatrix:
-    """Parse the matrix text format produced by :func:`format_matrix`."""
+    """Parse the matrix text format produced by :func:`format_matrix`.
+
+    The text must be ASCII and both header tokens plain decimal integers,
+    ``0|[1-9][0-9]*``, the rule :func:`hypercode.hypergraph.parse_hypergraph`
+    applies to its tokens.  ``int`` alone would also take ``+2``, ``0_2``
+    and non-ASCII digits, and ``str.strip`` non-ASCII spaces.
+    """
+    if not text.isascii():
+        raise ValueError("matrix text must be ASCII")
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty matrix file")
     header = lines[0].split()
     if len(header) != 2:
         raise ValueError(f"matrix header must be '<rows> <cols>', got {lines[0]!r}")
-    try:
-        num_rows, num_cols = int(header[0]), int(header[1])
-    except ValueError:
-        raise ValueError(f"matrix header must be two integers, got {lines[0]!r}") from None
-    if num_rows < 0 or num_cols < 0:
-        raise ValueError("matrix dimensions must be non-negative")
+    if not all(_DECIMAL.fullmatch(token) for token in header):
+        raise ValueError(
+            f"matrix header must be two plain decimal integers, 0|[1-9][0-9]*, got {lines[0]!r}"
+        )
+    num_rows, num_cols = int(header[0]), int(header[1])
     data = lines[1 : 1 + num_rows]
     if len(data) < num_rows:
         raise ValueError(f"expected {num_rows} row lines, found {len(data)}")

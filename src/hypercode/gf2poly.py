@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
 
-from .gf2core import BitMatrix, BitVector
+from .gf2core import BitMatrix, BitVector, set_bits
 from .hypergraph import Hypergraph, incidence_matrix, subset_mask
 
 NEG_INFINITY = float("-inf")
@@ -69,13 +69,7 @@ class GF2Poly:
 
     @property
     def support(self) -> tuple[int, ...]:
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
+        return set_bits(self.bits)
 
     @property
     def weight(self) -> int:

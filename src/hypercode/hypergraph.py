@@ -1,4 +1,4 @@
-"""Hypergraphs, incidence matrices, and the edge-parity subset search.
+"""Hypergraphs, incidence matrices, families and the text format.
 
 A hypergraph is a vertex count plus an ordered multiset of edges; repeated
 edges are kept (deduplicating would silently change the code length) and
@@ -7,9 +7,10 @@ are 0-based everywhere in the library; 1-based labels appear only in
 human-facing CLI output.
 
 For a vertex subset S, ``eonv(H, S)`` is the set of edges containing an odd
-number of vertices of S.  Minimizing its nonzero size over all subsets is
-one of the two minimum-distance engines; it is implemented here as a
-Gray-code walk so each step costs one row XOR and one popcount.
+number of vertices of S; :func:`eonv` computes it from the definition, as
+the reference the faster routes are checked against.  Minimizing its
+nonzero size over all subsets is one of the two minimum-distance engines,
+:func:`hypercode.codes.eonv_distance_search`.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .gf2core import BitMatrix, BitVector
-from .limits import EnumerationCapError, resolve_enum_cap
+from .gf2core import BitMatrix, BitVector, set_bits
 
 Edge = tuple[int, ...]
 
@@ -130,74 +130,6 @@ def eonv(hypergraph: Hypergraph, subset: Iterable[int]) -> list[int]:
         for j, edge_mask in enumerate(hypergraph.edge_masks)
         if (edge_mask & mask).bit_count() & 1
     ]
-
-
-@dataclass(frozen=True)
-class SubsetSearchResult:
-    """Outcome of a subset-enumeration distance search."""
-
-    weight: int
-    witness: tuple[int, ...]
-    exact: bool
-
-
-def _mask_to_vertices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
-def eonv_search(
-    hypergraph: Hypergraph, *, early_exit: int | None = None, cap: int | None = None
-) -> SubsetSearchResult:
-    """Minimize |eonv(S)| over nonempty subsets S with eonv(S) nonempty.
-
-    Walks the subset indices 1 .. 2^n - 1 in Gray-code order: index i
-    denotes the subset gray(i) = i ^ (i >> 1), and consecutive indices
-    differ in vertex (i & -i).bit_length() - 1, so each step is one row XOR
-    and one popcount.  The witness is the lexicographically smallest
-    minimizer.  With ``early_exit`` the scan stops at the first weight
-    <= early_exit and the result is an upper bound (``exact`` is False).
-    """
-    rows = hypergraph.vertex_rows
-    if not any(rows):
-        raise ValueError("the incidence matrix is zero; there is no nonzero codeword")
-    total = 1 << hypergraph.num_vertices
-    limit = resolve_enum_cap(cap)
-    if total - 1 > limit:
-        raise EnumerationCapError(
-            f"subset search needs {total - 1} evaluations, above the cap of {limit}"
-        )
-    # A nonzero row exists, so its singleton subset sets a real minimum.
-    best_w = hypergraph.num_edges + 1
-    best_wit: tuple[int, ...] = ()
-    acc = 0
-    for i in range(1, total):
-        acc ^= rows[(i & -i).bit_length() - 1]
-        w = acc.bit_count()
-        if w == 0:
-            continue
-        if w < best_w:
-            best_w = w
-            best_wit = _mask_to_vertices(i ^ (i >> 1))
-            if early_exit is not None and w <= early_exit:
-                return SubsetSearchResult(best_w, best_wit, False)
-        elif w == best_w:
-            mask = i ^ (i >> 1)
-            if (mask & -mask).bit_length() - 1 <= best_wit[0]:
-                candidate = _mask_to_vertices(mask)
-                if candidate < best_wit:
-                    best_wit = candidate
-    return SubsetSearchResult(best_w, best_wit, True)
-
-
-def eonv_min(hypergraph: Hypergraph) -> tuple[int, tuple[int, ...]]:
-    """Exhaustive minimum of |eonv(S)| and its lexicographically smallest witness."""
-    result = eonv_search(hypergraph)
-    return result.weight, result.witness
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +257,7 @@ def edges_at(hypergraph: Hypergraph, vertex: int) -> frozenset[int]:
     if not 0 <= vertex < hypergraph.num_vertices:
         raise IndexError(f"vertex {vertex} out of range")
     row = hypergraph.vertex_rows[vertex]
-    return frozenset(_mask_to_vertices(row))
+    return frozenset(set_bits(row))
 
 
 def is_connected(hypergraph: Hypergraph) -> bool:

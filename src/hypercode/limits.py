@@ -1,9 +1,11 @@
 """Evaluation budget shared by the exhaustive search engines.
 
-Minimum-distance computation is exponential, so every search takes a hard
-cap on the number of weight evaluations it may perform.  Exceeding the cap
-raises instead of silently truncating: an exhaustive answer is either exact
-or an error, never a quiet bound.
+Minimum-distance computation is exponential, so every search checks its
+number of weight evaluations against one cap before it starts.  The cap is
+the ``HYPERCODE_ENUM_CAP`` environment variable, read at call time, or
+``DEFAULT_ENUM_CAP`` when it is unset; there is no other way to set it.
+Exceeding the cap raises instead of silently truncating: an exhaustive
+answer is either exact or an error, never a quiet bound.
 """
 
 from __future__ import annotations
@@ -18,25 +20,25 @@ class EnumerationCapError(RuntimeError):
     """A search would exceed the configured evaluation budget."""
 
 
-def resolve_enum_cap(cap: int | None = None) -> int:
-    """Return the effective evaluation cap.
+def check_enum_cap(search: str, evaluations: int) -> None:
+    """Raise :class:`EnumerationCapError` if ``evaluations`` exceed the cap.
 
-    An explicit ``cap`` wins; otherwise the ``HYPERCODE_ENUM_CAP``
-    environment variable, read at call time; otherwise ``DEFAULT_ENUM_CAP``.
+    ``search`` names the search in the message, for example
+    ``codeword search needs 15 evaluations, above the cap of 4``.
     """
-    if cap is not None:
-        if cap < 0:
-            raise ValueError("enumeration cap must be non-negative")
-        return cap
     raw = os.environ.get(ENUM_CAP_ENV_VAR)
     if raw is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENUM_CAP_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(f"{ENUM_CAP_ENV_VAR} must be non-negative, got {value}")
-    return value
+        limit = DEFAULT_ENUM_CAP
+    else:
+        try:
+            limit = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"{ENUM_CAP_ENV_VAR} must be an integer, got {raw!r}"
+            ) from None
+        if limit < 0:
+            raise ValueError(f"{ENUM_CAP_ENV_VAR} must be non-negative, got {limit}")
+    if evaluations > limit:
+        raise EnumerationCapError(
+            f"{search} needs {evaluations} evaluations, above the cap of {limit}"
+        )

@@ -19,11 +19,10 @@ from typing import Callable, Iterable, Iterator
 from .analysis import analyze_hypergraph
 from .codes import (
     codeword_distance_search,
+    eonv_distance_search,
     from_generator,
     graph_self_duality_criterion,
     is_self_orthogonal,
-    min_distance,
-    min_distance_via_eonv,
     structural_self_orthogonality,
 )
 from .gf2core import BitMatrix, BitVector, gram, nullspace_basis, rank, row_combination, row_space_equal
@@ -34,7 +33,6 @@ from .hypergraph import (
     circulant_hypergraph,
     complete_3partite,
     eonv,
-    eonv_search,
     f_count,
     fano_circulant,
     incidence_matrix,
@@ -224,8 +222,8 @@ def _check_engine_agreement() -> tuple[bool, str]:
     disagreements = 0
     for hg in _engine_corpus():
         count += 1
-        d_subsets = min_distance_via_eonv(hg)
-        d_codewords = min_distance(from_generator(incidence_matrix(hg)))
+        d_subsets = eonv_distance_search(hg).value
+        d_codewords = codeword_distance_search(from_generator(incidence_matrix(hg))).value
         if d_subsets != d_codewords:
             disagreements += 1
             if disagreements <= 3:
@@ -248,7 +246,7 @@ def _check_block_circulant() -> tuple[bool, str]:
     ]
     for k, m in pairs:
         hg = circulant_hypergraph(block_row(k, m))
-        d = eonv_search(hg).weight
+        d = eonv_distance_search(hg).value
         bound = block_circulant_bound(k, m)
         check.ensure(d >= bound, f"(k={k}, m={m}): exact d={d} below the bound {bound}")
         if m == 1:

@@ -46,9 +46,28 @@ class TestAnalyzeHypergraph:
         with pytest.raises(ValueError):
             analyze_hypergraph(fano_circulant(), method="magic")
 
-    def test_cap_propagates(self):
+    def test_cap_propagates(self, monkeypatch):
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "3")
         with pytest.raises(EnumerationCapError):
-            analyze_hypergraph(fano_circulant(), cap=3)
+            analyze_hypergraph(fano_circulant())
+
+    @pytest.mark.parametrize(
+        "analyze,subject,calls",
+        [
+            (analyze_hypergraph, fano_circulant(), 1),
+            (analyze_matrix, BitMatrix.from_strings(["1100", "0011"]), 2),
+        ],
+    )
+    def test_gram_is_built_once_unless_the_dimension_allows_self_duality(
+        self, monkeypatch, analyze, subject, calls
+    ):
+        import hypercode.codes as codes_module
+
+        real = codes_module.gram
+        built = []
+        monkeypatch.setattr(codes_module, "gram", lambda m: built.append(m) or real(m))
+        analyze(subject)
+        assert len(built) == calls
 
 
 class TestAnalyzeMatrix:
@@ -80,7 +99,7 @@ class TestAnalyzeMatrix:
 
         def lying_search(code, **kwargs):
             result = real(code, **kwargs)
-            return type(result)(result.value + 1, result.exact, result.method)
+            return type(result)(result.value + 1, result.exact)
 
         monkeypatch.setattr(analysis_module, "codeword_distance_search", lying_search)
         with pytest.raises(EngineDisagreement):
@@ -123,3 +142,7 @@ class TestSerialization:
         assert values["witness_subset"] == "1"
         assert values["self_orthogonal"] == "false"
         assert values["weight_distribution"] == "0:1;3:7;4:7;7:1"
+
+    def test_csv_leaves_absent_fields_empty(self):
+        report = analyze_matrix(BitMatrix.zeros(2, 5))
+        assert report.to_csv() == ",".join(CSV_COLUMNS) + "\n5,0,,both,,true,false,,\n"

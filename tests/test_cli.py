@@ -127,6 +127,13 @@ class TestAnalyze:
         assert code == 2
         assert "plain decimal integers" in err
 
+    def test_non_canonical_matrix_header_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("+2 2\n10\n01\n")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot parse")
+
     def test_non_ascii_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "accent.hg"
         path.write_bytes("2 1\n0 1 # caf\u00e9\n".encode("utf-8"))
@@ -171,7 +178,7 @@ class TestAnalyze:
 
         def lying_search(code, **kwargs):
             result = real(code, **kwargs)
-            return type(result)(result.value + 1, result.exact, result.method)
+            return type(result)(result.value + 1, result.exact)
 
         monkeypatch.setattr(analysis_module, "codeword_distance_search", lying_search)
         code, _, err = run_cli(capsys, "analyze", str(fano_file), "--method", "both")
@@ -182,7 +189,7 @@ class TestAnalyze:
         monkeypatch.setenv("HYPERCODE_ENUM_CAP", "4")
         code, _, err = run_cli(capsys, "analyze", str(fano_file))
         assert code == 4
-        assert "cap" in err
+        assert err == "error: codeword search needs 15 evaluations, above the cap of 4\n"
 
 
 class TestVerifyCommand:

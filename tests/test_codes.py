@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import bit_matrices, brute_min_distance, hypergraphs, random_connected_graph, span_words
 from hypercode import (
     BitMatrix,
+    DistanceResult,
     EnumerationCapError,
     Hypergraph,
     codeword_distance_search,
@@ -24,8 +25,6 @@ from hypercode import (
     incidence_matrix,
     is_self_dual,
     is_self_orthogonal,
-    min_distance,
-    min_distance_via_eonv,
     nullspace_basis,
     rank,
     row_space_equal,
@@ -62,18 +61,18 @@ class TestFromGenerator:
 
 class TestMinDistance:
     def test_identity(self):
-        assert min_distance(from_generator(BitMatrix.identity(4))) == 1
+        assert codeword_distance_search(from_generator(BitMatrix.identity(4))).value == 1
 
     def test_fano(self):
-        assert min_distance(FANO_CODE) == 3
+        assert codeword_distance_search(FANO_CODE).value == 3
 
     def test_parts_of_four(self):
         code = from_generator(incidence_matrix(complete_3partite(4)))
-        assert min_distance(code) == 16
+        assert codeword_distance_search(code).value == 16
 
     def test_zero_code_rejected(self):
         with pytest.raises(ValueError):
-            min_distance(from_generator(BitMatrix.zeros(2, 5)))
+            codeword_distance_search(from_generator(BitMatrix.zeros(2, 5)))
 
     @given(bit_matrices(max_rows=7, max_cols=12, min_cols=1))
     def test_matches_span_closure_oracle(self, m):
@@ -81,20 +80,30 @@ class TestMinDistance:
         code = from_generator(m)
         if expected is None:
             with pytest.raises(ValueError):
-                min_distance(code)
+                codeword_distance_search(code)
         else:
-            assert min_distance(code) == expected
+            assert codeword_distance_search(code).value == expected
 
-    def test_cap_enforced(self):
-        with pytest.raises(EnumerationCapError):
-            min_distance(FANO_CODE, cap=10)
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "10")
+        with pytest.raises(
+            EnumerationCapError, match="^codeword search needs 15 evaluations, above the cap of 10$"
+        ):
+            codeword_distance_search(FANO_CODE)
 
     def test_cap_from_environment(self, monkeypatch):
-        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "4")
+        # Fano has k = 4: 15 evaluations, so 15 is the smallest cap that passes.
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "14")
         with pytest.raises(EnumerationCapError):
-            min_distance(FANO_CODE)
-        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "1000")
-        assert min_distance(FANO_CODE) == 3
+            codeword_distance_search(FANO_CODE)
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "15")
+        assert codeword_distance_search(FANO_CODE).value == 3
+
+    @pytest.mark.parametrize("raw", ["many", "-1"])
+    def test_cap_must_be_a_non_negative_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", raw)
+        with pytest.raises(ValueError, match="HYPERCODE_ENUM_CAP"):
+            codeword_distance_search(FANO_CODE)
 
 
 class TestEngineEquivalence:
@@ -106,13 +115,13 @@ class TestEngineEquivalence:
         ],
     )
     def test_known_values(self, hg, expected):
-        assert min_distance_via_eonv(hg) == expected
-        assert min_distance(from_generator(incidence_matrix(hg))) == expected
+        assert eonv_distance_search(hg).value == expected
+        assert codeword_distance_search(from_generator(incidence_matrix(hg))).value == expected
 
     @given(hypergraphs(max_vertices=7, max_edges=10))
     def test_engines_agree(self, hg):
-        d_subsets = min_distance_via_eonv(hg)
-        d_codewords = min_distance(from_generator(incidence_matrix(hg)))
+        d_subsets = eonv_distance_search(hg).value
+        d_codewords = codeword_distance_search(from_generator(incidence_matrix(hg))).value
         assert d_subsets == d_codewords
         # third route: full span closure
         assert d_subsets == brute_min_distance(incidence_matrix(hg).rows)
@@ -132,11 +141,7 @@ class TestSearchControls:
         assert result.value == 3
 
     def test_eonv_search_result_fields(self):
-        result = eonv_distance_search(fano_circulant())
-        assert result.method == "eonv"
-        assert result.value == 3
-        assert result.witness == (0,)
-        assert result.exact
+        assert eonv_distance_search(fano_circulant()) == DistanceResult(3, True, (0,))
 
 
 class TestWeightDistribution:
@@ -163,11 +168,14 @@ class TestWeightDistribution:
         assert dist[0] == 1
         positive = [w for w in dist if w > 0]
         if positive:
-            assert min(positive) == min_distance(code)
+            assert min(positive) == codeword_distance_search(code).value
 
-    def test_cap_enforced(self):
-        with pytest.raises(EnumerationCapError):
-            weight_distribution(FANO_CODE, cap=8)
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "8")
+        with pytest.raises(
+            EnumerationCapError, match="^weight distribution needs 16 evaluations, above the cap of 8$"
+        ):
+            weight_distribution(FANO_CODE)
 
 
 class TestDual:

@@ -244,6 +244,11 @@ class TestMatrixTextFormat:
             "2 2\n10\n0x\n",
             "2 2\n10\n01\nextra\n",
             "-1 2\n",
+            "+2 2\n10\n01\n",
+            "0_2 2\n10\n01\n",
+            "02 2\n10\n01\n",
+            "\u0662 2\n10\n01\n",
+            "2 2\n10\u3000\n01\n",
         ],
     )
     def test_parse_errors(self, text):

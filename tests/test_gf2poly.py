@@ -248,12 +248,12 @@ class TestBlockCirculantBound:
             block_circulant_bound(1, 0)
 
     def test_small_instances_meet_the_bound(self):
-        from hypercode import min_distance_via_eonv
+        from hypercode import eonv_distance_search
 
         for k in range(1, 4):
             for m in range(1, 4):
                 hg = circulant_hypergraph(block_row(k, m))
-                d = min_distance_via_eonv(hg)
+                d = eonv_distance_search(hg).value
                 assert d >= block_circulant_bound(k, m)
                 if m == 1:
                     assert d == k

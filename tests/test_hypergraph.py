@@ -14,6 +14,8 @@ from conftest import hypergraphs, hypergraphs_with_subset, random_connected_grap
 from hypercode import (
     BitMatrix,
     BitVector,
+    DistanceResult,
+    EnumerationCapError,
     Hypergraph,
     block_row,
     circulant_hypergraph,
@@ -22,8 +24,7 @@ from hypercode import (
     connected_uniform_samples,
     edges_at,
     eonv,
-    eonv_min,
-    eonv_search,
+    eonv_distance_search,
     f_count,
     fano_circulant,
     format_hypergraph,
@@ -126,12 +127,12 @@ class TestIncidenceMatrix:
         assert sorted_columns(ours) == sorted_columns(displayed)
 
     def test_displayed_matrices_have_the_advertised_parameters(self):
-        from hypercode import from_generator, min_distance, rank
+        from hypercode import codeword_distance_search, from_generator, rank
 
         small = BitMatrix.from_strings(K3PARTITE_2_ROWS)
-        assert (rank(small), min_distance(from_generator(small))) == (4, 4)
+        assert (rank(small), codeword_distance_search(from_generator(small)).value) == (4, 4)
         large = BitMatrix.from_strings(K3PARTITE_3_ROWS)
-        assert (rank(large), min_distance(from_generator(large))) == (7, 9)
+        assert (rank(large), codeword_distance_search(from_generator(large)).value) == (7, 9)
 
     @given(hypergraphs())
     def test_column_weights_are_edge_sizes(self, hg):
@@ -186,22 +187,28 @@ class TestEonv:
 
 
 class TestEonvMin:
+    @staticmethod
+    def exact_subset_search(hg):
+        result = eonv_distance_search(hg)
+        assert result.exact
+        return result.value, result.witness
+
     def test_fano(self):
-        d, witness = eonv_min(fano_circulant())
+        d, witness = self.exact_subset_search(fano_circulant())
         assert d == 3
         assert witness == (0,)
 
     def test_parts_of_two(self):
-        assert eonv_min(complete_3partite(2))[0] == 4
+        assert self.exact_subset_search(complete_3partite(2))[0] == 4
 
     def test_single_edge_witness(self):
-        d, witness = eonv_min(Hypergraph(2, ((0, 1),)))
+        d, witness = self.exact_subset_search(Hypergraph(2, ((0, 1),)))
         assert (d, witness) == (1, (0,))
 
     def test_witness_is_lexicographically_smallest(self):
         # {0} and {1} both give one odd edge; (0,) precedes (1,)
         hg = Hypergraph(2, ((0,), (1,)))
-        assert eonv_min(hg) == (1, (0,))
+        assert self.exact_subset_search(hg) == (1, (0,))
 
     def test_matches_brute_force_with_lex_witness(self):
         rng = random.Random(99)
@@ -215,22 +222,26 @@ class TestEonvMin:
                 (len(eonv(hg, s)), s) for s in subsets if eonv(hg, s)
             ]
             assert candidates, "edges are nonempty, a singleton always hits one"
-            assert eonv_min(hg) == min(candidates)
+            assert self.exact_subset_search(hg) == min(candidates)
 
     def test_early_exit_flags_upper_bound(self):
-        result = eonv_search(fano_circulant(), early_exit=7)
+        result = eonv_distance_search(fano_circulant(), early_exit=7)
         assert not result.exact
-        assert result.weight >= 3
+        assert result.value >= 3
 
     def test_early_exit_stops_at_the_first_weight_within_the_threshold(self):
         # gray(1) = {0} is the first subset scanned and already has weight 3
-        result = eonv_search(fano_circulant(), early_exit=3)
-        assert (result.weight, result.witness, result.exact) == (3, (0,), False)
+        result = eonv_distance_search(fano_circulant(), early_exit=3)
+        assert result == DistanceResult(3, False, (0,))
 
-    def test_cap_enforced(self):
-        with pytest.raises(Exception) as excinfo:
-            eonv_search(fano_circulant(), cap=10)
-        assert "cap" in str(excinfo.value)
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "126")
+        with pytest.raises(
+            EnumerationCapError, match="^subset search needs 127 evaluations, above the cap of 126$"
+        ):
+            eonv_distance_search(fano_circulant())
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "127")
+        assert eonv_distance_search(fano_circulant()).value == 3
 
 
 class TestComplete3Partite:
