@@ -157,15 +157,16 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _read_input(path: str) -> str:
-    """The input text; raises OSError, or ValueError for non-ASCII input."""
+    """The input text with its line breaks untranslated, for the parsers to split.
+
+    Raises OSError, or ValueError for non-ASCII input.
+    """
     if path == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
-        with open(path, "r", encoding="ascii") as handle:
-            text = handle.read()
-    if not text.isascii():
-        raise ValueError("the input is not ASCII text")
-    return text
+        with open(path, "rb") as handle:
+            data = handle.read()
+    return data.decode("ascii")
 
 
 def _parse_auto(text: str) -> tuple[Hypergraph | None, BitMatrix | None]:

@@ -9,6 +9,12 @@ its incidence matrix.  Their agreement on incidence codes is the core
 correctness property of the package, so the two loops sit side by side and
 share no code.  Both check their evaluation count against the one cap in
 :mod:`hypercode.limits` before they start.
+
+Each self-duality fact has one implementation.  A code builds its Gram
+matrix at most once, beside its reduced form, and :func:`is_self_dual` adds
+only the dimension test 2k = n.  On the hypergraph side the counting criterion for
+connected graphs is :func:`structural_self_orthogonality` plus the edge
+count m = 2n - 2.
 """
 
 from __future__ import annotations
@@ -25,8 +31,9 @@ from .limits import check_enum_cap
 class LinearCode:
     """A binary linear code presented by a generator matrix.
 
-    The reduced form is cached on first use; ``basis`` holds the nonzero
-    RREF rows, which span the same row space with independent rows.
+    The reduced form and the Gram test are each computed once, on first
+    use; ``basis`` holds the nonzero RREF rows, which span the same row
+    space with independent rows.
     """
 
     generator: BitMatrix
@@ -34,6 +41,12 @@ class LinearCode:
     @cached_property
     def _reduced(self) -> tuple[BitMatrix, tuple[int, ...]]:
         return rref(self.generator)
+
+    @cached_property
+    def _gram_is_zero(self) -> bool:
+        # ``gram`` is looked up in this module at call time, so the
+        # benchmark's trace span on ``codes.gram`` records the call.
+        return gram(self.basis).is_zero
 
     @property
     def basis(self) -> BitMatrix:
@@ -161,8 +174,12 @@ def dual(code: LinearCode) -> LinearCode:
 
 
 def is_self_orthogonal(code: LinearCode) -> bool:
-    """Whether the code is contained in its dual (all pairwise products vanish)."""
-    return gram(code.basis).is_zero
+    """Whether the code is contained in its dual (all pairwise products vanish).
+
+    The Gram matrix of the basis is built on the first call for a code and
+    its verdict reused after that.
+    """
+    return code._gram_is_zero
 
 
 def is_self_dual(code: LinearCode) -> bool:
@@ -196,8 +213,9 @@ def graph_self_duality_criterion(hypergraph: Hypergraph) -> bool:
     For a connected 2-uniform hypergraph with n vertices and m edges the
     incidence code is self-dual exactly when m = 2n - 2 and every pair of
     vertices (including each vertex with itself, i.e. even degrees) lies in
-    an even number of common edges.  Must agree with ``is_self_dual`` of the
-    incidence code.
+    an even number of common edges, which is
+    :func:`structural_self_orthogonality`.  Must agree with
+    ``is_self_dual`` of the incidence code.
     """
     if hypergraph.num_edges == 0:
         raise ValueError("the criterion needs at least one edge")
@@ -206,11 +224,4 @@ def graph_self_duality_criterion(hypergraph: Hypergraph) -> bool:
     if not is_connected(hypergraph):
         raise ValueError("the criterion applies to connected graphs only")
     n = hypergraph.num_vertices
-    if hypergraph.num_edges != 2 * n - 2:
-        return False
-    incident = [edges_at(hypergraph, u) for u in range(n)]
-    for u in range(n):
-        for v in range(u, n):
-            if len(incident[u] & incident[v]) % 2:
-                return False
-    return True
+    return hypergraph.num_edges == 2 * n - 2 and structural_self_orthogonality(hypergraph)

@@ -60,15 +60,6 @@ class BitVector:
             raise ValueError(f"expected a string of '0'/'1', got {text!r}")
         return cls(len(text), int(text[::-1], 2) if text else 0)
 
-    @classmethod
-    def from_support(cls, length: int, support: Iterable[int]) -> "BitVector":
-        bits = 0
-        for i in support:
-            if not 0 <= i < length:
-                raise IndexError(f"coordinate {i} out of range for length {length}")
-            bits |= 1 << i
-        return cls(length, bits)
-
     def __len__(self) -> int:
         return self.length
 
@@ -154,11 +145,6 @@ class BitMatrix:
                 raise ValueError("rows must all have the same length")
             return cls(len(vectors), width, tuple(v.bits for v in vectors))
         return cls(0, 0 if num_cols is None else num_cols, ())
-
-    @classmethod
-    def from_lists(cls, rows: Sequence[Sequence[int]], num_cols: int | None = None) -> "BitMatrix":
-        vectors = [BitVector.from_bits(r) for r in rows]
-        return cls.from_rows(vectors, num_cols)
 
     @classmethod
     def from_strings(cls, lines: Sequence[str], num_cols: int | None = None) -> "BitMatrix":
@@ -316,6 +302,31 @@ def matvec(matrix: BitMatrix, vector: BitVector) -> BitVector:
 
 
 _DECIMAL = re.compile(r"0|[1-9][0-9]*")
+_NOT_TEXT = re.compile(r"[^\t\n -~]")
+
+
+def split_lines(text: str, rule: str) -> list[str]:
+    r"""The lines of an input text; both text formats are read through it.
+
+    The text may hold printable ASCII, tabs and line breaks only.  Lines
+    split on ``\n`` alone; a ``\r`` directly before it is dropped, so CRLF
+    files read like LF files, and a final ``\n`` starts no empty line.
+    Tokens are then separated by spaces and tabs only, where
+    ``str.splitlines`` and ``str.split`` would also break at ``\x0b``,
+    ``\x0c``, ``\x1c``-``\x1f`` and non-ASCII separators.  Any other
+    character raises ``ValueError`` led by ``rule``, which states the
+    format's rule in its own terms.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    bad = _NOT_TEXT.search(text)
+    if bad:
+        line = text.count("\n", 0, bad.start()) + 1
+        raise ValueError(f"{rule}; found {bad.group()!r} on line {line}")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def format_matrix(matrix: BitMatrix) -> str:
@@ -331,16 +342,15 @@ def format_matrix(matrix: BitMatrix) -> str:
 
 
 def parse_matrix(text: str) -> BitMatrix:
-    """Parse the matrix text format produced by :func:`format_matrix`.
+    r"""Parse the matrix text format produced by :func:`format_matrix`.
 
-    The text must be ASCII and both header tokens plain decimal integers,
-    ``0|[1-9][0-9]*``, the rule :func:`hypercode.hypergraph.parse_hypergraph`
-    applies to its tokens.  ``int`` alone would also take ``+2``, ``0_2``
-    and non-ASCII digits, and ``str.strip`` non-ASCII spaces.
+    Lines are read by :func:`split_lines`: ASCII only, split on ``\n`` (CRLF
+    accepted), no control character but tab.  Both header tokens must be
+    plain decimal integers, ``0|[1-9][0-9]*``, the rule
+    :func:`hypercode.hypergraph.parse_hypergraph` applies to its tokens.
+    ``int`` alone would also take ``+2``, ``0_2`` and non-ASCII digits.
     """
-    if not text.isascii():
-        raise ValueError("matrix text must be ASCII")
-    lines = text.splitlines()
+    lines = split_lines(text, "matrix text must be ASCII with tab as its only control character")
     if not lines:
         raise ValueError("empty matrix file")
     header = lines[0].split()

@@ -13,11 +13,9 @@ Exponents are 0-based, matching 0-based matrix columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable
 
-from .gf2core import BitMatrix, BitVector, set_bits
-from .hypergraph import Hypergraph, incidence_matrix, subset_mask
+from .gf2core import BitVector, set_bits
 
 NEG_INFINITY = float("-inf")
 """Degree of the zero polynomial (a sentinel, never -1-as-an-integer)."""
@@ -44,19 +42,6 @@ class GF2Poly:
         if not text:
             raise ValueError("empty polynomial string")
         return cls(BitVector.from_string(text).bits)
-
-    @classmethod
-    def from_support(cls, exponents: Iterable[int]) -> "GF2Poly":
-        bits = 0
-        for e in exponents:
-            if e < 0:
-                raise ValueError(f"exponent {e} must be non-negative")
-            bits |= 1 << e
-        return cls(bits)
-
-    @classmethod
-    def from_bitvector(cls, vector: BitVector) -> "GF2Poly":
-        return cls(vector.bits)
 
     @property
     def degree(self) -> int | float:
@@ -161,30 +146,6 @@ def cyclic_code_dimension(p: GF2Poly, n: int) -> int:
         raise ValueError(f"deg(p) = {p.degree} must be below the code length {n}")
     g = poly_gcd(p, x_power_plus_one(n))
     return n - (g.bits.bit_length() - 1)
-
-
-def row_polynomial(matrix: BitMatrix, index: int) -> GF2Poly:
-    """The polynomial whose exponent set is the support of a matrix row."""
-    if not 0 <= index < matrix.num_rows:
-        raise IndexError(f"row {index} out of range")
-    return GF2Poly(matrix.rows[index])
-
-
-def eonv_weight_via_polys(hypergraph: Hypergraph, subset: Iterable[int]) -> int:
-    """Weight of the edge set meeting ``subset`` oddly, via row polynomials.
-
-    Sums (XOR) the row polynomials of the selected vertices and returns the
-    support size of the sum.  Must agree with ``len(eonv(hypergraph, subset))``;
-    on circulant hypergraphs this is the polynomial view of the subset search.
-    """
-    mask = subset_mask(hypergraph, subset)
-    matrix = incidence_matrix(hypergraph)
-    total = reduce(
-        poly_add,
-        (row_polynomial(matrix, v) for v in range(hypergraph.num_vertices) if (mask >> v) & 1),
-        GF2Poly(0),
-    )
-    return total.weight
 
 
 def block_circulant_bound(k: int, m: int) -> int:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .gf2core import BitMatrix, BitVector, set_bits
+from .gf2core import BitMatrix, BitVector, set_bits, split_lines
+from .limits import MAX_VERTICES
 
 Edge = tuple[int, ...]
 
@@ -245,13 +246,6 @@ def block_row(k: int, m: int) -> BitVector:
 # Local structure
 
 
-def complement_edge(hypergraph: Hypergraph, index: int) -> frozenset[int]:
-    """All vertices outside the given edge (the complement as a vertex set)."""
-    if not 0 <= index < hypergraph.num_edges:
-        raise IndexError(f"edge {index} out of range")
-    return frozenset(range(hypergraph.num_vertices)) - set(hypergraph.edges[index])
-
-
 def edges_at(hypergraph: Hypergraph, vertex: int) -> frozenset[int]:
     """Indices of the edges containing the vertex; its size is the degree."""
     if not 0 <= vertex < hypergraph.num_vertices:
@@ -352,6 +346,7 @@ def connected_uniform_samples(
 
 _DIGITS_AND_SEPARATORS = b"0123456789 \t\n"
 _LEADING_ZERO = re.compile(rb"[ \t\n]0[0-9]")
+_TOKEN_RULE = "hypergraph tokens must be plain decimal integers, 0|[1-9][0-9]*"
 
 
 def format_hypergraph(hypergraph: Hypergraph) -> str:
@@ -367,14 +362,18 @@ def format_hypergraph(hypergraph: Hypergraph) -> str:
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    """Parse the hypergraph text format; blank lines and '#' comments are ignored.
+    r"""Parse the hypergraph text format; blank lines and '#' comments are ignored.
 
-    Every token must be a plain decimal integer, ``0|[1-9][0-9]*``.  ``int``
-    alone would also take ``01``, ``+1``, ``1_0`` and non-ASCII digits, and
-    so let a matrix file such as ``2 2 / 01 / 01`` pass for a hypergraph.
+    Lines are read by :func:`hypercode.gf2core.split_lines`: the text must be
+    ASCII, lines split on ``\n`` (CRLF accepted) and tab is the only control
+    character allowed.  Every token must be a plain decimal integer,
+    ``0|[1-9][0-9]*``; ``int`` alone would also take ``01``, ``+1``, ``1_0``
+    and non-ASCII digits, and so let a matrix file such as ``2 2 / 01 / 01``
+    pass for a hypergraph.  The vertex count may not exceed
+    :data:`hypercode.limits.MAX_VERTICES`.
     """
     lines = []
-    for line in text.splitlines():
+    for line in split_lines(text, _TOKEN_RULE):
         line = line.strip()
         if line and line[0] != "#":
             lines.append(line)
@@ -384,12 +383,14 @@ def parse_hypergraph(text: str) -> Hypergraph:
     if len(header) != 2:
         raise ValueError(f"hypergraph header must be '<vertices> <edges>', got {lines[0]!r}")
     # Two C-level passes over the whole text stand in for a token-by-token
-    # match: nothing but ASCII digits and separators, and no zero that
-    # starts a longer token.  Non-ASCII characters encode to "?".
-    data = ("\n" + "\n".join(lines)).encode("ascii", "replace")
+    # match: nothing but digits and separators, and no zero that starts a
+    # longer token.
+    data = ("\n" + "\n".join(lines)).encode("ascii")
     if data.translate(None, _DIGITS_AND_SEPARATORS) or _LEADING_ZERO.search(data):
-        raise ValueError("hypergraph tokens must be plain decimal integers, 0|[1-9][0-9]*")
+        raise ValueError(_TOKEN_RULE)
     num_vertices, num_edges = int(header[0]), int(header[1])
+    if num_vertices > MAX_VERTICES:
+        raise ValueError(f"{num_vertices} vertices exceed the limit of {MAX_VERTICES}")
     body = lines[1:]
     if len(body) != num_edges:
         raise ValueError(f"expected {num_edges} edge lines, found {len(body)}")

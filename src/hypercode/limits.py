@@ -1,4 +1,4 @@
-"""Evaluation budget shared by the exhaustive search engines.
+"""Limits: the evaluation budget of the search engines and the input size.
 
 Minimum-distance computation is exponential, so every search checks its
 number of weight evaluations against one cap before it starts.  The cap is
@@ -6,6 +6,9 @@ the ``HYPERCODE_ENUM_CAP`` environment variable, read at call time, or
 ``DEFAULT_ENUM_CAP`` when it is unset; there is no other way to set it.
 Exceeding the cap raises instead of silently truncating: an exhaustive
 answer is either exact or an error, never a quiet bound.
+
+``MAX_VERTICES`` bounds the vertex count of a parsed hypergraph; it is
+fixed.
 """
 
 from __future__ import annotations
@@ -14,6 +17,14 @@ import os
 
 DEFAULT_ENUM_CAP = 1 << 32
 ENUM_CAP_ENV_VAR = "HYPERCODE_ENUM_CAP"
+
+# A hypergraph holds one incidence row per vertex, and the row list is
+# allocated from the header count alone, so a header of 10**15 vertices
+# would exhaust memory before any later check could reject the file.  2**20
+# vertices cost 8 MB of row slots; that is far above every test and
+# benchmark input (the largest has 127 vertices) and every family small
+# enough to generate.
+MAX_VERTICES = 1 << 20
 
 
 class EnumerationCapError(RuntimeError):

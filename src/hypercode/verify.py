@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .analysis import analyze_hypergraph
 from .codes import (
@@ -36,6 +36,7 @@ from .hypergraph import (
     f_count,
     fano_circulant,
     incidence_matrix,
+    is_connected,
     projective_geometry,
     random_hypergraph,
 )
@@ -295,24 +296,6 @@ def _check_cyclic_dimension() -> tuple[bool, str]:
     return check.result()
 
 
-def _connected_multigraph(n: int, edge_list: tuple[tuple[int, int], ...]) -> bool:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = n
-    for u, v in edge_list:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            components -= 1
-    return components == 1
-
-
 def _check_self_duality() -> tuple[bool, str]:
     check = _Checker()
     rng = random.Random(CORPUS_SEED + 8)
@@ -337,11 +320,11 @@ def _check_self_duality() -> tuple[bool, str]:
     for n in range(2, 6):
         pairs = tuple(combinations(range(n), 2))
         for m in range(1, 11):
-            for multiset in combinations_with_replacement(pairs, m):
-                if not _connected_multigraph(n, multiset):
-                    continue
+            multigraphs = (
+                Hypergraph(n, multiset) for multiset in combinations_with_replacement(pairs, m)
+            )
+            for hg in filter(is_connected, multigraphs):
                 graphs_checked += 1
-                hg = Hypergraph(n, multiset)
                 by_criterion = graph_self_duality_criterion(hg)
                 matrix = incidence_matrix(hg)
                 directly = row_space_equal(matrix, nullspace_basis(matrix))
@@ -350,7 +333,7 @@ def _check_self_duality() -> tuple[bool, str]:
                     if criterion_mismatch <= 3:
                         check.failures.append(
                             f"criterion={by_criterion} but row space vs null space "
-                            f"says {directly} on n={n}, edges={multiset}"
+                            f"says {directly} on n={n}, edges={hg.edges}"
                         )
     check.equal(criterion_mismatch, 0, "graph-criterion disagreements")
     check.note(
@@ -427,10 +410,6 @@ CRITERIA: tuple[Criterion, ...] = (
     Criterion("self-duality", ("self-duality",), 60.0, _check_self_duality),
     Criterion("eonv-support", ("eonv-support", "parity"), 10.0, _check_eonv_support),
 )
-
-
-def criterion_names() -> tuple[str, ...]:
-    return tuple(c.name for c in CRITERIA)
 
 
 def select_criteria(only: str | None = None) -> tuple[Criterion, ...]:

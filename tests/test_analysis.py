@@ -14,9 +14,16 @@ from hypercode import (
     analyze_matrix,
     complete_3partite,
     fano_circulant,
+    from_generator,
+    is_self_dual,
+    is_self_orthogonal,
     parse_matrix,
 )
 from hypercode.analysis import CSV_COLUMNS
+
+
+def both_predicates(code):
+    return is_self_orthogonal(code), is_self_dual(code)
 
 
 class TestAnalyzeHypergraph:
@@ -52,22 +59,22 @@ class TestAnalyzeHypergraph:
             analyze_hypergraph(fano_circulant())
 
     @pytest.mark.parametrize(
-        "analyze,subject,calls",
+        "run",
         [
-            (analyze_hypergraph, fano_circulant(), 1),
-            (analyze_matrix, BitMatrix.from_strings(["1100", "0011"]), 2),
+            lambda: analyze_hypergraph(fano_circulant()),
+            lambda: analyze_matrix(BitMatrix.from_strings(["1100", "0011"])),
+            lambda: both_predicates(from_generator(BitMatrix.from_strings(["1100", "0011"]))),
         ],
+        ids=["fano", "self-dual-matrix", "both-predicates"],
     )
-    def test_gram_is_built_once_unless_the_dimension_allows_self_duality(
-        self, monkeypatch, analyze, subject, calls
-    ):
+    def test_gram_is_built_once_per_code(self, monkeypatch, run):
         import hypercode.codes as codes_module
 
         real = codes_module.gram
         built = []
         monkeypatch.setattr(codes_module, "gram", lambda m: built.append(m) or real(m))
-        analyze(subject)
-        assert len(built) == calls
+        run()
+        assert len(built) == 1
 
 
 class TestAnalyzeMatrix:

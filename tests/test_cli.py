@@ -148,6 +148,29 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot read -") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "data", [b"3 1\x0c0 1\n", b"2 2\x0c10\x1e01\n", b"2 2\r10\r01\r"]
+    )
+    def test_control_characters_exit_2(self, tmp_path, capsys, data):
+        path = tmp_path / "control.txt"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot parse") and err.count("\n") == 1
+
+    def test_crlf_file_reads_like_lf(self, tmp_path, capsys, fano_file):
+        crlf = tmp_path / "fano-crlf.hg"
+        crlf.write_bytes(fano_file.read_bytes().replace(b"\n", b"\r\n"))
+        assert run_cli(capsys, "analyze", str(crlf)) == run_cli(capsys, "analyze", str(fano_file))
+
+    @pytest.mark.parametrize("fmt", ["auto", "hypergraph"])
+    def test_huge_vertex_count_exits_2(self, tmp_path, capsys, fmt):
+        path = tmp_path / "huge.hg"
+        path.write_text("1000000000000000 1\n0\n")
+        code, out, err = run_cli(capsys, "analyze", str(path), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot parse") and err.count("\n") == 1
+
     def test_csv_output(self, capsys, fano_file):
         code, out, _ = run_cli(capsys, "analyze", str(fano_file), "--csv")
         assert code == 0

@@ -24,6 +24,7 @@ from hypercode import (
     row_space_equal,
     rref,
 )
+from hypercode.gf2core import split_lines
 
 FANO = incidence_matrix(fano_circulant())
 
@@ -249,8 +250,43 @@ class TestMatrixTextFormat:
             "02 2\n10\n01\n",
             "\u0662 2\n10\n01\n",
             "2 2\n10\u3000\n01\n",
+            "2 2\x0c10\x1e01\n",  # form feed and record separator as line breaks
+            "2\x1f2\n10\n01\n",  # unit separator between header tokens
+            "2 2\n10\r01\n",  # a carriage return not followed by a line feed
         ],
     )
     def test_parse_errors(self, text):
         with pytest.raises(ValueError):
             parse_matrix(text)
+
+    def test_crlf_and_tabs_are_accepted(self):
+        expected = parse_matrix("2 2\n10\n01\n")
+        assert parse_matrix("2 2\r\n10\r\n01\r\n") == expected
+        assert parse_matrix("2\t2\n\t10\n01 \n") == expected
+
+
+class TestSplitLines:
+    def test_splits_on_line_feed_only(self):
+        assert split_lines("a\tb\n\nc d", "rule") == ["a\tb", "", "c d"]
+        assert split_lines("a\n", "rule") == ["a"]
+        assert split_lines("a\n\n", "rule") == ["a", ""]
+        assert split_lines("", "rule") == []
+
+    def test_drops_a_carriage_return_before_a_line_feed(self):
+        assert split_lines("a\r\nb\r\n", "rule") == ["a", "b"]
+
+    @pytest.mark.parametrize(
+        "text,found,line",
+        [
+            ("a\rb\n", "\\r", 1),
+            ("a\r\r\nb\n", "\\r", 1),
+            ("a\nb\x0cc\n", "\\x0c", 2),
+            ("a\nb\nc\x7f", "\\x7f", 3),
+            ("a\n\u2028b", "\\u2028", 2),
+            ("a\n\u00e9", "\u00e9", 2),
+        ],
+    )
+    def test_rejects_every_other_control_and_non_ascii_character(self, text, found, line):
+        with pytest.raises(ValueError) as raised:
+            split_lines(text, "the rule")
+        assert str(raised.value) == f"the rule; found '{found}' on line {line}"

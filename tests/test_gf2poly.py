@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,18 +15,12 @@ from hypercode import (
     block_row,
     circulant_hypergraph,
     cyclic_code_dimension,
-    eonv,
-    eonv_weight_via_polys,
-    fano_circulant,
-    incidence_matrix,
     poly_add,
     poly_divmod,
     poly_gcd,
     poly_mul,
     poly_rem,
-    random_hypergraph,
     rank,
-    row_polynomial,
     x_power_plus_one,
 )
 
@@ -67,7 +59,7 @@ class TestBasics:
 
     def test_bitvector_row_compatibility(self):
         v = BitVector.from_string("1000101")
-        assert GF2Poly.from_bitvector(v).to_string() == v.to01()
+        assert GF2Poly(v.bits).to_string() == v.to01()
 
     def test_x_power_plus_one(self):
         assert x_power_plus_one(7).support == (0, 7)
@@ -192,48 +184,6 @@ class TestCyclicDimension:
         first_row = BitVector(n, bits)
         matrix = BitMatrix(n, n, tuple(first_row.rotated(i).bits for i in range(n)))
         assert cyclic_code_dimension(GF2Poly(bits), n) == rank(matrix)
-
-
-class TestRowPolynomial:
-    def test_examples(self):
-        m = BitMatrix.from_strings(["101", "000"])
-        assert row_polynomial(m, 0) == GF2Poly.from_string("101")
-        assert row_polynomial(m, 1).is_zero
-        with pytest.raises(IndexError):
-            row_polynomial(m, 2)
-
-    def test_fano_first_row(self):
-        m = incidence_matrix(fano_circulant())
-        assert row_polynomial(m, 0).support == (0, 4, 6)
-
-
-class TestEonvWeightViaPolys:
-    def test_single_vertex_is_row_weight(self):
-        hg = fano_circulant()
-        for v in range(7):
-            assert eonv_weight_via_polys(hg, {v}) == hg.degree(v)
-
-    def test_fano_full_vertex_set(self):
-        # every column has odd weight 3, so the all-rows sum is all-ones
-        assert eonv_weight_via_polys(fano_circulant(), range(7)) == 7
-
-    def test_empty_subset_rejected(self):
-        with pytest.raises(ValueError):
-            eonv_weight_via_polys(fano_circulant(), set())
-
-    @given(st.integers(2, 10), st.data())
-    def test_matches_direct_eonv_on_circulants(self, n, data):
-        bits = data.draw(st.integers(1, (1 << n) - 1))
-        hg = circulant_hypergraph(BitVector(n, bits))
-        subset = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
-        assert eonv_weight_via_polys(hg, subset) == len(eonv(hg, subset))
-
-    def test_matches_direct_eonv_on_random_hypergraphs(self):
-        rng = random.Random(4242)
-        for _ in range(100):
-            hg = random_hypergraph(rng, rng.randint(1, 9), rng.randint(1, 12))
-            subset = rng.sample(range(hg.num_vertices), rng.randint(1, hg.num_vertices))
-            assert eonv_weight_via_polys(hg, subset) == len(eonv(hg, subset))
 
 
 class TestBlockCirculantBound:

@@ -19,7 +19,6 @@ from hypercode import (
     Hypergraph,
     block_row,
     circulant_hypergraph,
-    complement_edge,
     complete_3partite,
     connected_uniform_samples,
     edges_at,
@@ -37,6 +36,7 @@ from hypercode import (
     random_uniform_hypergraph,
     row_combination,
 )
+from hypercode.limits import MAX_VERTICES
 
 # Displayed incidence matrix of the complete 3-partite 3-uniform hypergraph
 # with parts of size 2 (row order x1 x2 y1 y2 z1 z2).
@@ -413,23 +413,14 @@ class TestBlockRow:
 
 
 class TestComplementEdge:
-    def test_full_edge_has_empty_complement(self):
-        assert complement_edge(Hypergraph(3, ((0, 1, 2),)), 0) == frozenset()
-
-    def test_fano_line(self):
-        assert complement_edge(fano_circulant(), 0) == frozenset({2, 4, 5, 6})
-
-    def test_invalid_index(self):
-        with pytest.raises(IndexError):
-            complement_edge(fano_circulant(), 7)
-
     def test_block_shift_by_m_is_complement(self):
         for k in range(1, 5):
             for m in range(1, 5):
                 hg = circulant_hypergraph(block_row(k, m))
                 n = hg.num_vertices
                 for j in range(n):
-                    assert complement_edge(hg, j) == frozenset(hg.edges[(j + m) % n])
+                    complement = frozenset(range(n)) - set(hg.edges[j])
+                    assert complement == frozenset(hg.edges[(j + m) % n])
 
 
 class TestEdgesAt:
@@ -577,6 +568,11 @@ class TestHypergraphTextFormat:
             "3 1\n0 \u0661\n",  # ARABIC-INDIC DIGIT ONE
             "3 1\n0\u00a001\n",  # a leading zero behind a non-ASCII space
             "3 1\n-0 1\n",
+            "3 1\x0c0 1\n",  # form feed as a line break
+            "3 1\u20280 1\n",  # LINE SEPARATOR as a line break
+            "3\x1f1\n0 1\n",  # unit separator between header tokens
+            "3 1\n0 1\r",  # a carriage return not followed by a line feed
+            "# a comment\x0b\n3 1\n0 1\n",
         ],
     )
     def test_tokens_must_be_plain_decimal_integers(self, text):
@@ -586,3 +582,14 @@ class TestHypergraphTextFormat:
     def test_multi_digit_and_zero_tokens_parse(self):
         text = "12 2\n0 10 11\n\t9  10\n"
         assert parse_hypergraph(text) == Hypergraph(12, ((0, 10, 11), (9, 10)))
+
+    def test_crlf_is_accepted(self):
+        text = "# comment\r\n3 2\r\n0 1\r\n\r\n1 2\r\n"
+        assert parse_hypergraph(text) == Hypergraph(3, ((0, 1), (1, 2)))
+
+    def test_vertex_count_limit(self):
+        at_limit = parse_hypergraph(f"{MAX_VERTICES} 1\n0 {MAX_VERTICES - 1}\n")
+        assert at_limit.num_vertices == MAX_VERTICES
+        message = f"^{MAX_VERTICES + 1} vertices exceed the limit of {MAX_VERTICES}$"
+        with pytest.raises(ValueError, match=message):
+            parse_hypergraph(f"{MAX_VERTICES + 1} 1\n0\n")
