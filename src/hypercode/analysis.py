@@ -103,18 +103,8 @@ class AnalysisReport:
 def _nonzero_column_hypergraph(matrix: BitMatrix) -> Hypergraph:
     # Zero columns contribute nothing to any codeword weight, so the subset
     # engine may run on the hypergraph of the nonzero columns alone.
-    keep = [
-        j
-        for j in range(matrix.num_cols)
-        if any((r >> j) & 1 for r in matrix.rows)
-    ]
-    rows = []
-    for r in matrix.rows:
-        bits = 0
-        for pos, j in enumerate(keep):
-            bits |= ((r >> j) & 1) << pos
-        rows.append(bits)
-    return from_incidence_matrix(BitMatrix(matrix.num_rows, len(keep), tuple(rows)))
+    columns = tuple(c for c in matrix.transpose().rows if c)
+    return from_incidence_matrix(BitMatrix(len(columns), matrix.num_rows, columns).transpose())
 
 
 def _analyze(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -173,8 +174,13 @@ def _parse_auto(text: str) -> tuple[Hypergraph | None, BitMatrix | None]:
     """Parse in the one format that accepts the text; both or neither is an error."""
     try:
         hypergraph = parse_hypergraph(text)
-    except ValueError:
-        return None, parse_matrix(text)
+    except ValueError as hypergraph_error:
+        try:
+            return None, parse_matrix(text)
+        except ValueError as matrix_error:
+            raise ValueError(
+                f"not a hypergraph ({hypergraph_error}) and not a matrix ({matrix_error})"
+            ) from None
     try:
         parse_matrix(text)
     except ValueError:
@@ -302,18 +308,26 @@ def _cmd_poly(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "family": _cmd_family,
+    "analyze": _cmd_analyze,
+    "verify": _cmd_verify,
+    "selfdual-scan": _cmd_selfdual_scan,
+    "poly": _cmd_poly,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "family":
-        return _cmd_family(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "selfdual-scan":
-        return _cmd_selfdual_scan(args)
-    return _cmd_poly(args)
+    args = build_parser().parse_args(argv)
+    try:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at the null device so
+        # that the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILURE
+    return code
 
 
 if __name__ == "__main__":

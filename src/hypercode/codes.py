@@ -11,7 +11,7 @@ share no code.  Both check their evaluation count against the one cap in
 :mod:`hypercode.limits` before they start.
 
 Each self-duality fact has one implementation.  A code builds its Gram
-matrix at most once, beside its reduced form, and :func:`is_self_dual` adds
+matrix at most once, beside its basis, and :func:`is_self_dual` adds
 only the dimension test 2k = n.  On the hypergraph side the counting criterion for
 connected graphs is :func:`structural_self_orthogonality` plus the edge
 count m = 2n - 2.
@@ -31,27 +31,23 @@ from .limits import check_enum_cap
 class LinearCode:
     """A binary linear code presented by a generator matrix.
 
-    The reduced form and the Gram test are each computed once, on first
-    use; ``basis`` holds the nonzero RREF rows, which span the same row
-    space with independent rows.
+    The basis and the Gram test are each computed once, on first use;
+    ``basis`` holds the nonzero RREF rows, which span the same row space
+    with independent rows.
     """
 
     generator: BitMatrix
 
+    # ``rref`` and ``gram`` are looked up in this module at call time, so the
+    # benchmark's trace spans on ``codes.rref`` and ``codes.gram`` record them.
     @cached_property
-    def _reduced(self) -> tuple[BitMatrix, tuple[int, ...]]:
-        return rref(self.generator)
+    def basis(self) -> BitMatrix:
+        reduced, pivots = rref(self.generator)
+        return BitMatrix(len(pivots), self.generator.num_cols, reduced.rows[: len(pivots)])
 
     @cached_property
     def _gram_is_zero(self) -> bool:
-        # ``gram`` is looked up in this module at call time, so the
-        # benchmark's trace span on ``codes.gram`` records the call.
         return gram(self.basis).is_zero
-
-    @property
-    def basis(self) -> BitMatrix:
-        reduced, pivots = self._reduced
-        return BitMatrix(len(pivots), self.generator.num_cols, reduced.rows[: len(pivots)])
 
     @property
     def length(self) -> int:
@@ -59,7 +55,7 @@ class LinearCode:
 
     @property
     def dimension(self) -> int:
-        return len(self._reduced[1])
+        return self.basis.num_rows
 
 
 def from_generator(matrix: BitMatrix) -> LinearCode:

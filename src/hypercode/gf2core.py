@@ -174,12 +174,10 @@ class BitMatrix:
         return (BitVector(self.num_cols, r) for r in self.rows)
 
     def transpose(self) -> "BitMatrix":
-        cols = []
-        for j in range(self.num_cols):
-            bits = 0
-            for i, r in enumerate(self.rows):
-                bits |= ((r >> j) & 1) << i
-            cols.append(bits)
+        cols = [0] * self.num_cols
+        for i, r in enumerate(self.rows):
+            for j in set_bits(r):
+                cols[j] |= 1 << i
         return BitMatrix(self.num_cols, self.num_rows, tuple(cols))
 
     @property
@@ -196,32 +194,26 @@ class BitMatrix:
 def rref(matrix: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     """Reduced row-echelon form over GF(2).
 
-    Pivot selection is deterministic (lowest row index holding a 1 in the
-    leftmost unresolved column), so the output is reproducible across runs.
-
     Returns:
         (R, pivots): R is the unique RREF with the same row space as the
         input; pivots are the strictly increasing pivot column indices, and
         the first ``len(pivots)`` rows of R are its nonzero rows.
     """
-    rows = list(matrix.rows)
-    pivots: list[int] = []
-    pivot_row = 0
-    for col in range(matrix.num_cols):
-        if pivot_row == len(rows):
-            break
-        bit = 1 << col
-        src = next((i for i in range(pivot_row, len(rows)) if rows[i] & bit), None)
-        if src is None:
-            continue
-        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-        piv = rows[pivot_row]
-        for i in range(len(rows)):
-            if i != pivot_row and rows[i] & bit:
-                rows[i] ^= piv
-        pivots.append(col)
-        pivot_row += 1
-    return BitMatrix(matrix.num_rows, matrix.num_cols, tuple(rows)), tuple(pivots)
+    basis: dict[int, int] = {}  # pivot bit (lowest set bit) -> reduced row
+    for row in matrix.rows:
+        for bit, reduced in basis.items():
+            if row & bit:
+                row ^= reduced
+        if row:
+            low = row & -row
+            for bit, reduced in basis.items():
+                if reduced & low:
+                    basis[bit] = reduced ^ row
+            basis[low] = row
+    bits = sorted(basis)
+    rows = tuple(basis[bit] for bit in bits) + (0,) * (matrix.num_rows - len(bits))
+    pivots = tuple(bit.bit_length() - 1 for bit in bits)
+    return BitMatrix(matrix.num_rows, matrix.num_cols, rows), pivots
 
 
 def rank(matrix: BitMatrix) -> int:
@@ -233,20 +225,18 @@ def nullspace_basis(matrix: BitMatrix) -> BitMatrix:
     """Basis of the right null space {v : M v = 0 over GF(2)}.
 
     Returns one basis row per free column of the RREF, ordered by free
-    column index, so the row count is ``num_cols - rank(matrix)``.
+    column index, so the row count is ``num_cols - rank(matrix)``.  The row
+    of free column f has bit f, no other free-column bit, and the pivot bit
+    of every RREF row holding a 1 in column f.
     """
     reduced, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(matrix.num_cols):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for i, p in enumerate(pivots):
-            if (reduced.rows[i] >> free) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return BitMatrix(len(basis), matrix.num_cols, tuple(basis))
+    pivot_mask = sum(1 << p for p in pivots)
+    free = set_bits(((1 << matrix.num_cols) - 1) & ~pivot_mask)
+    basis = {f: 1 << f for f in free}
+    for row, p in zip(reduced.rows, pivots):
+        for f in set_bits(row & ~pivot_mask):
+            basis[f] |= 1 << p
+    return BitMatrix(len(basis), matrix.num_cols, tuple(basis.values()))
 
 
 def gram(matrix: BitMatrix) -> BitMatrix:

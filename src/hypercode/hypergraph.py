@@ -97,13 +97,10 @@ def from_incidence_matrix(matrix: BitMatrix) -> Hypergraph:
     Every column must be nonzero, since a column is an edge and edges are
     nonempty.
     """
-    edges = []
-    for j in range(matrix.num_cols):
-        edge = tuple(i for i in range(matrix.num_rows) if (matrix.rows[i] >> j) & 1)
-        if not edge:
-            raise ValueError(f"column {j} is empty and cannot be an edge")
-        edges.append(edge)
-    return Hypergraph(matrix.num_rows, tuple(edges))
+    columns = matrix.transpose().rows
+    if 0 in columns:
+        raise ValueError(f"column {columns.index(0)} is empty and cannot be an edge")
+    return Hypergraph(matrix.num_rows, tuple(set_bits(c) for c in columns))
 
 
 def subset_mask(hypergraph: Hypergraph, subset: Iterable[int]) -> int:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -171,6 +173,15 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot parse") and err.count("\n") == 1
 
+    def test_auto_detection_names_both_parse_errors(self, tmp_path, capsys):
+        path = tmp_path / "huge.hg"
+        path.write_text("1000000000000000 1\n0\n")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert "exceed the limit" in err
+        assert err.index("exceed the limit") < err.index("expected 1000000000000000 row lines")
+
     def test_csv_output(self, capsys, fano_file):
         code, out, _ = run_cli(capsys, "analyze", str(fano_file), "--csv")
         assert code == 0
@@ -333,3 +344,19 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "11"
+
+    def test_closed_stdout_exits_1_without_a_traceback(self, tmp_path):
+        stderr_path = tmp_path / "stderr.txt"
+        with open(stderr_path, "wb") as stderr:
+            # Far more output than a pipe holds, so writes go on after the close.
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "hypercode", "selfdual-scan",
+                 "--n-max", "8", "--seed", "7", "--budget", "30000"],
+                stdout=subprocess.PIPE,
+                stderr=stderr,
+                env={**os.environ, "PYTHONUNBUFFERED": "1"},
+            )
+            assert proc.stdout.readline().startswith(b"{")
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in stderr_path.read_text()

@@ -27,6 +27,8 @@ from hypercode import (
 from hypercode.gf2core import split_lines
 
 FANO = incidence_matrix(fano_circulant())
+# Rows wider than 64 bits: pivots far past the 12 columns of the narrow draws.
+WIDE = bit_matrices(max_rows=16, min_cols=60, max_cols=200)
 
 
 class TestBitVector:
@@ -90,6 +92,14 @@ class TestRref:
 
     @given(bit_matrices(max_rows=10, max_cols=12))
     def test_rref_properties(self, m):
+        self.check_rref_properties(m)
+
+    @given(WIDE)
+    def test_rref_properties_wide(self, m):
+        self.check_rref_properties(m)
+
+    @staticmethod
+    def check_rref_properties(m):
         reduced, pivots = rref(m)
         assert list(pivots) == sorted(pivots)
         assert row_space_equal(m, reduced)
@@ -135,11 +145,32 @@ class TestNullspace:
 
     @given(bit_matrices(max_rows=10, max_cols=12))
     def test_rank_nullity_and_membership(self, m):
+        self.check_rank_nullity_and_membership(m)
+
+    @given(WIDE)
+    def test_rank_nullity_and_membership_wide(self, m):
+        self.check_rank_nullity_and_membership(m)
+
+    @staticmethod
+    def check_rank_nullity_and_membership(m):
         basis = nullspace_basis(m)
         assert rank(m) + basis.num_rows == m.num_cols
         for v in basis.iter_rows():
             assert matvec(m, v).weight == 0
         assert rank(basis) == basis.num_rows
+
+    @given(st.one_of(bit_matrices(max_rows=10, max_cols=12), WIDE))
+    def test_canonical_form(self, m):
+        # Row r holds exactly one free-column bit, at the r-th free column.
+        _, pivots = rref(m)
+        free = [f for f in range(m.num_cols) if f not in pivots]
+        free_mask = sum(1 << f for f in free)
+        columns = []
+        for v in nullspace_basis(m).rows:
+            free_bits = v & free_mask
+            assert free_bits.bit_count() == 1
+            columns.append(free_bits.bit_length() - 1)
+        assert columns == free
 
     @given(bit_matrices(max_rows=8, max_cols=10), st.data())
     def test_span_orthogonal_to_nullspace(self, m, data):
