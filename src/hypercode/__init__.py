@@ -27,7 +27,6 @@ from .gf2core import (
     BitVector,
     format_matrix,
     gram,
-    matvec,
     nullspace_basis,
     parse_matrix,
     rank,
@@ -40,11 +39,7 @@ from .gf2poly import (
     NEG_INFINITY,
     block_circulant_bound,
     cyclic_code_dimension,
-    poly_add,
-    poly_divmod,
     poly_gcd,
-    poly_mul,
-    poly_rem,
     x_power_plus_one,
 )
 from .hypergraph import (
@@ -109,15 +104,10 @@ __all__ = [
     "is_connected",
     "is_self_dual",
     "is_self_orthogonal",
-    "matvec",
     "nullspace_basis",
     "parse_hypergraph",
     "parse_matrix",
-    "poly_add",
-    "poly_divmod",
     "poly_gcd",
-    "poly_mul",
-    "poly_rem",
     "projective_geometry",
     "random_hypergraph",
     "random_uniform_hypergraph",

@@ -10,7 +10,8 @@ Subcommands:
 
 Files use 0-based vertex indices; human-facing output (reports, findings)
 uses 1-based labels.  Exit codes for ``analyze``: 2 on parse failure, 3 on
-engine disagreement, 4 on an exceeded enumeration cap.
+engine disagreement, 4 on an exceeded enumeration cap; ``family`` exits 2
+when it cannot write its ``-o`` file.
 """
 
 from __future__ import annotations
@@ -150,8 +151,12 @@ def _cmd_family(args: argparse.Namespace) -> int:
         return EXIT_PARSE
     text = format_hypergraph(hypergraph)
     if args.output:
-        with open(args.output, "w", encoding="ascii") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="ascii") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -302,7 +307,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
             p = GF2Poly.from_string(args.row)
             n = args.n if args.n is not None else len(args.row)
             print(cyclic_code_dimension(p, n))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     return EXIT_OK

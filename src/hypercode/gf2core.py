@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 def set_bits(bits: int) -> tuple[int, ...]:
     """Indices of the set bits of a non-negative int, in ascending order."""
@@ -43,43 +43,11 @@ class BitVector:
             raise ValueError(f"bits 0x{self.bits:x} out of range for length {self.length}")
 
     @classmethod
-    def from_bits(cls, values: Iterable[int]) -> "BitVector":
-        bits = 0
-        length = 0
-        for v in values:
-            if v not in (0, 1):
-                raise ValueError(f"binary digit expected, got {v!r}")
-            bits |= v << length
-            length += 1
-        return cls(length, bits)
-
-    @classmethod
     def from_string(cls, text: str) -> "BitVector":
         """Parse a contiguous '0'/'1' string; string index = coordinate."""
         if not set(text) <= {"0", "1"}:
             raise ValueError(f"expected a string of '0'/'1', got {text!r}")
         return cls(len(text), int(text[::-1], 2) if text else 0)
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __getitem__(self, index: int) -> int:
-        if not 0 <= index < self.length:
-            raise IndexError(f"coordinate {index} out of range for length {self.length}")
-        return (self.bits >> index) & 1
-
-    def __iter__(self) -> Iterator[int]:
-        return (((self.bits >> i) & 1) for i in range(self.length))
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise ValueError("length mismatch in vector addition")
-        return BitVector(self.length, self.bits ^ other.bits)
-
-    def __and__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise ValueError("length mismatch in coordinatewise product")
-        return BitVector(self.length, self.bits & other.bits)
 
     @property
     def weight(self) -> int:
@@ -88,12 +56,6 @@ class BitVector:
     @property
     def support(self) -> tuple[int, ...]:
         return set_bits(self.bits)
-
-    def dot(self, other: "BitVector") -> int:
-        """Inner product over GF(2)."""
-        if self.length != other.length:
-            raise ValueError("length mismatch in inner product")
-        return (self.bits & other.bits).bit_count() & 1
 
     def rotated(self, offset: int) -> "BitVector":
         """Cyclic shift: new coordinate ``j`` is old coordinate ``(j - offset) mod length``."""
@@ -136,42 +98,13 @@ class BitMatrix:
                 raise ValueError(f"row {i} out of range for {self.num_cols} columns")
 
     @classmethod
-    def from_rows(cls, vectors: Sequence[BitVector], num_cols: int | None = None) -> "BitMatrix":
-        if vectors:
-            width = vectors[0].length
-            if num_cols is not None and num_cols != width:
-                raise ValueError("num_cols disagrees with row length")
-            if any(v.length != width for v in vectors):
-                raise ValueError("rows must all have the same length")
-            return cls(len(vectors), width, tuple(v.bits for v in vectors))
-        return cls(0, 0 if num_cols is None else num_cols, ())
-
-    @classmethod
-    def from_strings(cls, lines: Sequence[str], num_cols: int | None = None) -> "BitMatrix":
-        return cls.from_rows([BitVector.from_string(s) for s in lines], num_cols)
-
-    @classmethod
-    def zeros(cls, num_rows: int, num_cols: int) -> "BitMatrix":
-        return cls(num_rows, num_cols, (0,) * num_rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    def row(self, index: int) -> BitVector:
-        if not 0 <= index < self.num_rows:
-            raise IndexError(f"row {index} out of range")
-        return BitVector(self.num_cols, self.rows[index])
-
-    def entry(self, i: int, j: int) -> int:
-        if not 0 <= i < self.num_rows:
-            raise IndexError(f"row {i} out of range")
-        if not 0 <= j < self.num_cols:
-            raise IndexError(f"column {j} out of range")
-        return (self.rows[i] >> j) & 1
-
-    def iter_rows(self) -> Iterator[BitVector]:
-        return (BitVector(self.num_cols, r) for r in self.rows)
+    def from_strings(cls, lines: Sequence[str]) -> "BitMatrix":
+        """One row per '0'/'1' string, read as :meth:`BitVector.from_string` reads it."""
+        vectors = [BitVector.from_string(s) for s in lines]
+        width = vectors[0].length if vectors else 0
+        if any(v.length != width for v in vectors):
+            raise ValueError("rows must all have the same length")
+        return cls(len(vectors), width, tuple(v.bits for v in vectors))
 
     def transpose(self) -> "BitMatrix":
         cols = [0] * self.num_cols
@@ -183,9 +116,6 @@ class BitMatrix:
     @property
     def is_zero(self) -> bool:
         return not any(self.rows)
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.num_cols)] for r in self.rows]
 
     def to_strings(self) -> list[str]:
         return [BitVector(self.num_cols, r).to01() for r in self.rows]
@@ -279,16 +209,6 @@ def row_combination(matrix: BitMatrix, indices: Iterable[int]) -> BitVector:
             raise IndexError(f"row {i} out of range")
         acc ^= matrix.rows[i]
     return BitVector(matrix.num_cols, acc)
-
-
-def matvec(matrix: BitMatrix, vector: BitVector) -> BitVector:
-    """Matrix-vector product M v over GF(2)."""
-    if vector.length != matrix.num_cols:
-        raise ValueError("vector length must equal the column count")
-    bits = 0
-    for i, r in enumerate(matrix.rows):
-        bits |= ((r & vector.bits).bit_count() & 1) << i
-    return BitVector(matrix.num_rows, bits)
 
 
 _DECIMAL = re.compile(r"0|[1-9][0-9]*")

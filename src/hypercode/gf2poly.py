@@ -1,4 +1,4 @@
-"""Polynomial arithmetic over GF(2) and the cyclic-code dimension formula.
+"""GF(2) polynomials, their gcd and the cyclic-code dimension formula.
 
 A polynomial is stored as a nonnegative integer whose bit ``j`` is the
 coefficient of ``x**j``; the zero polynomial is the integer 0.  This is the
@@ -13,7 +13,6 @@ Exponents are 0-based, matching 0-based matrix columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .gf2core import BitVector, set_bits
 
@@ -30,11 +29,6 @@ class GF2Poly:
     def __post_init__(self) -> None:
         if self.bits < 0:
             raise ValueError("coefficient bits must be non-negative")
-
-    @classmethod
-    def from_coefficients(cls, coefficients: Iterable[int]) -> "GF2Poly":
-        """Build from ascending coefficients; trailing zeros are dropped."""
-        return cls(BitVector.from_bits(coefficients).bits)
 
     @classmethod
     def from_string(cls, text: str) -> "GF2Poly":
@@ -56,10 +50,6 @@ class GF2Poly:
     def support(self) -> tuple[int, ...]:
         return set_bits(self.bits)
 
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
     def to_string(self) -> str:
         """Ascending coefficient string; the zero polynomial prints as "0"."""
         if self.bits == 0:
@@ -76,42 +66,6 @@ def x_power_plus_one(n: int) -> GF2Poly:
     if n < 1:
         raise ValueError("exponent must be positive")
     return GF2Poly((1 << n) | 1)
-
-
-def poly_add(a: GF2Poly, b: GF2Poly) -> GF2Poly:
-    """Coefficientwise XOR; the support of the sum is the symmetric difference."""
-    return GF2Poly(a.bits ^ b.bits)
-
-
-def poly_mul(a: GF2Poly, b: GF2Poly) -> GF2Poly:
-    """Carry-less product over GF(2)."""
-    x, y = a.bits, b.bits
-    acc = 0
-    while y:
-        low = y & -y
-        acc ^= x << (low.bit_length() - 1)
-        y ^= low
-    return GF2Poly(acc)
-
-
-def poly_divmod(a: GF2Poly, b: GF2Poly) -> tuple[GF2Poly, GF2Poly]:
-    """Quotient and remainder with deg(r) < deg(b)."""
-    if b.bits == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = a.bits
-    d = b.bits
-    width = d.bit_length()
-    q = 0
-    while r.bit_length() >= width:
-        shift = r.bit_length() - width
-        r ^= d << shift
-        q |= 1 << shift
-    return GF2Poly(q), GF2Poly(r)
-
-
-def poly_rem(a: GF2Poly, b: GF2Poly) -> GF2Poly:
-    """Remainder of a modulo b."""
-    return poly_divmod(a, b)[1]
 
 
 def poly_gcd(a: GF2Poly, b: GF2Poly) -> GF2Poly:

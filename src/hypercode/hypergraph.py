@@ -53,17 +53,10 @@ class Hypergraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def is_simple(self) -> bool:
-        return len(set(self.edges)) == len(self.edges)
-
     def uniformity(self) -> int | None:
         """Common edge cardinality, or None if edges have mixed sizes."""
         sizes = {len(e) for e in self.edges}
         return sizes.pop() if len(sizes) == 1 else None
-
-    def is_uniform(self, r: int) -> bool:
-        return all(len(e) == r for e in self.edges)
 
     def degree(self, vertex: int) -> int:
         if not 0 <= vertex < self.num_vertices:

@@ -24,10 +24,21 @@ from .codes import (
     graph_self_duality_criterion,
     is_self_orthogonal,
     structural_self_orthogonality,
+    weight_distribution,
 )
-from .gf2core import BitMatrix, BitVector, gram, nullspace_basis, rank, row_combination, row_space_equal
+from .gf2core import (
+    BitMatrix,
+    BitVector,
+    gram,
+    nullspace_basis,
+    rank,
+    row_combination,
+    row_space_equal,
+    set_bits,
+)
 from .gf2poly import GF2Poly, block_circulant_bound, cyclic_code_dimension
 from .hypergraph import (
+    Edge,
     Hypergraph,
     block_row,
     circulant_hypergraph,
@@ -187,13 +198,14 @@ def _check_pg() -> tuple[bool, str]:
     return check.result()
 
 
+def _all_edges(n: int) -> list[Edge]:
+    """Every nonempty subset of n vertices, by size and then lexicographically."""
+    return [s for size in range(1, n + 1) for s in combinations(range(n), size)]
+
+
 def _simple_hypergraphs_exhaustive(max_vertices: int) -> Iterator[Hypergraph]:
     for n in range(1, max_vertices + 1):
-        candidates = [
-            tuple(sorted(s))
-            for size in range(1, n + 1)
-            for s in combinations(range(n), size)
-        ]
+        candidates = _all_edges(n)
         for mask in range(1, 1 << len(candidates)):
             edges = tuple(candidates[i] for i in range(len(candidates)) if (mask >> i) & 1)
             yield Hypergraph(n, edges)
@@ -203,11 +215,7 @@ def _engine_corpus() -> Iterator[Hypergraph]:
     yield from _simple_hypergraphs_exhaustive(4)
     rng = random.Random(CORPUS_SEED)
     for n in (5, 6):
-        candidates = [
-            tuple(sorted(s))
-            for size in range(1, n + 1)
-            for s in combinations(range(n), size)
-        ]
+        candidates = _all_edges(n)
         for _ in range(1500):
             m = rng.randint(1, min(len(candidates), 20))
             yield Hypergraph(n, tuple(rng.sample(candidates, m)))
@@ -252,19 +260,15 @@ def _check_block_circulant() -> tuple[bool, str]:
         check.ensure(d >= bound, f"(k={k}, m={m}): exact d={d} below the bound {bound}")
         if m == 1:
             check.equal(d, k, f"(k={k}, m=1) exact distance")
+    # The odd-edge counts |eonv(S)| over all S are the codeword weights.
     for k in range(1, 9):
-        hg = circulant_hypergraph(block_row(k, 1))
-        rows = hg.vertex_rows
+        code = from_generator(incidence_matrix(circulant_hypergraph(block_row(k, 1))))
         allowed = {0, k, 2 * k}
-        acc = 0
-        for i in range(1, 1 << hg.num_vertices):
-            acc ^= rows[(i & -i).bit_length() - 1]
-            if acc.bit_count() not in allowed:
-                check.failures.append(
-                    f"(k={k}, m=1): subset {i} meets {acc.bit_count()} edges oddly, "
-                    f"outside {sorted(allowed)}"
-                )
-                break
+        outside = set(weight_distribution(code)) - allowed
+        check.ensure(
+            not outside,
+            f"(k={k}, m=1): odd-edge counts {sorted(outside)} outside {sorted(allowed)}",
+        )
     check.note(
         f"exact d >= (k if m=1 else 2k) on {len(pairs)} (k,m) pairs; "
         "m=1 odd-edge counts all lie in {0, k, 2k} for k <= 8"
@@ -358,6 +362,8 @@ def _check_eonv_support() -> tuple[bool, str]:
             )
             break
 
+    # Complementing every edge keeps eonv(H, S) for even |S| and flips it
+    # for odd |S|, since |S∩e| + |S∩ē| = |S|.
     instances: list[Hypergraph] = [
         fano_circulant(),
         complete_3partite(2),
@@ -365,36 +371,27 @@ def _check_eonv_support() -> tuple[bool, str]:
         circulant_hypergraph(block_row(4, 1)),
     ]
     for _ in range(5):
-        instances.append(random_hypergraph(rng, rng.randint(2, 8), rng.randint(1, 12)))
+        n = rng.randint(2, 8)
+        instances.append(random_hypergraph(rng, n, rng.randint(1, 12), max_edge_size=n - 1))
     for hg in instances:
         n = hg.num_vertices
-        everything = frozenset(range(n))
-        edge_sets = [frozenset(e) for e in hg.edges]
+        full = (1 << n) - 1
+        complemented = Hypergraph(n, tuple(set_bits(full ^ e) for e in hg.edge_masks))
+        every_edge = set(range(hg.num_edges))
         for mask in range(1, 1 << n):
-            subset = {v for v in range(n) if (mask >> v) & 1}
-            size = len(subset)
-            for edge in edge_sets:
-                inside = len(subset & edge)
-                outside = len(subset & (everything - edge))
-                if inside + outside != size:
-                    check.failures.append(
-                        f"|S| split failed on n={n}, edges={hg.edges}, subset={sorted(subset)}"
-                    )
-                    return check.result()
-                if size % 2 == 0:
-                    if (inside % 2 == 1) != (outside % 2 == 1):
-                        check.failures.append(
-                            f"even-|S| parity link failed on n={n}, subset={sorted(subset)}"
-                        )
-                        return check.result()
-                elif (inside % 2 == 1) == (outside % 2 == 1):
-                    check.failures.append(
-                        f"odd-|S| parity link failed on n={n}, subset={sorted(subset)}"
-                    )
-                    return check.result()
+            subset = set_bits(mask)
+            odd = set(eonv(hg, subset))
+            expected = odd if len(subset) % 2 == 0 else every_edge - odd
+            if set(eonv(complemented, subset)) != expected:
+                check.failures.append(
+                    f"eonv of the complemented edges is not eonv or its complement "
+                    f"on n={n}, edges={hg.edges}, subset={list(subset)}"
+                )
+                return check.result()
     check.note(
         "row-sum support equals the odd-edge set on 200 random pairs; "
-        f"the |S| parity split holds exhaustively on {len(instances)} instances with n <= 8"
+        "complementing the edges keeps the odd-edge set for even |S| and flips it "
+        f"for odd |S|, exhaustively on {len(instances)} instances with n <= 8"
     )
     return check.result()
 

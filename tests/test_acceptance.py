@@ -13,6 +13,7 @@ import time
 import pytest
 
 from hypercode.cli import main
+import hypercode.verify as verify
 from hypercode.verify import CRITERIA, run_criterion
 
 BY_NAME = {criterion.name: criterion for criterion in CRITERIA}
@@ -27,6 +28,27 @@ def test_criterion(name):
     assert result.elapsed <= result.budget, (
         f"{result.name} took {result.elapsed:.2f}s, budget {result.budget:.0f}s"
     )
+
+
+def test_block_circulant_reads_the_weight_distribution(monkeypatch):
+    real = verify.weight_distribution
+    monkeypatch.setattr(verify, "weight_distribution", lambda code: {**real(code), 1: 1})
+    passed, detail = verify._check_block_circulant()
+    assert not passed
+    assert "odd-edge counts [1] outside" in detail
+
+
+def test_eonv_support_reads_eonv(monkeypatch):
+    real = verify.eonv
+
+    def drops_an_edge_for_odd_subsets(hypergraph, subset):
+        edges = real(hypergraph, subset)
+        return edges[1:] if len(subset) % 2 else edges
+
+    monkeypatch.setattr(verify, "eonv", drops_an_edge_for_odd_subsets)
+    passed, detail = verify._check_eonv_support()
+    assert not passed
+    assert "eonv of the complemented edges" in detail
 
 
 def test_fano_through_the_cli(tmp_path, capsys):

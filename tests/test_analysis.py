@@ -79,7 +79,7 @@ class TestAnalyzeHypergraph:
 
 class TestAnalyzeMatrix:
     def test_zero_code_has_no_distance(self):
-        report = analyze_matrix(BitMatrix.zeros(2, 5), method="both")
+        report = analyze_matrix(BitMatrix(2, 5, (0, 0)), method="both")
         assert (report.length, report.dimension) == (5, 0)
         assert report.min_distance is None
         assert report.witness is None
@@ -132,7 +132,7 @@ class TestSerialization:
         assert data["weight_distribution"] == {"0": 1, "3": 7, "4": 7, "7": 1}
 
     def test_json_omits_absent_fields(self):
-        report = analyze_matrix(BitMatrix.zeros(2, 5))
+        report = analyze_matrix(BitMatrix(2, 5, (0, 0)))
         data = json.loads(report.to_json())
         assert "min_distance" not in data
         assert "witness_subset" not in data
@@ -151,5 +151,5 @@ class TestSerialization:
         assert values["weight_distribution"] == "0:1;3:7;4:7;7:1"
 
     def test_csv_leaves_absent_fields_empty(self):
-        report = analyze_matrix(BitMatrix.zeros(2, 5))
+        report = analyze_matrix(BitMatrix(2, 5, (0, 0)))
         assert report.to_csv() == ",".join(CSV_COLUMNS) + "\n5,0,,both,,true,false,,\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -65,6 +66,16 @@ class TestFamily:
         code, _, err = run_cli(capsys, *argv)
         assert code != 0
         assert err
+
+
+    @pytest.mark.parametrize("target", ["missing/fano.hg", "."])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, target):
+        path = tmp_path / target
+        code, out, err = run_cli(capsys, "family", "fano", "-o", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestAnalyze:
@@ -309,6 +320,52 @@ class TestSelfdualScan:
         )
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestReportHashes:
+    """The first 16 hex digits of the SHA-256 of whole stdout streams.
+
+    Reports are meant to stay byte-identical across refactors; any change to
+    one byte of these outputs fails here.
+    """
+
+    FLAGS = ((), ("--weights",), ("--early-exit", "7"), ("--csv", "--weights"))
+
+    @staticmethod
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    def analyze_all(self, capsys, paths):
+        out = []
+        for path in paths:
+            for method in ("codeword", "eonv", "both"):
+                for flags in self.FLAGS:
+                    code, stdout, _ = run_cli(
+                        capsys, "analyze", str(path), "--method", method, *flags
+                    )
+                    assert code == 0
+                    out.append(stdout)
+        return "".join(out)
+
+    def test_family_reports(self, tmp_path, capsys):
+        paths = []
+        for family in (("fano",), ("k3partite", "--n", "3"), ("pg", "--n", "4")):
+            path = tmp_path / f"{family[0]}.hg"
+            assert run_cli(capsys, "family", *family, "-o", str(path))[0] == 0
+            paths.append(path)
+        assert self.digest(self.analyze_all(capsys, paths)) == "1eaa0404e56ad01c"
+
+    def test_matrix_reports(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("4 8\n10001010\n11000100\n01100010\n10110000\n")
+        assert self.digest(self.analyze_all(capsys, [path])) == "df77ea891c7159d3"
+
+    def test_selfdual_scan(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "selfdual-scan", "--n-max", "6", "--seed", "7", "--budget", "3000"
+        )
+        assert code == 0
+        assert self.digest(out) == "04d4b15b8713ea56"
 
 
 class TestPoly:
