@@ -117,6 +117,9 @@ def _analyze(
 ) -> AnalysisReport:
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if early_exit is not None and early_exit < 0:
+        # No weight is negative, so the scan could never stop early.
+        raise ValueError(f"early_exit must be non-negative, got {early_exit}")
 
     value: int | None = None
     witness: tuple[int, ...] | None = None

@@ -10,6 +10,14 @@ correctness property of the package, so the two loops sit side by side and
 share no code.  Both check their evaluation count against the one cap in
 :mod:`hypercode.limits` before they start.
 
+Weight distributions and exact distances of high-rate codes come from the
+dual: when 2^(n-k) + n^2 < 2^k, the 2^(n-k) words of C⊥ are scanned once
+per code and mapped to C's weight distribution by the MacWilliams identity
+(MacWilliams & Sloane, *The Theory of Error-Correcting Codes*, ch. 5),
+in exact integer arithmetic.  The n^2 term stands for the second elimination
+and the transform.  A search with an early-exit threshold always runs the
+codeword scan, and the cap counts the words of whichever side is scanned.
+
 Each self-duality fact has one implementation.  A code builds its Gram
 matrix at most once, beside its basis, and :func:`is_self_dual` adds
 only the dimension test 2k = n.  On the hypergraph side the counting criterion for
@@ -31,9 +39,9 @@ from .limits import check_enum_cap
 class LinearCode:
     """A binary linear code presented by a generator matrix.
 
-    The basis and the Gram test are each computed once, on first use;
-    ``basis`` holds the nonzero RREF rows, which span the same row space
-    with independent rows.
+    The basis, the Gram test and the weight counts obtained through the
+    dual are each computed once, on first use; ``basis`` holds the nonzero
+    RREF rows, which span the same row space with independent rows.
     """
 
     generator: BitMatrix
@@ -48,6 +56,12 @@ class LinearCode:
     @cached_property
     def _gram_is_zero(self) -> bool:
         return gram(self.basis).is_zero
+
+    @cached_property
+    def _weights_via_dual(self) -> list[int]:
+        # Weight counts of this code, indexed by weight, from a scan of C⊥.
+        other = dual(self)
+        return _macwilliams(_weight_counts(other), self.length, other.dimension)
 
     @property
     def length(self) -> int:
@@ -86,13 +100,19 @@ def codeword_distance_search(
 
     Walks all 2^k - 1 nonzero messages in Gray-code order, XORing one basis
     row per step.  With ``early_exit`` the scan stops at the first weight
-    <= early_exit and the result is flagged as an upper bound.  The loop is
-    kept separate from the subset engine so the two distance routes stay
+    <= early_exit and the result is flagged as an upper bound.  Without it,
+    a code whose dual is cheaper to scan takes its least nonzero weight from
+    the weight distribution computed over the dual.  The loop is kept
+    separate from the subset engine so the two distance routes stay
     independently checkable.
     """
     k = code.dimension
     if k == 0:
         raise ValueError("the zero code has no nonzero codeword")
+    if early_exit is None and _dual_is_cheaper(code):
+        check_enum_cap("codeword search", 1 << (code.length - k))
+        counts = code._weights_via_dual
+        return DistanceResult(next(w for w in range(1, len(counts)) if counts[w]), True)
     total = 1 << k
     check_enum_cap("codeword search", total - 1)
     rows = code.basis.rows
@@ -149,19 +169,61 @@ def eonv_distance_search(
     return DistanceResult(best_w, True, best_wit)
 
 
-def weight_distribution(code: LinearCode) -> dict[int, int]:
-    """Weight counts over all 2^k codewords (the zero word included)."""
-    k = code.dimension
-    total = 1 << k
-    check_enum_cap("weight distribution", total)
+def _dual_is_cheaper(code: LinearCode) -> bool:
+    # The dual's words plus the transform and its elimination, against C's words.
+    n, k = code.length, code.dimension
+    return (1 << (n - k)) + n * n < (1 << k)
+
+
+def _weight_counts(code: LinearCode) -> list[int]:
+    """Counts of the 2^k codewords by weight 0..n, by a Gray-code scan."""
     rows = code.basis.rows
-    counts = {0: 1}
+    counts = [0] * (code.length + 1)
+    counts[0] = 1
     acc = 0
-    for i in range(1, total):
+    for i in range(1, 1 << code.dimension):
         acc ^= rows[(i & -i).bit_length() - 1]
-        w = acc.bit_count()
-        counts[w] = counts.get(w, 0) + 1
-    return dict(sorted(counts.items()))
+        counts[acc.bit_count()] += 1
+    return counts
+
+
+def _macwilliams(dual_counts: list[int], n: int, k_dual: int) -> list[int]:
+    """Weight counts of C from those of its dual, of dimension ``k_dual``.
+
+    A_j = 2^-k_dual * sum_i B_i K_j(i), with the Krawtchouk values K_j(i)
+    from the recurrence (j+1) K_{j+1} = (n-2i) K_j - (n-j+1) K_{j-1},
+    K_0 = 1, in integers.  Raises ValueError when a sum is negative or not
+    divisible by 2^k_dual, which no weight distribution of a dual code gives.
+    """
+    sums = [0] * (n + 1)
+    for i, b in enumerate(dual_counts):
+        if b:
+            previous, current = 0, 1
+            for j in range(n + 1):
+                sums[j] += b * current
+                following = ((n - 2 * i) * current - (n - j + 1) * previous) // (j + 1)
+                previous, current = current, following
+    size = 1 << k_dual
+    for j, total in enumerate(sums):
+        if total < 0 or total % size:
+            raise ValueError(f"MacWilliams sum {total} for weight {j} is not a count times {size}")
+    return [total >> k_dual for total in sums]
+
+
+def weight_distribution(code: LinearCode) -> dict[int, int]:
+    """Weight counts over all 2^k codewords (the zero word included).
+
+    A code whose dual is cheaper to scan gets them by the MacWilliams
+    identity, computed once per code; the cap counts the scanned words.
+    """
+    n, k = code.length, code.dimension
+    if _dual_is_cheaper(code):
+        check_enum_cap("weight distribution", 1 << (n - k))
+        counts = code._weights_via_dual
+    else:
+        check_enum_cap("weight distribution", 1 << k)
+        counts = _weight_counts(code)
+    return {w: c for w, c in enumerate(counts) if c}
 
 
 def dual(code: LinearCode) -> LinearCode:

@@ -53,6 +53,10 @@ class TestAnalyzeHypergraph:
         with pytest.raises(ValueError):
             analyze_hypergraph(fano_circulant(), method="magic")
 
+    def test_negative_early_exit_rejected(self):
+        with pytest.raises(ValueError, match="^early_exit must be non-negative, got -1$"):
+            analyze_hypergraph(fano_circulant(), early_exit=-1)
+
     def test_cap_propagates(self, monkeypatch):
         monkeypatch.setenv("HYPERCODE_ENUM_CAP", "3")
         with pytest.raises(EnumerationCapError):

@@ -21,6 +21,33 @@ from hypercode import (
 from hypercode.cli import main
 
 
+# A full-rank hypergraph with 16 vertices and 22 edges: a [22,16,2] code.
+HIGH_RATE_HYPERGRAPH = """16 22
+0 4 6 10
+3 5
+0 1 3 8 14 15
+1 3 8 13 14
+1 3 9 13 15
+0 1 3 6 9 14
+4 15
+1 4 8 9 15
+1 3 5 9 10 13
+1 3 8 11
+1 3 7 8 9 10
+5 7 9 10 14
+2 7 11 12
+2 4 9
+4 5 7 11 14 15
+1 2 5 6 8 15
+0 6 15
+5 10
+7 9 12 15
+2 4
+0 2 4 11 13
+4 5 6 10 11 14
+"""
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -236,6 +263,35 @@ class TestAnalyze:
         assert code == 4
         assert err == "error: codeword search needs 15 evaluations, above the cap of 4\n"
 
+    def test_weight_cap_message_names_the_weight_distribution(self, capsys, fano_file, monkeypatch):
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "15")
+        code, _, err = run_cli(capsys, "analyze", str(fano_file), "--method", "codeword", "--weights")
+        assert code == 4
+        assert err == "error: weight distribution needs 16 evaluations, above the cap of 15\n"
+
+    def test_cap_counts_the_scanned_side(self, tmp_path, capsys, monkeypatch):
+        # A [24,21] code: its dual has 8 words, the code 2^21.
+        path = tmp_path / "high-rate.mat"
+        rows = ["".join("1" if j == i else "0" for j in range(21)) + format(i % 7 + 1, "03b") for i in range(21)]
+        path.write_text("21 24\n" + "\n".join(rows) + "\n")
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "100")
+        code, out, _ = run_cli(capsys, "analyze", str(path), "--method", "codeword", "--weights")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["dimension"], data["min_distance"], data["distance_exact"]) == (21, 2, True)
+        assert sum(data["weight_distribution"].values()) == 1 << 21
+        # An early-exit search always walks the code's own 2^21 - 1 messages.
+        code, _, err = run_cli(
+            capsys, "analyze", str(path), "--method", "codeword", "--weights", "--early-exit", "1"
+        )
+        assert code == 4
+        assert err == "error: codeword search needs 2097151 evaluations, above the cap of 100\n"
+
+    def test_negative_early_exit_exits_2(self, capsys, fano_file):
+        code, out, err = run_cli(capsys, "analyze", str(fano_file), "--early-exit", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: early_exit must be non-negative, got -1\n"
+
 
 class TestVerifyCommand:
     def test_only_filter_runs_a_subset(self, capsys):
@@ -359,6 +415,14 @@ class TestReportHashes:
         path = tmp_path / "m.txt"
         path.write_text("4 8\n10001010\n11000100\n01100010\n10110000\n")
         assert self.digest(self.analyze_all(capsys, [path])) == "df77ea891c7159d3"
+
+    def test_high_rate_reports(self, tmp_path, capsys):
+        # A [22,16] code: 2^6 + 22^2 < 2^16, so its weights and its exact
+        # distance come from the dual route.  The hash was taken before the
+        # dual route existed, from the direct scans.
+        path = tmp_path / "high-rate.hg"
+        path.write_text(HIGH_RATE_HYPERGRAPH)
+        assert self.digest(self.analyze_all(capsys, [path])) == "d10723f76864d32a"
 
     def test_selfdual_scan(self, capsys):
         code, out, _ = run_cli(

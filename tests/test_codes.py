@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hypercode.verify as verify
 from conftest import bit_matrices, brute_min_distance, hypergraphs, random_connected_graph, span_words
 from hypercode import (
     BitMatrix,
@@ -31,8 +32,14 @@ from hypercode import (
     structural_self_orthogonality,
     weight_distribution,
 )
+from hypercode.codes import _dual_is_cheaper, _macwilliams, _weight_counts
 
 FANO_CODE = from_generator(incidence_matrix(fano_circulant()))
+
+# A [24,21,2] code: the identity beside three parity columns.
+HIGH_RATE_CODE = from_generator(
+    BitMatrix(21, 24, tuple(1 << i | (i % 7 + 1) << 21 for i in range(21)))
+)
 
 
 class TestFromGenerator:
@@ -177,6 +184,71 @@ class TestWeightDistribution:
             EnumerationCapError, match="^weight distribution needs 16 evaluations, above the cap of 8$"
         ):
             weight_distribution(FANO_CODE)
+
+
+class TestMacWilliams:
+    """The direct scan and the transformed scan of the dual must agree on
+    every code, whichever of the two the side rule picks."""
+
+    @staticmethod
+    def assert_routes_agree(code):
+        direct = _weight_counts(code)
+        assert direct[0] == 1
+        assert sum(direct) == 1 << code.dimension
+        assert code._weights_via_dual == direct
+
+    @given(bit_matrices(max_rows=10, max_cols=14, min_cols=1))
+    def test_routes_agree(self, m):
+        self.assert_routes_agree(from_generator(m))
+
+    def test_routes_agree_on_high_rate_engine_corpus_codes(self):
+        checked = 0
+        for hg in verify._engine_corpus():
+            code = from_generator(incidence_matrix(hg))
+            if 2 * code.dimension > code.length:
+                self.assert_routes_agree(code)
+                checked += 1
+        assert checked > 1000
+
+    def test_count_off_by_one_raises(self):
+        counts = _weight_counts(dual(FANO_CODE))
+        assert _macwilliams(counts, 7, 3) == _weight_counts(FANO_CODE)
+        for weight in range(8):
+            for delta in (1, -1):
+                if counts[weight] + delta >= 0:
+                    wrong = list(counts)
+                    wrong[weight] += delta
+                    with pytest.raises(ValueError, match="MacWilliams"):
+                        _macwilliams(wrong, 7, 3)
+
+    def test_side_rule(self):
+        # 2^(n-k) + n^2 against 2^k.
+        assert not _dual_is_cheaper(FANO_CODE)  # 8 + 49 >= 16
+        assert _dual_is_cheaper(HIGH_RATE_CODE)  # 8 + 576 < 2^21
+        assert not _dual_is_cheaper(dual(HIGH_RATE_CODE))
+
+    def test_high_rate_distance_and_weights(self):
+        assert codeword_distance_search(HIGH_RATE_CODE) == DistanceResult(2, True)
+        dist = weight_distribution(HIGH_RATE_CODE)
+        assert sum(dist.values()) == 1 << 21
+        assert min(w for w in dist if w) == 2
+        # Weight 2: the 9 rows with one parity bit, and the 21 sums of two
+        # rows with equal parity bits.
+        assert dist[2] == 9 + 21
+
+    def test_cap_counts_the_dual_words(self, monkeypatch):
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "8")
+        assert codeword_distance_search(HIGH_RATE_CODE).value == 2
+        assert sum(weight_distribution(HIGH_RATE_CODE).values()) == 1 << 21
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "7")
+        with pytest.raises(
+            EnumerationCapError, match="^weight distribution needs 8 evaluations, above the cap of 7$"
+        ):
+            weight_distribution(HIGH_RATE_CODE)
+        with pytest.raises(
+            EnumerationCapError, match="^codeword search needs 8 evaluations, above the cap of 7$"
+        ):
+            codeword_distance_search(HIGH_RATE_CODE)
 
 
 class TestDual:
