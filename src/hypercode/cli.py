@@ -10,8 +10,10 @@ Subcommands:
 
 Files use 0-based vertex indices; human-facing output (reports, findings)
 uses 1-based labels.  Exit codes for ``analyze``: 2 on parse failure, 3 on
-engine disagreement, 4 on an exceeded enumeration cap; ``family`` exits 2
-when it cannot write its ``-o`` file.
+engine disagreement, 4 on an exceeded enumeration cap; ``verify`` exits 1
+when a criterion fails, 2 on an unknown ``--only`` tag and 4 when a
+criterion's search exceeds the cap; ``family`` exits 2 when it cannot write
+its ``-o`` file.
 """
 
 from __future__ import annotations
@@ -245,6 +247,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         results = run_criteria(args.only)
+    except EnumerationCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -10,13 +10,13 @@ correctness property of the package, so the two loops sit side by side and
 share no code.  Both check their evaluation count against the one cap in
 :mod:`hypercode.limits` before they start.
 
-Weight distributions and exact distances of high-rate codes come from the
-dual: when 2^(n-k) + n^2 < 2^k, the 2^(n-k) words of C⊥ are scanned once
-per code and mapped to C's weight distribution by the MacWilliams identity
-(MacWilliams & Sloane, *The Theory of Error-Correcting Codes*, ch. 5),
-in exact integer arithmetic.  The n^2 term stands for the second elimination
-and the transform.  A search with an early-exit threshold always runs the
-codeword scan, and the cap counts the words of whichever side is scanned.
+The exact codeword distance is the least nonzero weight of the weight
+distribution: both read one list of counts by weight, scanned once per code.
+When 2^(n-k) + n^2 < 2^k it comes from the 2^(n-k) words of C⊥ by the exact
+MacWilliams identity (MacWilliams & Sloane, *The Theory of Error-Correcting
+Codes*, ch. 5); the n^2 term stands for the second elimination and the
+transform.  The cap counts the words of the side that is scanned.  Only a
+search with an early-exit threshold runs the Gray-code minimum loop.
 
 Each self-duality fact has one implementation.  A code builds its Gram
 matrix at most once, beside its basis, and :func:`is_self_dual` adds
@@ -39,9 +39,9 @@ from .limits import check_enum_cap
 class LinearCode:
     """A binary linear code presented by a generator matrix.
 
-    The basis, the Gram test and the weight counts obtained through the
-    dual are each computed once, on first use; ``basis`` holds the nonzero
-    RREF rows, which span the same row space with independent rows.
+    The basis, the Gram test and the weight counts are each computed once,
+    on first use; ``basis`` holds the nonzero RREF rows, which span the same
+    row space with independent rows.
     """
 
     generator: BitMatrix
@@ -58,8 +58,10 @@ class LinearCode:
         return gram(self.basis).is_zero
 
     @cached_property
-    def _weights_via_dual(self) -> list[int]:
-        # Weight counts of this code, indexed by weight, from a scan of C⊥.
+    def _weights(self) -> list[int]:
+        # Counts of the 2^k codewords, indexed by weight, from the cheaper side.
+        if not _dual_is_cheaper(self):
+            return _weight_counts(self)
         other = dual(self)
         return _macwilliams(_weight_counts(other), self.length, other.dimension)
 
@@ -98,20 +100,19 @@ def codeword_distance_search(
 ) -> DistanceResult:
     """Minimum nonzero codeword weight by exhaustive message-space enumeration.
 
-    Walks all 2^k - 1 nonzero messages in Gray-code order, XORing one basis
-    row per step.  With ``early_exit`` the scan stops at the first weight
-    <= early_exit and the result is flagged as an upper bound.  Without it,
-    a code whose dual is cheaper to scan takes its least nonzero weight from
-    the weight distribution computed over the dual.  The loop is kept
-    separate from the subset engine so the two distance routes stay
-    independently checkable.
+    Without ``early_exit`` the value is the least nonzero weight of the
+    code's weight counts, the list :func:`weight_distribution` reads, scanned
+    once per code.  With it, all 2^k - 1 nonzero messages are walked in
+    Gray-code order, XORing one basis row per step, and the scan stops at
+    the first weight <= early_exit with the result flagged as an upper
+    bound.  Neither route shares code with the subset engine, so the two
+    distance routes stay independently checkable.
     """
     k = code.dimension
     if k == 0:
         raise ValueError("the zero code has no nonzero codeword")
-    if early_exit is None and _dual_is_cheaper(code):
-        check_enum_cap("codeword search", 1 << (code.length - k))
-        counts = code._weights_via_dual
+    if early_exit is None:
+        counts = _capped_weights(code, "codeword search", (1 << k) - 1)
         return DistanceResult(next(w for w in range(1, len(counts)) if counts[w]), True)
     total = 1 << k
     check_enum_cap("codeword search", total - 1)
@@ -123,7 +124,7 @@ def codeword_distance_search(
         w = acc.bit_count()
         if w < best:
             best = w
-            if early_exit is not None and w <= early_exit:
+            if w <= early_exit:
                 return DistanceResult(best, False)
     return DistanceResult(best, True)
 
@@ -170,15 +171,25 @@ def eonv_distance_search(
 
 
 def _dual_is_cheaper(code: LinearCode) -> bool:
-    # The dual's words plus the transform and its elimination, against C's words.
+    # The dual's words plus the transform and its elimination, against C's
+    # words; n - k >= k fails it before any power of two is built.
     n, k = code.length, code.dimension
-    return (1 << (n - k)) + n * n < (1 << k)
+    return n - k < k and (1 << (n - k)) + n * n < (1 << k)
+
+
+def _capped_weights(code: LinearCode, search: str, direct_words: int) -> list[int]:
+    # The cap counts the words of the scanned side, under the caller's name.
+    n, k = code.length, code.dimension
+    check_enum_cap(search, 1 << (n - k) if _dual_is_cheaper(code) else direct_words)
+    return code._weights
 
 
 def _weight_counts(code: LinearCode) -> list[int]:
     """Counts of the 2^k codewords by weight 0..n, by a Gray-code scan."""
     rows = code.basis.rows
-    counts = [0] * (code.length + 1)
+    # The zero code gets [1]: a list as long as the code would cost memory
+    # in proportion to a width that no row uses.
+    counts = [0] * (code.length + 1 if rows else 1)
     counts[0] = 1
     acc = 0
     for i in range(1, 1 << code.dimension):
@@ -213,16 +224,10 @@ def _macwilliams(dual_counts: list[int], n: int, k_dual: int) -> list[int]:
 def weight_distribution(code: LinearCode) -> dict[int, int]:
     """Weight counts over all 2^k codewords (the zero word included).
 
-    A code whose dual is cheaper to scan gets them by the MacWilliams
-    identity, computed once per code; the cap counts the scanned words.
+    They come from the code's one list of counts, shared with
+    :func:`codeword_distance_search`; the cap counts the scanned side's words.
     """
-    n, k = code.length, code.dimension
-    if _dual_is_cheaper(code):
-        check_enum_cap("weight distribution", 1 << (n - k))
-        counts = code._weights_via_dual
-    else:
-        check_enum_cap("weight distribution", 1 << k)
-        counts = _weight_counts(code)
+    counts = _capped_weights(code, "weight distribution", 1 << code.dimension)
     return {w: c for w, c in enumerate(counts) if c}
 
 

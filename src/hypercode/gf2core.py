@@ -92,9 +92,10 @@ class BitMatrix:
             raise ValueError("matrix dimensions must be non-negative")
         if len(self.rows) != self.num_rows:
             raise ValueError(f"expected {self.num_rows} rows, got {len(self.rows)}")
-        limit = 1 << self.num_cols
+        # By bit length: 1 << num_cols would cost memory in proportion to a
+        # declared width that no row needs to use.
         for i, r in enumerate(self.rows):
-            if not 0 <= r < limit:
+            if r < 0 or r.bit_length() > self.num_cols:
                 raise ValueError(f"row {i} out of range for {self.num_cols} columns")
 
     @classmethod

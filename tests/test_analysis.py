@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -89,6 +90,18 @@ class TestAnalyzeMatrix:
         assert report.witness is None
         assert report.distance_exact is None
         assert report.self_orthogonal and not report.self_dual
+
+    def test_wide_zero_matrix_costs_no_memory_by_width(self):
+        # An 11-byte input declaring 10^7 columns and no rows: nothing may be
+        # allocated in proportion to the declared width.
+        tracemalloc.start()
+        try:
+            report = analyze_matrix(parse_matrix("0 10000000\n"), weights=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.to_json_dict()["weight_distribution"] == {"0": 1}
+        assert peak < 1 << 20
 
     def test_matrix_with_zero_columns(self):
         # dropping always-zero coordinates must not change the distance

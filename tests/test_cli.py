@@ -312,6 +312,12 @@ class TestVerifyCommand:
         assert code == 2
         assert "unknown criterion" in err
 
+    def test_cap_exceeded_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "5")
+        code, out, err = run_cli(capsys, "verify", "--only", "fano")
+        assert (code, out) == (4, "")
+        assert err == "error: codeword search needs 15 evaluations, above the cap of 5\n"
+
     def test_corrupted_fixture_fails_and_names_the_criterion(self, capsys, monkeypatch):
         rows = list(verify.FANO_EXPECTED_ROWS)
         rows[0] = "0000101"  # one bit flipped

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hypercode.codes as codes
 import hypercode.verify as verify
 from conftest import bit_matrices, brute_min_distance, hypergraphs, random_connected_graph, span_words
 from hypercode import (
@@ -37,9 +38,13 @@ from hypercode.codes import _dual_is_cheaper, _macwilliams, _weight_counts
 FANO_CODE = from_generator(incidence_matrix(fano_circulant()))
 
 # A [24,21,2] code: the identity beside three parity columns.
-HIGH_RATE_CODE = from_generator(
-    BitMatrix(21, 24, tuple(1 << i | (i % 7 + 1) << 21 for i in range(21)))
-)
+HIGH_RATE_GENERATOR = BitMatrix(21, 24, tuple(1 << i | (i % 7 + 1) << 21 for i in range(21)))
+HIGH_RATE_CODE = from_generator(HIGH_RATE_GENERATOR)
+
+
+def nonzero_counts(counts):
+    # Count lists compared by their nonzero entries: the zero code's is [1].
+    return {w: c for w, c in enumerate(counts) if c}
 
 
 class TestFromGenerator:
@@ -176,7 +181,12 @@ class TestWeightDistribution:
         assert dist[0] == 1
         positive = [w for w in dist if w > 0]
         if positive:
-            assert min(positive) == codeword_distance_search(code).value
+            d = min(positive)
+            assert d == brute_min_distance(m.rows)
+            # early_exit=0 walks the whole Gray-code minimum loop and never
+            # stops, so the loop is checked against the exact value.
+            assert codeword_distance_search(code, early_exit=0) == DistanceResult(d, True)
+            assert codeword_distance_search(code) == DistanceResult(d, True)
 
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("HYPERCODE_ENUM_CAP", "8")
@@ -195,7 +205,10 @@ class TestMacWilliams:
         direct = _weight_counts(code)
         assert direct[0] == 1
         assert sum(direct) == 1 << code.dimension
-        assert code._weights_via_dual == direct
+        other = dual(code)
+        transformed = _macwilliams(_weight_counts(other), code.length, other.dimension)
+        assert nonzero_counts(transformed) == nonzero_counts(direct)
+        assert code._weights == direct
 
     @given(bit_matrices(max_rows=10, max_cols=14, min_cols=1))
     def test_routes_agree(self, m):
@@ -249,6 +262,39 @@ class TestMacWilliams:
             EnumerationCapError, match="^codeword search needs 8 evaluations, above the cap of 7$"
         ):
             codeword_distance_search(HIGH_RATE_CODE)
+
+
+class TestOneScanPerCode:
+    """The exact distance and the weight distribution read one count list,
+    scanned once per code, on either side of the side rule."""
+
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            incidence_matrix(fano_circulant()),
+            incidence_matrix(complete_3partite(3)),
+            HIGH_RATE_GENERATOR,
+        ],
+        ids=["fano", "k3partite-3", "high-rate-dual"],
+    )
+    @pytest.mark.parametrize("distance_first", [True, False], ids=["distance-first", "weights-first"])
+    def test_one_scan_serves_both(self, monkeypatch, generator, distance_first):
+        scan = codes._weight_counts
+        scanned = []
+
+        def scan_once(code):
+            if scanned:
+                raise AssertionError("a second weight-count scan of the same code")
+            scanned.append(code)
+            return scan(code)
+
+        monkeypatch.setattr(codes, "_weight_counts", scan_once)
+        code = from_generator(generator)
+        calls = [codeword_distance_search, weight_distribution]
+        for call in calls if distance_first else calls[::-1]:
+            call(code)
+            assert len(scanned) == 1
+        assert codeword_distance_search(code).value == min(w for w in weight_distribution(code) if w)
 
 
 class TestDual:
