@@ -34,14 +34,7 @@ from .gf2core import (
     row_space_equal,
     rref,
 )
-from .gf2poly import (
-    GF2Poly,
-    NEG_INFINITY,
-    block_circulant_bound,
-    cyclic_code_dimension,
-    poly_gcd,
-    x_power_plus_one,
-)
+from .gf2poly import block_circulant_bound, cyclic_code_dimension, poly_gcd
 from .hypergraph import (
     Hypergraph,
     block_row,
@@ -60,7 +53,6 @@ from .hypergraph import (
     projective_geometry,
     random_hypergraph,
     random_uniform_hypergraph,
-    subset_mask,
 )
 from .limits import DEFAULT_ENUM_CAP, ENUM_CAP_ENV_VAR, EnumerationCapError
 
@@ -75,10 +67,8 @@ __all__ = [
     "ENUM_CAP_ENV_VAR",
     "EngineDisagreement",
     "EnumerationCapError",
-    "GF2Poly",
     "Hypergraph",
     "LinearCode",
-    "NEG_INFINITY",
     "analyze_hypergraph",
     "analyze_matrix",
     "block_circulant_bound",
@@ -116,7 +106,5 @@ __all__ = [
     "row_space_equal",
     "rref",
     "structural_self_orthogonality",
-    "subset_mask",
     "weight_distribution",
-    "x_power_plus_one",
 ]

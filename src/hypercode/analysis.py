@@ -130,8 +130,6 @@ def _analyze(
         if method in ("codeword", "both"):
             code_result = codeword_distance_search(code, early_exit=early_exit)
         if method in ("eonv", "both"):
-            if eonv_input is None:
-                raise ValueError("the eonv engine needs a hypergraph input")
             eonv_result = eonv_distance_search(eonv_input, early_exit=early_exit)
         if method == "codeword":
             value, exact = code_result.value, code_result.exact

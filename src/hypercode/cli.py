@@ -32,8 +32,8 @@ from .codes import (
     is_self_orthogonal,
     structural_self_orthogonality,
 )
-from .gf2core import BitMatrix, parse_matrix
-from .gf2poly import GF2Poly, cyclic_code_dimension, poly_gcd
+from .gf2core import BitMatrix, BitVector, parse_matrix
+from .gf2poly import cyclic_code_dimension, poly_gcd
 from .hypergraph import (
     Hypergraph,
     block_row,
@@ -303,15 +303,20 @@ def _cmd_selfdual_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _parse_poly(text: str) -> int:
+    if not text:
+        raise ValueError("empty polynomial string")
+    return BitVector.from_string(text).bits
+
+
 def _cmd_poly(args: argparse.Namespace) -> int:
     try:
         if args.poly_command == "gcd":
-            result = poly_gcd(GF2Poly.from_string(args.first), GF2Poly.from_string(args.second))
-            print(result.to_string())
+            g = poly_gcd(_parse_poly(args.first), _parse_poly(args.second))
+            print(BitVector(g.bit_length(), g).to01())
         else:
-            p = GF2Poly.from_string(args.row)
             n = args.n if args.n is not None else len(args.row)
-            print(cyclic_code_dimension(p, n))
+            print(cyclic_code_dimension(_parse_poly(args.row), n))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -57,17 +57,6 @@ class BitVector:
     def support(self) -> tuple[int, ...]:
         return set_bits(self.bits)
 
-    def rotated(self, offset: int) -> "BitVector":
-        """Cyclic shift: new coordinate ``j`` is old coordinate ``(j - offset) mod length``."""
-        n = self.length
-        if n == 0:
-            return self
-        s = offset % n
-        if s == 0:
-            return self
-        mask = (1 << n) - 1
-        return BitVector(n, ((self.bits << s) | (self.bits >> (n - s))) & mask)
-
     def to01(self) -> str:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
 

@@ -1,91 +1,38 @@
 """GF(2) polynomials, their gcd and the cyclic-code dimension formula.
 
-A polynomial is stored as a nonnegative integer whose bit ``j`` is the
-coefficient of ``x**j``; the zero polynomial is the integer 0.  This is the
-same packing as matrix rows in :mod:`hypercode.gf2core`, so a circulant
-first row and its generating polynomial share one representation, and the
-CLI's ascending coefficient string ("1000101" is 1 + x^4 + x^6) is bit-exact
-with the matrix row format.
+A polynomial is a non-negative integer whose bit ``j`` is the coefficient
+of ``x**j``; the zero polynomial is the integer 0.  This is the packing of
+matrix rows in :mod:`hypercode.gf2core`, so a circulant's first row *is*
+its generating polynomial: ``BitVector.from_string("1000101").bits`` is
+1 + x^4 + x^6, and :func:`hypercode.hypergraph.circulant_hypergraph` takes
+the same row.  The degree of a nonzero ``p`` is ``p.bit_length() - 1``.
 
 Exponents are 0-based, matching 0-based matrix columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from .gf2core import BitVector, set_bits
-
-NEG_INFINITY = float("-inf")
-"""Degree of the zero polynomial (a sentinel, never -1-as-an-integer)."""
-
-
-@dataclass(frozen=True)
-class GF2Poly:
-    """Polynomial over GF(2) in canonical form (no coefficients above the degree)."""
-
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        if self.bits < 0:
-            raise ValueError("coefficient bits must be non-negative")
-
-    @classmethod
-    def from_string(cls, text: str) -> "GF2Poly":
-        """Parse an ascending coefficient string, e.g. "1000101" = 1 + x^4 + x^6."""
-        if not text:
-            raise ValueError("empty polynomial string")
-        return cls(BitVector.from_string(text).bits)
-
-    @property
-    def degree(self) -> int | float:
-        """Degree, or NEG_INFINITY for the zero polynomial."""
-        return self.bits.bit_length() - 1 if self.bits else NEG_INFINITY
-
-    @property
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return set_bits(self.bits)
-
-    def to_string(self) -> str:
-        """Ascending coefficient string; the zero polynomial prints as "0"."""
-        if self.bits == 0:
-            return "0"
-        n = self.bits.bit_length()
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(n))
-
-    def __str__(self) -> str:
-        return self.to_string()
-
-
-def x_power_plus_one(n: int) -> GF2Poly:
-    """The polynomial x^n + 1 (the same as x^n - 1 in characteristic two)."""
-    if n < 1:
-        raise ValueError("exponent must be positive")
-    return GF2Poly((1 << n) | 1)
-
-
-def poly_gcd(a: GF2Poly, b: GF2Poly) -> GF2Poly:
+def poly_gcd(a: int, b: int) -> int:
     """Greatest common divisor by the Euclidean algorithm.
 
     Over GF(2) every nonzero polynomial is monic, so the result is the
     unique monic GCD.
     """
-    x, y = a.bits, b.bits
-    if x == 0 and y == 0:
+    if a < 0 or b < 0:
+        # A negative int has no finite bit pattern; the loop would not end.
+        raise ValueError("coefficient bits must be non-negative")
+    if a == 0 and b == 0:
         raise ValueError("gcd(0, 0) is undefined")
-    while y:
-        width = y.bit_length()
-        while x.bit_length() >= width:
-            x ^= y << (x.bit_length() - width)
-        x, y = y, x
-    return GF2Poly(x)
+    while b:
+        width = b.bit_length()
+        while a.bit_length() >= width:
+            a ^= b << (a.bit_length() - width)
+        a, b = b, a
+    return a
 
 
-def cyclic_code_dimension(p: GF2Poly, n: int) -> int:
+def cyclic_code_dimension(p: int, n: int) -> int:
     """Dimension of the length-n binary cyclic code generated by p.
 
     Equals n minus the degree of gcd(p, x^n + 1), and must agree with the
@@ -94,12 +41,11 @@ def cyclic_code_dimension(p: GF2Poly, n: int) -> int:
     """
     if n < 1:
         raise ValueError("code length must be positive")
-    if p.bits == 0:
+    if p == 0:
         raise ValueError("generating polynomial must be nonzero")
-    if p.bits.bit_length() > n:
-        raise ValueError(f"deg(p) = {p.degree} must be below the code length {n}")
-    g = poly_gcd(p, x_power_plus_one(n))
-    return n - (g.bits.bit_length() - 1)
+    if p.bit_length() > n:
+        raise ValueError(f"deg(p) = {p.bit_length() - 1} must be below the code length {n}")
+    return n - (poly_gcd(p, (1 << n) | 1).bit_length() - 1)
 
 
 def block_circulant_bound(k: int, m: int) -> int:

@@ -96,7 +96,7 @@ def from_incidence_matrix(matrix: BitMatrix) -> Hypergraph:
     return Hypergraph(matrix.num_rows, tuple(set_bits(c) for c in columns))
 
 
-def subset_mask(hypergraph: Hypergraph, subset: Iterable[int]) -> int:
+def _subset_mask(hypergraph: Hypergraph, subset: Iterable[int]) -> int:
     """Validate a nonempty vertex subset and pack it into a bit mask."""
     vertices = set(subset)
     if not vertices:
@@ -115,7 +115,7 @@ def eonv(hypergraph: Hypergraph, subset: Iterable[int]) -> list[int]:
     Computed edge by edge from the definition; the row-XOR shortcut is a
     separate code path so the two can cross-check each other.
     """
-    mask = subset_mask(hypergraph, subset)
+    mask = _subset_mask(hypergraph, subset)
     return [
         j
         for j, edge_mask in enumerate(hypergraph.edge_masks)
@@ -183,24 +183,14 @@ def projective_geometry(n: int) -> Hypergraph:
     return Hypergraph(top - 1, tuple(edges))
 
 
-FANO_EDGES: tuple[Edge, ...] = (
-    (0, 1, 3),
-    (1, 2, 4),
-    (2, 3, 5),
-    (3, 4, 6),
-    (0, 4, 5),
-    (1, 5, 6),
-    (0, 2, 6),
-)
-
-
 def fano_circulant() -> Hypergraph:
     """The Fano plane with the vertex labeling that makes its incidence circulant.
 
-    Line j is {j, j+1, j+3} mod 7, so the incidence matrix has first row
-    1000101 and every later row is the previous one cyclically shifted.
+    It is the circulant hypergraph of the first row 1000101, the polynomial
+    1 + x^4 + x^6: line j is {j, j+1, j+3} mod 7, and every row of the
+    incidence matrix is the previous one cyclically shifted.
     """
-    return Hypergraph(7, FANO_EDGES)
+    return circulant_hypergraph("1000101")
 
 
 def circulant_hypergraph(first_row: BitVector | str) -> Hypergraph:

@@ -51,6 +51,14 @@ def test_eonv_support_reads_eonv(monkeypatch):
     assert "eonv of the complemented edges" in detail
 
 
+def test_cyclic_dimension_reads_the_circulant_generator(monkeypatch):
+    real = verify.circulant_hypergraph
+    monkeypatch.setattr(verify, "circulant_hypergraph", lambda row: real("1" * row.length))
+    passed, detail = verify._check_cyclic_dimension()
+    assert not passed
+    assert "gcd formula" in detail and "vs rank" in detail
+
+
 def test_fano_through_the_cli(tmp_path, capsys):
     # the full pipeline for the first criterion: generate the family file,
     # then analyze it with both engines cross-checked

@@ -458,6 +458,44 @@ class TestPoly:
         code, _, _ = run_cli(capsys, "poly", "cyclic-dim", "000")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,exit_code,out,err",
+        [
+            (["gcd", "", "1"], 2, "", "error: empty polynomial string\n"),
+            (["gcd", "0", "0"], 2, "", "error: gcd(0, 0) is undefined\n"),
+            (["gcd", "1x", "1"], 2, "", "error: expected a string of '0'/'1', got '1x'\n"),
+            (["gcd", "0100", "0010"], 0, "01\n", ""),
+            (["cyclic-dim", ""], 2, "", "error: empty polynomial string\n"),
+            (
+                ["cyclic-dim", "11", "--n", "1"],
+                2,
+                "",
+                "error: deg(p) = 1 must be below the code length 1\n",
+            ),
+            (["cyclic-dim", "0100", "--n", "2"], 0, "2\n", ""),
+        ],
+        ids=[
+            "gcd-empty",
+            "gcd-zero-zero",
+            "gcd-bad-char",
+            "gcd-leading-zeros",
+            "cyclic-dim-empty",
+            "cyclic-dim-degree-too-high",
+            "cyclic-dim-leading-zero",
+        ],
+    )
+    def test_pinned_output(self, capsys, argv, exit_code, out, err):
+        assert run_cli(capsys, "poly", *argv) == (exit_code, out, err)
+
+
+class TestPackage:
+    def test_every_exported_name_resolves_once(self):
+        import hypercode
+
+        assert len(hypercode.__all__) == len(set(hypercode.__all__))
+        for name in hypercode.__all__:
+            assert hasattr(hypercode, name), name
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

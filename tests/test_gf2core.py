@@ -46,12 +46,6 @@ class TestBitVector:
         with pytest.raises(ValueError):
             BitVector.from_string("10x")
 
-    def test_rotation(self):
-        v = BitVector.from_string("1000101")
-        assert v.rotated(1).to01() == "1100010"
-        assert v.rotated(7) == v
-        assert v.rotated(-1) == v.rotated(6)
-
     def test_empty_vector(self):
         v = BitVector(0)
         assert v.weight == 0
