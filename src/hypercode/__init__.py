@@ -24,11 +24,11 @@ from .codes import (
 )
 from .gf2core import (
     BitMatrix,
-    BitVector,
     format_matrix,
     gram,
     nullspace_basis,
     parse_matrix,
+    parse_row,
     rank,
     row_combination,
     row_space_equal,
@@ -61,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisReport",
     "BitMatrix",
-    "BitVector",
     "DEFAULT_ENUM_CAP",
     "DistanceResult",
     "ENUM_CAP_ENV_VAR",
@@ -97,6 +96,7 @@ __all__ = [
     "nullspace_basis",
     "parse_hypergraph",
     "parse_matrix",
+    "parse_row",
     "poly_gcd",
     "projective_geometry",
     "random_hypergraph",

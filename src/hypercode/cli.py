@@ -32,7 +32,7 @@ from .codes import (
     is_self_orthogonal,
     structural_self_orthogonality,
 )
-from .gf2core import BitMatrix, BitVector, parse_matrix
+from .gf2core import BitMatrix, format_row, parse_matrix, parse_row
 from .gf2poly import cyclic_code_dimension, poly_gcd
 from .hypergraph import (
     Hypergraph,
@@ -306,14 +306,14 @@ def _cmd_selfdual_scan(args: argparse.Namespace) -> int:
 def _parse_poly(text: str) -> int:
     if not text:
         raise ValueError("empty polynomial string")
-    return BitVector.from_string(text).bits
+    return parse_row(text)
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
     try:
         if args.poly_command == "gcd":
             g = poly_gcd(_parse_poly(args.first), _parse_poly(args.second))
-            print(BitVector(g.bit_length(), g).to01())
+            print(format_row(g, g.bit_length()))
         else:
             n = args.n if args.n is not None else len(args.row)
             print(cyclic_code_dimension(_parse_poly(args.row), n))

@@ -2,8 +2,10 @@
 
 Vectors and matrix rows are Python integers used as bit sets: bit ``j``
 holds coordinate ``j``, XOR is vector addition, and ``int.bit_count`` is
-the Hamming weight.  Arbitrary-precision ints make the packing width a
-non-issue while keeping the inner loops single machine operations per row.
+the Hamming weight.  A row's text is its '0'/'1' string, string index =
+coordinate; :func:`parse_row` reads it and :func:`format_row` writes it.
+Arbitrary-precision ints make the packing width a non-issue while keeping
+the inner loops single machine operations per row.
 
 Everything here is a pure function on immutable values.
 """
@@ -24,44 +26,18 @@ def set_bits(bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BitVector:
-    """Fixed-length vector over GF(2), packed into one integer.
+def parse_row(text: str) -> int:
+    """The packed row of a '0'/'1' string: ``parse_row("1000101")`` has bits 0, 4 and 6."""
+    if not set(text) <= {"0", "1"}:
+        raise ValueError(f"expected a string of '0'/'1', got {text!r}")
+    return int(text[::-1], 2) if text else 0
 
-    Coordinate ``j`` lives in bit ``j`` of ``bits``, so a vector prints the
-    same way it is written row-wise: ``BitVector.from_string("1000101")``
-    has support ``(0, 4, 6)``.
-    """
 
-    length: int
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ValueError("length must be non-negative")
-        if not 0 <= self.bits < (1 << self.length):
-            raise ValueError(f"bits 0x{self.bits:x} out of range for length {self.length}")
-
-    @classmethod
-    def from_string(cls, text: str) -> "BitVector":
-        """Parse a contiguous '0'/'1' string; string index = coordinate."""
-        if not set(text) <= {"0", "1"}:
-            raise ValueError(f"expected a string of '0'/'1', got {text!r}")
-        return cls(len(text), int(text[::-1], 2) if text else 0)
-
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return set_bits(self.bits)
-
-    def to01(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
-
-    def __str__(self) -> str:
-        return self.to01()
+def format_row(bits: int, length: int) -> str:
+    """The '0'/'1' string of a packed row of ``length`` bits; inverse of :func:`parse_row`."""
+    if bits < 0 or bits.bit_length() > length:
+        raise ValueError(f"bits 0x{bits:x} out of range for length {length}")
+    return format(bits, f"0{length}b")[::-1] if length else ""
 
 
 @dataclass(frozen=True)
@@ -89,12 +65,11 @@ class BitMatrix:
 
     @classmethod
     def from_strings(cls, lines: Sequence[str]) -> "BitMatrix":
-        """One row per '0'/'1' string, read as :meth:`BitVector.from_string` reads it."""
-        vectors = [BitVector.from_string(s) for s in lines]
-        width = vectors[0].length if vectors else 0
-        if any(v.length != width for v in vectors):
+        """One row per '0'/'1' string, each read by :func:`parse_row`."""
+        rows = tuple(parse_row(s) for s in lines)
+        if len({len(s) for s in lines}) > 1:
             raise ValueError("rows must all have the same length")
-        return cls(len(vectors), width, tuple(v.bits for v in vectors))
+        return cls(len(rows), len(lines[0]) if lines else 0, rows)
 
     def transpose(self) -> "BitMatrix":
         cols = [0] * self.num_cols
@@ -108,7 +83,7 @@ class BitMatrix:
         return not any(self.rows)
 
     def to_strings(self) -> list[str]:
-        return [BitVector(self.num_cols, r).to01() for r in self.rows]
+        return [format_row(r, self.num_cols) for r in self.rows]
 
 
 def rref(matrix: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
@@ -188,8 +163,8 @@ def row_space_equal(a: BitMatrix, b: BitMatrix) -> bool:
     return ra.rows[: len(pa)] == rb.rows[: len(pb)]
 
 
-def row_combination(matrix: BitMatrix, indices: Iterable[int]) -> BitVector:
-    """GF(2) sum of the selected rows; an empty selection gives the zero vector.
+def row_combination(matrix: BitMatrix, indices: Iterable[int]) -> int:
+    """GF(2) sum of the selected rows, packed; an empty selection gives 0.
 
     The selection is a set: repeated indices are counted once.
     """
@@ -198,7 +173,7 @@ def row_combination(matrix: BitMatrix, indices: Iterable[int]) -> BitVector:
         if not 0 <= i < matrix.num_rows:
             raise IndexError(f"row {i} out of range")
         acc ^= matrix.rows[i]
-    return BitVector(matrix.num_cols, acc)
+    return acc
 
 
 _DECIMAL = re.compile(r"0|[1-9][0-9]*")
@@ -272,5 +247,5 @@ def parse_matrix(text: str) -> BitMatrix:
         line = line.strip()
         if len(line) != num_cols or not set(line) <= {"0", "1"}:
             raise ValueError(f"row {i} must be {num_cols} characters of '0'/'1', got {line!r}")
-        rows.append(int(line[::-1], 2) if line else 0)
+        rows.append(parse_row(line))
     return BitMatrix(num_rows, num_cols, tuple(rows))

@@ -3,9 +3,9 @@
 A polynomial is a non-negative integer whose bit ``j`` is the coefficient
 of ``x**j``; the zero polynomial is the integer 0.  This is the packing of
 matrix rows in :mod:`hypercode.gf2core`, so a circulant's first row *is*
-its generating polynomial: ``BitVector.from_string("1000101").bits`` is
-1 + x^4 + x^6, and :func:`hypercode.hypergraph.circulant_hypergraph` takes
-the same row.  The degree of a nonzero ``p`` is ``p.bit_length() - 1``.
+its generating polynomial: ``parse_row("1000101")`` is 1 + x^4 + x^6, and
+:func:`hypercode.hypergraph.circulant_hypergraph` takes the same row.  The
+degree of a nonzero ``p`` is ``p.bit_length() - 1``.
 
 Exponents are 0-based, matching 0-based matrix columns.
 """
@@ -41,6 +41,8 @@ def cyclic_code_dimension(p: int, n: int) -> int:
     """
     if n < 1:
         raise ValueError("code length must be positive")
+    if p < 0:
+        raise ValueError("coefficient bits must be non-negative")
     if p == 0:
         raise ValueError("generating polynomial must be nonzero")
     if p.bit_length() > n:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .gf2core import BitMatrix, BitVector, set_bits, split_lines
+from .gf2core import BitMatrix, parse_row, set_bits, split_lines
 from .limits import MAX_VERTICES
 
 Edge = tuple[int, ...]
@@ -193,33 +193,27 @@ def fano_circulant() -> Hypergraph:
     return circulant_hypergraph("1000101")
 
 
-def circulant_hypergraph(first_row: BitVector | str) -> Hypergraph:
+def circulant_hypergraph(first_row: str) -> Hypergraph:
     """Hypergraph whose incidence matrix is circulant with the given first row.
 
     Row i holds entry ``first_row[(j - i) mod n]`` in column j.  The result
     is vertex- and edge-regular with common degree equal to the row weight.
     """
-    if isinstance(first_row, str):
-        first_row = BitVector.from_string(first_row)
-    n = first_row.length
+    n = len(first_row)
+    support = set_bits(parse_row(first_row))
     if n < 1:
         raise ValueError("the first row must be nonempty")
-    if first_row.weight == 0:
+    if not support:
         raise ValueError("a zero first row would make every edge empty")
-    support = first_row.support
     edges = tuple(tuple(sorted((j - s) % n for s in support)) for j in range(n))
     return Hypergraph(n, edges)
 
 
-def block_row(k: int, m: int) -> BitVector:
+def block_row(k: int, m: int) -> str:
     """First row for the block-circulant family: k blocks of m ones then m zeros."""
     if k < 1 or m < 1:
         raise ValueError("block counts must be positive")
-    bits = 0
-    block = (1 << m) - 1
-    for j in range(k):
-        bits |= block << (2 * j * m)
-    return BitVector(2 * k * m, bits)
+    return ("1" * m + "0" * m) * k
 
 
 # ---------------------------------------------------------------------------

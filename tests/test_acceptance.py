@@ -53,7 +53,7 @@ def test_eonv_support_reads_eonv(monkeypatch):
 
 def test_cyclic_dimension_reads_the_circulant_generator(monkeypatch):
     real = verify.circulant_hypergraph
-    monkeypatch.setattr(verify, "circulant_hypergraph", lambda row: real("1" * row.length))
+    monkeypatch.setattr(verify, "circulant_hypergraph", lambda row: real("1" * len(row)))
     passed, detail = verify._check_cyclic_dimension()
     assert not passed
     assert "gcd formula" in detail and "vs rank" in detail

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -495,6 +496,12 @@ class TestPackage:
         assert len(hypercode.__all__) == len(set(hypercode.__all__))
         for name in hypercode.__all__:
             assert hasattr(hypercode, name), name
+
+    def test_readme_library_block_runs(self):
+        # A public name that leaves the API but stays in the README fails here.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
 
 
 class TestEntryPoint:

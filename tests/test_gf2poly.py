@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from hypercode import (
     BitMatrix,
-    BitVector,
     block_circulant_bound,
     block_row,
     circulant_hypergraph,
     cyclic_code_dimension,
+    parse_row,
     poly_gcd,
     rank,
 )
@@ -49,7 +49,7 @@ def remainder_mod2(a: int, b: int) -> int:
 
 
 def poly(text: str) -> int:
-    return BitVector.from_string(text).bits
+    return parse_row(text)
 
 
 class TestGcd:
@@ -73,8 +73,10 @@ class TestGcd:
     def test_negative_bits_rejected(self):
         with pytest.raises(ValueError):
             poly_gcd(-3, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-negative"):
             cyclic_code_dimension(-3, 5)
+        with pytest.raises(ValueError, match="non-negative"):
+            cyclic_code_dimension(-100, 5)
 
     def test_shared_root_at_one(self):
         g = poly_gcd(poly("11"), poly("10000001"))
