@@ -24,10 +24,8 @@ from .codes import (
 )
 from .gf2core import (
     BitMatrix,
-    format_matrix,
     gram,
     nullspace_basis,
-    parse_matrix,
     parse_row,
     rank,
     row_combination,
@@ -45,16 +43,15 @@ from .hypergraph import (
     eonv,
     f_count,
     fano_circulant,
-    format_hypergraph,
     from_incidence_matrix,
     incidence_matrix,
     is_connected,
-    parse_hypergraph,
     projective_geometry,
     random_hypergraph,
     random_uniform_hypergraph,
 )
 from .limits import DEFAULT_ENUM_CAP, ENUM_CAP_ENV_VAR, EnumerationCapError
+from .textformat import format_hypergraph, format_matrix, parse_hypergraph, parse_matrix
 
 __version__ = "0.1.0"
 

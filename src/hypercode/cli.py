@@ -8,12 +8,13 @@ Subcommands:
 * ``selfdual-scan`` seeded random search for self-orthogonal/self-dual codes
 * ``poly``          polynomial helpers (gcd, cyclic code dimension)
 
-Files use 0-based vertex indices; human-facing output (reports, findings)
-uses 1-based labels.  Exit codes for ``analyze``: 2 on parse failure, 3 on
-engine disagreement, 4 on an exceeded enumeration cap; ``verify`` exits 1
-when a criterion fails, 2 on an unknown ``--only`` tag and 4 when a
-criterion's search exceeds the cap; ``family`` exits 2 when it cannot write
-its ``-o`` file.
+``analyze`` reads either text format of :mod:`hypercode.textformat`, named
+by ``--format`` or detected.  Files use 0-based vertex indices;
+human-facing output (reports, findings) uses 1-based labels.  Exit codes
+for ``analyze``: 2 on parse failure, 3 on engine disagreement, 4 on an
+exceeded enumeration cap; ``verify`` exits 1 when a criterion fails, 2 on
+an unknown ``--only`` tag and 4 when a criterion's search exceeds the cap;
+``family`` exits 2 when it cannot write its ``-o`` file.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import os
 import sys
 from typing import Sequence
 
-from .analysis import EngineDisagreement, analyze_hypergraph, analyze_matrix
+from .analysis import METHODS, EngineDisagreement, analyze_hypergraph, analyze_matrix
 from .codes import (
     from_generator,
     graph_self_duality_criterion,
@@ -32,7 +33,7 @@ from .codes import (
     is_self_orthogonal,
     structural_self_orthogonality,
 )
-from .gf2core import BitMatrix, format_row, parse_matrix, parse_row
+from .gf2core import format_row, parse_row
 from .gf2poly import cyclic_code_dimension, poly_gcd
 from .hypergraph import (
     Hypergraph,
@@ -41,12 +42,11 @@ from .hypergraph import (
     complete_3partite,
     connected_uniform_samples,
     fano_circulant,
-    format_hypergraph,
     incidence_matrix,
-    parse_hypergraph,
     projective_geometry,
 )
 from .limits import EnumerationCapError
+from .textformat import FORMATS, format_hypergraph, parse_text
 from .verify import run_criteria
 
 EXIT_OK = 0
@@ -79,13 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("input", help="input path, or '-' for stdin")
     analyze.add_argument(
         "--format",
-        choices=["auto", "hypergraph", "matrix"],
+        choices=FORMATS,
         default="auto",
         help="input format; auto asks for --format when both formats parse",
     )
     analyze.add_argument(
         "--method",
-        choices=["codeword", "eonv", "both"],
+        choices=METHODS,
         default="both",
         help="distance engine; 'both' cross-checks the two",
     )
@@ -118,8 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     cyc = poly_sub.add_parser(
         "cyclic-dim", help="dimension of the cyclic code generated by a first row"
     )
-    cyc.add_argument("row", help="first row of the circulant, e.g. 1000101")
-    cyc.add_argument("--n", type=int, help="code length (default: length of the row string)")
+    cyc.add_argument(
+        "row", help="first row of the circulant, e.g. 1000101; its length is the code length"
+    )
 
     return parser
 
@@ -177,26 +178,6 @@ def _read_input(path: str) -> str:
     return data.decode("ascii")
 
 
-def _parse_auto(text: str) -> tuple[Hypergraph | None, BitMatrix | None]:
-    """Parse in the one format that accepts the text; both or neither is an error."""
-    try:
-        hypergraph = parse_hypergraph(text)
-    except ValueError as hypergraph_error:
-        try:
-            return None, parse_matrix(text)
-        except ValueError as matrix_error:
-            raise ValueError(
-                f"not a hypergraph ({hypergraph_error}) and not a matrix ({matrix_error})"
-            ) from None
-    try:
-        parse_matrix(text)
-    except ValueError:
-        return hypergraph, None
-    raise ValueError(
-        "the text is both a valid hypergraph and a valid matrix; choose one with --format"
-    )
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         text = _read_input(args.input)
@@ -205,31 +186,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_PARSE
 
     try:
-        if args.format == "hypergraph":
-            hypergraph, matrix = parse_hypergraph(text), None
-        elif args.format == "matrix":
-            hypergraph, matrix = None, parse_matrix(text)
-        else:
-            hypergraph, matrix = _parse_auto(text)
+        parsed = parse_text(text, args.format)
     except ValueError as exc:
         print(f"error: cannot parse {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
+    analyze = analyze_hypergraph if isinstance(parsed, Hypergraph) else analyze_matrix
     try:
-        if hypergraph is not None:
-            report = analyze_hypergraph(
-                hypergraph,
-                method=args.method,
-                weights=args.weights,
-                early_exit=args.early_exit,
-            )
-        else:
-            report = analyze_matrix(
-                matrix,
-                method=args.method,
-                weights=args.weights,
-                early_exit=args.early_exit,
-            )
+        report = analyze(
+            parsed, method=args.method, weights=args.weights, early_exit=args.early_exit
+        )
     except EngineDisagreement as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT
@@ -315,8 +281,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
             g = poly_gcd(_parse_poly(args.first), _parse_poly(args.second))
             print(format_row(g, g.bit_length()))
         else:
-            n = args.n if args.n is not None else len(args.row)
-            print(cyclic_code_dimension(_parse_poly(args.row), n))
+            print(cyclic_code_dimension(_parse_poly(args.row), len(args.row)))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

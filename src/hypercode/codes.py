@@ -15,8 +15,8 @@ distribution: both read one list of counts by weight, scanned once per code.
 When 2^(n-k) + n^2 < 2^k it comes from the 2^(n-k) words of C⊥ by the exact
 MacWilliams identity (MacWilliams & Sloane, *The Theory of Error-Correcting
 Codes*, ch. 5); the n^2 term stands for the second elimination and the
-transform.  The cap counts the words of the side that is scanned.  Only a
-search with an early-exit threshold runs the Gray-code minimum loop.
+transform.  The cap counts the nonzero words of the side that is scanned.
+Only a search with an early-exit threshold runs the Gray-code minimum loop.
 
 Each self-duality fact has one implementation.  A code builds its Gram
 matrix at most once, beside its basis, and :func:`is_self_dual` adds
@@ -112,7 +112,7 @@ def codeword_distance_search(
     if k == 0:
         raise ValueError("the zero code has no nonzero codeword")
     if early_exit is None:
-        counts = _capped_weights(code, "codeword search", (1 << k) - 1)
+        counts = _capped_weights(code, "codeword search")
         return DistanceResult(next(w for w in range(1, len(counts)) if counts[w]), True)
     total = 1 << k
     check_enum_cap("codeword search", total - 1)
@@ -177,10 +177,11 @@ def _dual_is_cheaper(code: LinearCode) -> bool:
     return n - k < k and (1 << (n - k)) + n * n < (1 << k)
 
 
-def _capped_weights(code: LinearCode, search: str, direct_words: int) -> list[int]:
-    # The cap counts the words of the scanned side, under the caller's name.
+def _capped_weights(code: LinearCode, search: str) -> list[int]:
+    # Both callers charge the one scan the same figure, the nonzero words of
+    # the scanned side, each under its own name.
     n, k = code.length, code.dimension
-    check_enum_cap(search, 1 << (n - k) if _dual_is_cheaper(code) else direct_words)
+    check_enum_cap(search, (1 << (n - k if _dual_is_cheaper(code) else k)) - 1)
     return code._weights
 
 
@@ -225,9 +226,9 @@ def weight_distribution(code: LinearCode) -> dict[int, int]:
     """Weight counts over all 2^k codewords (the zero word included).
 
     They come from the code's one list of counts, shared with
-    :func:`codeword_distance_search`; the cap counts the scanned side's words.
+    :func:`codeword_distance_search`; the cap counts the scanned side's nonzero words.
     """
-    counts = _capped_weights(code, "weight distribution", 1 << code.dimension)
+    counts = _capped_weights(code, "weight distribution")
     return {w: c for w, c in enumerate(counts) if c}
 
 

@@ -3,7 +3,8 @@
 Vectors and matrix rows are Python integers used as bit sets: bit ``j``
 holds coordinate ``j``, XOR is vector addition, and ``int.bit_count`` is
 the Hamming weight.  A row's text is its '0'/'1' string, string index =
-coordinate; :func:`parse_row` reads it and :func:`format_row` writes it.
+coordinate; :func:`parse_row` reads it and :func:`format_row` writes it;
+the matrix text format built on it is in :mod:`hypercode.textformat`.
 Arbitrary-precision ints make the packing width a non-issue while keeping
 the inner loops single machine operations per row.
 
@@ -12,7 +13,6 @@ Everything here is a pure function on immutable values.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -174,78 +174,3 @@ def row_combination(matrix: BitMatrix, indices: Iterable[int]) -> int:
             raise IndexError(f"row {i} out of range")
         acc ^= matrix.rows[i]
     return acc
-
-
-_DECIMAL = re.compile(r"0|[1-9][0-9]*")
-_NOT_TEXT = re.compile(r"[^\t\n -~]")
-
-
-def split_lines(text: str, rule: str) -> list[str]:
-    r"""The lines of an input text; both text formats are read through it.
-
-    The text may hold printable ASCII, tabs and line breaks only.  Lines
-    split on ``\n`` alone; a ``\r`` directly before it is dropped, so CRLF
-    files read like LF files, and a final ``\n`` starts no empty line.
-    Tokens are then separated by spaces and tabs only, where
-    ``str.splitlines`` and ``str.split`` would also break at ``\x0b``,
-    ``\x0c``, ``\x1c``-``\x1f`` and non-ASCII separators.  Any other
-    character raises ``ValueError`` led by ``rule``, which states the
-    format's rule in its own terms.
-    """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    bad = _NOT_TEXT.search(text)
-    if bad:
-        line = text.count("\n", 0, bad.start()) + 1
-        raise ValueError(f"{rule}; found {bad.group()!r} on line {line}")
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
-
-
-def format_matrix(matrix: BitMatrix) -> str:
-    """Serialize to the matrix text format.
-
-    First line ``<num_rows> <num_cols>``, then one line per row of
-    contiguous '0'/'1' characters.  Round-trips bit-exactly through
-    :func:`parse_matrix`.
-    """
-    lines = [f"{matrix.num_rows} {matrix.num_cols}"]
-    lines.extend(matrix.to_strings())
-    return "\n".join(lines) + "\n"
-
-
-def parse_matrix(text: str) -> BitMatrix:
-    r"""Parse the matrix text format produced by :func:`format_matrix`.
-
-    Lines are read by :func:`split_lines`: ASCII only, split on ``\n`` (CRLF
-    accepted), no control character but tab.  Both header tokens must be
-    plain decimal integers, ``0|[1-9][0-9]*``, the rule
-    :func:`hypercode.hypergraph.parse_hypergraph` applies to its tokens.
-    ``int`` alone would also take ``+2``, ``0_2`` and non-ASCII digits.
-    """
-    lines = split_lines(text, "matrix text must be ASCII with tab as its only control character")
-    if not lines:
-        raise ValueError("empty matrix file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"matrix header must be '<rows> <cols>', got {lines[0]!r}")
-    if not all(_DECIMAL.fullmatch(token) for token in header):
-        raise ValueError(
-            f"matrix header must be two plain decimal integers, 0|[1-9][0-9]*, got {lines[0]!r}"
-        )
-    num_rows, num_cols = int(header[0]), int(header[1])
-    data = lines[1 : 1 + num_rows]
-    if len(data) < num_rows:
-        raise ValueError(f"expected {num_rows} row lines, found {len(data)}")
-    for extra in lines[1 + num_rows :]:
-        if extra.strip():
-            raise ValueError(f"unexpected trailing content: {extra!r}")
-    rows = []
-    for i, line in enumerate(data):
-        line = line.strip()
-        if len(line) != num_cols or not set(line) <= {"0", "1"}:
-            raise ValueError(f"row {i} must be {num_cols} characters of '0'/'1', got {line!r}")
-        rows.append(parse_row(line))
-    return BitMatrix(num_rows, num_cols, tuple(rows))

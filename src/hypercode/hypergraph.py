@@ -1,10 +1,11 @@
-"""Hypergraphs, incidence matrices, families and the text format.
+"""Hypergraphs, incidence matrices and families.
 
 A hypergraph is a vertex count plus an ordered multiset of edges; repeated
 edges are kept (deduplicating would silently change the code length) and
 each edge is a nonempty set of vertices stored as a sorted tuple.  Vertices
 are 0-based everywhere in the library; 1-based labels appear only in
-human-facing CLI output.
+human-facing CLI output.  The hypergraph text format is in
+:mod:`hypercode.textformat`.
 
 For a vertex subset S, ``eonv(H, S)`` is the set of edges containing an odd
 number of vertices of S; :func:`eonv` computes it from the definition, as
@@ -16,13 +17,11 @@ nonzero size over all subsets is one of the two minimum-distance engines,
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .gf2core import BitMatrix, parse_row, set_bits, split_lines
-from .limits import MAX_VERTICES
+from .gf2core import BitMatrix, parse_row, set_bits
 
 Edge = tuple[int, ...]
 
@@ -313,66 +312,3 @@ def connected_uniform_samples(
         for n in (rng.randint(low, n_max) for _ in range(budget))
     )
     return filter(is_connected, draws)
-
-
-# ---------------------------------------------------------------------------
-# Text format
-
-_DIGITS_AND_SEPARATORS = b"0123456789 \t\n"
-_LEADING_ZERO = re.compile(rb"[ \t\n]0[0-9]")
-_TOKEN_RULE = "hypergraph tokens must be plain decimal integers, 0|[1-9][0-9]*"
-
-
-def format_hypergraph(hypergraph: Hypergraph) -> str:
-    """Serialize to the hypergraph text format.
-
-    First line ``<num_vertices> <num_edges>``, then one line per edge of
-    space-separated ascending 0-based vertex indices.  Round-trips
-    bit-exactly (including repeated edges and edge order).
-    """
-    lines = [f"{hypergraph.num_vertices} {hypergraph.num_edges}"]
-    lines.extend(" ".join(str(v) for v in edge) for edge in hypergraph.edges)
-    return "\n".join(lines) + "\n"
-
-
-def parse_hypergraph(text: str) -> Hypergraph:
-    r"""Parse the hypergraph text format; blank lines and '#' comments are ignored.
-
-    Lines are read by :func:`hypercode.gf2core.split_lines`: the text must be
-    ASCII, lines split on ``\n`` (CRLF accepted) and tab is the only control
-    character allowed.  Every token must be a plain decimal integer,
-    ``0|[1-9][0-9]*``; ``int`` alone would also take ``01``, ``+1``, ``1_0``
-    and non-ASCII digits, and so let a matrix file such as ``2 2 / 01 / 01``
-    pass for a hypergraph.  The vertex count may not exceed
-    :data:`hypercode.limits.MAX_VERTICES`.
-    """
-    lines = []
-    for line in split_lines(text, _TOKEN_RULE):
-        line = line.strip()
-        if line and line[0] != "#":
-            lines.append(line)
-    if not lines:
-        raise ValueError("empty hypergraph file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"hypergraph header must be '<vertices> <edges>', got {lines[0]!r}")
-    # Two C-level passes over the whole text stand in for a token-by-token
-    # match: nothing but digits and separators, and no zero that starts a
-    # longer token.
-    data = ("\n" + "\n".join(lines)).encode("ascii")
-    if data.translate(None, _DIGITS_AND_SEPARATORS) or _LEADING_ZERO.search(data):
-        raise ValueError(_TOKEN_RULE)
-    num_vertices, num_edges = int(header[0]), int(header[1])
-    if num_vertices > MAX_VERTICES:
-        raise ValueError(f"{num_vertices} vertices exceed the limit of {MAX_VERTICES}")
-    body = lines[1:]
-    if len(body) != num_edges:
-        raise ValueError(f"expected {num_edges} edge lines, found {len(body)}")
-    edges = []
-    for line in body:
-        vertices = list(map(int, line.split()))
-        # Repeats pass this test; Hypergraph rejects them.
-        if vertices != sorted(vertices):
-            raise ValueError(f"edge vertices must be ascending: {line!r}")
-        edges.append(vertices)
-    return Hypergraph(num_vertices, tuple(edges))

@@ -1,0 +1,172 @@
+"""The two input text formats, and telling them apart.
+
+Every 0/1 matrix with nonzero columns is the incidence matrix of a
+hypergraph, so one object has two texts: edges as vertex indices, or rows
+as '0'/'1' strings (read by :func:`hypercode.gf2core.parse_row`).  This is
+the only module that knows them.  Both share one line rule
+(:func:`split_lines`), one decimal-token rule ``0|[1-9][0-9]*`` and one
+``<a> <b>`` header reader; :func:`parse_text` reads a named or detected format.
+"""
+
+from __future__ import annotations
+
+import re
+
+from .gf2core import BitMatrix, parse_row
+from .hypergraph import Hypergraph
+from .limits import MAX_VERTICES
+
+FORMATS = ("auto", "hypergraph", "matrix")
+
+_NOT_TEXT = re.compile(r"[^\t\n -~]")
+_DIGITS_AND_BLANKS = b"0123456789 \t\n"
+_ZERO_LED_TOKEN = re.compile(rb"[ \t\n]0[0-9]")
+_TOKEN_RULE = "hypergraph tokens must be plain decimal integers, 0|[1-9][0-9]*"
+
+
+def split_lines(text: str, rule: str) -> list[str]:
+    r"""The lines of an input text; both text formats are read through it.
+
+    The text may hold printable ASCII, tabs and line breaks only.  Lines
+    split on ``\n`` alone; a ``\r`` directly before it is dropped, so CRLF
+    files read like LF files, and a final ``\n`` starts no empty line.
+    Tokens are then separated by spaces and tabs only, where
+    ``str.splitlines`` and ``str.split`` would also break at ``\x0b``,
+    ``\x0c``, ``\x1c``-``\x1f`` and non-ASCII separators.  Any other
+    character raises ``ValueError`` led by ``rule``, which states the
+    format's rule in its own terms.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    bad = _NOT_TEXT.search(text)
+    if bad:
+        line = text.count("\n", 0, bad.start()) + 1
+        raise ValueError(f"{rule}; found {bad.group()!r} on line {line}")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def _read_header(lines: list[str], token_lines: int, shape: str, rule: str) -> tuple[int, int]:
+    # The two counts of the '<a> <b>' header, lines[0].  Every token of the
+    # first ``token_lines`` lines, the header's at least, must pass the one
+    # decimal-token rule, 0|[1-9][0-9]*: int alone would also take 01, +1,
+    # 1_0 and non-ASCII digits.  Two C-level passes stand in for a
+    # token-by-token match: nothing but digits and blanks, and no zero that
+    # starts a longer token.  ``shape`` leads the error for another header
+    # token count, ``rule`` is the error for a token that breaks the rule.
+    tokens = lines[0].split()
+    if len(tokens) != 2:
+        raise ValueError(f"{shape}, got {lines[0]!r}")
+    data = ("\n" + "\n".join(lines[:token_lines])).encode("ascii")
+    if data.translate(None, _DIGITS_AND_BLANKS) or _ZERO_LED_TOKEN.search(data):
+        raise ValueError(rule)
+    return int(tokens[0]), int(tokens[1])
+
+
+def format_matrix(matrix: BitMatrix) -> str:
+    """Serialize to the matrix text format.
+
+    First line ``<num_rows> <num_cols>``, then one line per row of
+    contiguous '0'/'1' characters.  Round-trips bit-exactly through
+    :func:`parse_matrix`.
+    """
+    return "\n".join([f"{matrix.num_rows} {matrix.num_cols}", *matrix.to_strings()]) + "\n"
+
+
+def parse_matrix(text: str) -> BitMatrix:
+    r"""Parse the matrix text format produced by :func:`format_matrix`.
+
+    Lines are read by :func:`split_lines`: ASCII only, split on ``\n`` (CRLF
+    accepted), no control character but tab.  Both header tokens must be
+    plain decimal integers, ``0|[1-9][0-9]*``, the rule
+    :func:`parse_hypergraph` applies to its tokens.  ``int`` alone would
+    also take ``+2``, ``0_2`` and non-ASCII digits.
+    """
+    lines = split_lines(text, "matrix text must be ASCII with tab as its only control character")
+    if not lines:
+        raise ValueError("empty matrix file")
+    rule = f"matrix header must be two plain decimal integers, 0|[1-9][0-9]*, got {lines[0]!r}"
+    num_rows, num_cols = _read_header(lines, 1, "matrix header must be '<rows> <cols>'", rule)
+    data = lines[1 : 1 + num_rows]
+    if len(data) < num_rows:
+        raise ValueError(f"expected {num_rows} row lines, found {len(data)}")
+    for extra in lines[1 + num_rows :]:
+        if extra.strip():
+            raise ValueError(f"unexpected trailing content: {extra!r}")
+    rows = [line.strip() for line in data]
+    for i, row in enumerate(rows):
+        if len(row) != num_cols or not set(row) <= {"0", "1"}:
+            raise ValueError(f"row {i} must be {num_cols} characters of '0'/'1', got {row!r}")
+    return BitMatrix(num_rows, num_cols, tuple(map(parse_row, rows)))
+
+
+def format_hypergraph(hypergraph: Hypergraph) -> str:
+    """Serialize to the hypergraph text format.
+
+    First line ``<num_vertices> <num_edges>``, then one line per edge of
+    space-separated ascending 0-based vertex indices.  Round-trips
+    bit-exactly (including repeated edges and edge order).
+    """
+    header = f"{hypergraph.num_vertices} {hypergraph.num_edges}"
+    return "\n".join([header, *(" ".join(map(str, edge)) for edge in hypergraph.edges)]) + "\n"
+
+
+def parse_hypergraph(text: str) -> Hypergraph:
+    r"""Parse the hypergraph text format; blank lines and '#' comments are ignored.
+
+    Lines are read by :func:`split_lines`: the text must be ASCII, lines
+    split on ``\n`` (CRLF accepted) and tab is the only control character
+    allowed.  Every token must be a plain decimal integer,
+    ``0|[1-9][0-9]*``; ``int`` alone would also take ``01``, ``+1``, ``1_0``
+    and non-ASCII digits, and so let a matrix file such as ``2 2 / 01 / 01``
+    pass for a hypergraph.  The vertex count may not exceed
+    :data:`hypercode.limits.MAX_VERTICES`.
+    """
+    lines = split_lines(text, _TOKEN_RULE)
+    lines = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+    if not lines:
+        raise ValueError("empty hypergraph file")
+    shape = "hypergraph header must be '<vertices> <edges>'"
+    num_vertices, num_edges = _read_header(lines, len(lines), shape, _TOKEN_RULE)
+    if num_vertices > MAX_VERTICES:
+        raise ValueError(f"{num_vertices} vertices exceed the limit of {MAX_VERTICES}")
+    body = lines[1:]
+    if len(body) != num_edges:
+        raise ValueError(f"expected {num_edges} edge lines, found {len(body)}")
+    edges = []
+    for line in body:
+        vertices = list(map(int, line.split()))
+        # Repeats pass this test; Hypergraph rejects them.
+        if vertices != sorted(vertices):
+            raise ValueError(f"edge vertices must be ascending: {line!r}")
+        edges.append(vertices)
+    return Hypergraph(num_vertices, tuple(edges))
+
+
+def parse_text(text: str, fmt: str = "auto") -> Hypergraph | BitMatrix:
+    """Parse ``text`` in the format ``fmt``, one of :data:`FORMATS`.
+
+    ``"auto"`` takes the one format that accepts the text.  A text valid in
+    both formats, such as ``1 1 / 0``, raises ``ValueError`` asking for a
+    format; a text valid in neither raises one that gives both parsers'
+    reasons, the hypergraph's first.
+    """
+    if fmt not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
+    if fmt != "auto":
+        return parse_hypergraph(text) if fmt == "hypergraph" else parse_matrix(text)
+    parsed, errors = [], []
+    for parse in (parse_hypergraph, parse_matrix):
+        try:
+            parsed.append(parse(text))
+        except ValueError as exc:
+            errors.append(exc)
+    if not parsed:
+        raise ValueError(f"not a hypergraph ({errors[0]}) and not a matrix ({errors[1]})")
+    if errors:
+        return parsed[0]
+    raise ValueError(
+        "the text is both a valid hypergraph and a valid matrix; choose one with --format"
+    )

@@ -191,7 +191,7 @@ class TestWeightDistribution:
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("HYPERCODE_ENUM_CAP", "8")
         with pytest.raises(
-            EnumerationCapError, match="^weight distribution needs 16 evaluations, above the cap of 8$"
+            EnumerationCapError, match="^weight distribution needs 15 evaluations, above the cap of 8$"
         ):
             weight_distribution(FANO_CODE)
 
@@ -250,16 +250,16 @@ class TestMacWilliams:
         assert dist[2] == 9 + 21
 
     def test_cap_counts_the_dual_words(self, monkeypatch):
-        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "8")
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "7")
         assert codeword_distance_search(HIGH_RATE_CODE).value == 2
         assert sum(weight_distribution(HIGH_RATE_CODE).values()) == 1 << 21
-        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "7")
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "6")
         with pytest.raises(
-            EnumerationCapError, match="^weight distribution needs 8 evaluations, above the cap of 7$"
+            EnumerationCapError, match="^weight distribution needs 7 evaluations, above the cap of 6$"
         ):
             weight_distribution(HIGH_RATE_CODE)
         with pytest.raises(
-            EnumerationCapError, match="^codeword search needs 8 evaluations, above the cap of 7$"
+            EnumerationCapError, match="^codeword search needs 7 evaluations, above the cap of 6$"
         ):
             codeword_distance_search(HIGH_RATE_CODE)
 

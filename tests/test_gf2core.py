@@ -23,7 +23,8 @@ from hypercode import (
     row_space_equal,
     rref,
 )
-from hypercode.gf2core import format_row, set_bits, split_lines
+from hypercode.gf2core import format_row, set_bits
+from hypercode.textformat import split_lines
 
 FANO = incidence_matrix(fano_circulant())
 # Rows wider than 64 bits: pivots far past the 12 columns of the narrow draws.
