@@ -135,14 +135,21 @@ def parse_hypergraph(text: str) -> Hypergraph:
     body = lines[1:]
     if len(body) != num_edges:
         raise ValueError(f"expected {num_edges} edge lines, found {len(body)}")
-    edges = []
-    for line in body:
-        vertices = list(map(int, line.split()))
-        # Repeats pass this test; Hypergraph rejects them.
+    edges = [list(map(int, line.split())) for line in body]
+    # Hypergraph sorts every edge, so an edge out of order is one it changed;
+    # only then, or when it raises, is each edge checked, so that the first
+    # edge out of order is still the error reported.
+    try:
+        hypergraph = Hypergraph(num_vertices, tuple(edges))
+    except ValueError as exc:
+        error = exc
+    else:
+        if list(map(list, hypergraph.edges)) == edges:
+            return hypergraph
+    for line, vertices in zip(body, edges):
         if vertices != sorted(vertices):
             raise ValueError(f"edge vertices must be ascending: {line!r}")
-        edges.append(vertices)
-    return Hypergraph(num_vertices, tuple(edges))
+    raise error
 
 
 def parse_text(text: str, fmt: str = "auto") -> Hypergraph | BitMatrix:

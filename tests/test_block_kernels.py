@@ -1,0 +1,171 @@
+"""The bit-sliced block kernels against the one-word-per-step Gray walks.
+
+Both exhaustive engines walk a small scan one word per step and count a
+larger one in blocks of 2^t words, t at most ``codes._BLOCK_BITS``.  Here
+each kernel is called directly and must return exactly what the walk
+returns, witness and early-exit stop included.  The inputs are sized so
+that one block, or several with odd ones among them, covers the scan under
+that fixed bound.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+import hypercode.codes as codes
+from conftest import bit_matrices, hypergraphs
+from hypercode import (
+    BitMatrix,
+    Hypergraph,
+    block_row,
+    circulant_hypergraph,
+    eonv_distance_search,
+    from_generator,
+    random_hypergraph,
+)
+from hypercode.codes import _count_blocks, _count_walk, _subset_blocks, _subset_walk
+
+BLOCK = codes._BLOCK_BITS
+
+
+def gray_index(subset: tuple[int, ...]) -> int:
+    """Position of ``subset`` in the Gray walk over all vertices."""
+    mask = sum(1 << v for v in subset)
+    index = 0
+    while mask:
+        index ^= mask
+        mask >>= 1
+    return index
+
+
+def assert_same_search(hg: Hypergraph, early_exit: int | None = None):
+    kernel = _subset_blocks(hg, early_exit)
+    assert kernel == _subset_walk(hg, early_exit)
+    assert eonv_distance_search(hg, early_exit=early_exit) == kernel
+    return kernel
+
+
+def assert_same_counts(code):
+    rows = code.basis.rows
+    assert _count_blocks(rows, code.length) == _count_walk(rows, code.length)
+
+
+def test_small_scans_walk_and_larger_ones_use_blocks(monkeypatch):
+    calls = []
+    monkeypatch.setattr(codes, "_subset_blocks", lambda hg, e: calls.append("subset"))
+    monkeypatch.setattr(codes, "_count_blocks", lambda rows, n: calls.append("count") or [1])
+    # 2^3 subsets for 1 edge, 2 codewords for 1 coordinate: walked.
+    eonv_distance_search(Hypergraph(3, ((0, 1, 2),)))
+    codes._weight_counts(from_generator(BitMatrix(3, 1, (1, 1, 1))))
+    assert calls == []
+    # 2^6 subsets for 7 edges, 2^6 codewords for 7 coordinates: blocks.
+    eonv_distance_search(Hypergraph(6, tuple((v,) for v in range(6)) + ((0,),)))
+    codes._weight_counts(from_generator(BitMatrix(6, 7, tuple(1 << v for v in range(6)))))
+    assert calls == ["subset", "count"]
+
+
+class TestSingleBlock:
+    @given(hypergraphs(max_vertices=8, max_edges=12), st.none() | st.integers(0, 12))
+    def test_subset_search_matches(self, hg, early_exit):
+        assert_same_search(hg, early_exit)
+
+    @given(bit_matrices(min_rows=1, max_rows=9, min_cols=1, max_cols=14))
+    def test_weight_counts_match(self, matrix):
+        code = from_generator(matrix)
+        if code.dimension:
+            assert_same_counts(code)
+
+    def test_one_vertex_and_one_row(self):
+        assert_same_search(Hypergraph(1, ((0,), (0,), (0,))))
+        assert _count_blocks((0b10110,), 5) == [1, 0, 0, 1, 0, 0]
+
+    def test_zero_code_counts_only_the_zero_word(self):
+        assert codes._weight_counts(from_generator(BitMatrix(2, 6, (0, 0)))) == [1]
+
+
+class TestSubsetBlocks:
+    def test_random_hypergraphs_over_two_to_eight_blocks(self):
+        rng = random.Random(12)
+        for n in (15, 16, 17):
+            hg = random_hypergraph(rng, n, rng.randint(10, 24))
+            assert n > BLOCK
+            assert_same_search(hg)
+
+    def test_early_exit_first_met_in_an_odd_block(self):
+        rng = random.Random(5)
+        odd_exits = 0
+        for n in (15, 16):
+            for _ in range(3):
+                hg = random_hypergraph(rng, n, rng.randint(14, 22), max_edge_size=n // 2)
+                exact = assert_same_search(hg)
+                for threshold in range(exact.value, hg.num_edges + 1):
+                    result = assert_same_search(hg, threshold)
+                    odd_exits += (gray_index(result.witness) >> BLOCK) & 1
+        assert odd_exits > 0
+
+    def test_early_exit_in_an_odd_block_takes_its_highest_position(self):
+        # Vertex 0 has 6 private edges, vertices 1..13 four each, and vertex
+        # 14 lies in 3 of vertex 0's edges.  No subset of 0..13 has weight
+        # <= 3; in the second block, which the walk visits downwards, {14}
+        # and {0, 14} both have weight 3, and {0, 14} comes first.
+        edges = [(0, 14)] * 3 + [(0,)] * 3
+        edges += [(v,) for v in range(1, 14) for _ in range(4)]
+        hg = Hypergraph(15, tuple(edges))
+        assert assert_same_search(hg, 3) == codes.DistanceResult(3, False, (0, 14))
+
+    def test_minimum_ties_across_blocks(self):
+        # 131072 subsets of block_circulant(9,1)'s 18 vertices reach d = 9.
+        hg = circulant_hypergraph(block_row(9, 1))
+        assert assert_same_search(hg).value == 9
+        assert_same_search(hg, 9)
+
+    def test_zero_weight_subsets_in_block_zero_and_later(self):
+        # Vertices 0..13 lie in no edge: the whole first block has weight zero.
+        assert_same_search(Hypergraph(15, ((14,), (14,))))
+        # Vertex 1 repeats vertex 0's edges and vertex 15 repeats vertex
+        # 14's: {0, 1} has weight zero in the first block, {14, 15} in a later one.
+        rng = random.Random(6)
+        edges = []
+        for _ in range(12):
+            edge = set(rng.sample([0, *range(2, 15)], 4))
+            edge |= {1} if 0 in edge else set()
+            edge |= {15} if 14 in edge else set()
+            edges.append(tuple(sorted(edge)))
+        hg = Hypergraph(16, tuple(edges))
+        rows = hg.vertex_rows
+        assert rows[0] == rows[1] != 0 and rows[14] == rows[15] != 0
+        exact = assert_same_search(hg)
+        for early_exit in range(exact.value + 3):
+            assert_same_search(hg, early_exit)
+
+    def test_edges_without_low_vertices(self):
+        # Edges on high vertices only give all-zero columns in every block.
+        rng = random.Random(3)
+        edges = [tuple(sorted(rng.sample(range(15, 17), rng.randint(1, 2)))) for _ in range(6)]
+        edges += [tuple(sorted(rng.sample(range(17), 4))) for _ in range(8)]
+        hg = Hypergraph(17, tuple(edges))
+        assert_same_search(hg)
+        for early_exit in range(0, 5):
+            assert_same_search(hg, early_exit)
+
+
+class TestCountBlocks:
+    def test_wide_codes_over_several_blocks(self):
+        rng = random.Random(8)
+        for k, n in ((15, 512), (16, 600)):
+            code = from_generator(BitMatrix(k, n, tuple(rng.getrandbits(n) for _ in range(k))))
+            assert code.dimension == k > BLOCK
+            assert_same_counts(code)
+
+    def test_zero_coordinates_and_zero_low_columns(self):
+        # Coordinates 0..99 are zero in every row.  The RREF orders its rows
+        # by pivot, and a pivot column is zero in every other row, so the
+        # high rows' pivot columns are zero in all the low rows.
+        rng = random.Random(4)
+        rows = tuple(rng.getrandbits(200) << 100 for _ in range(16))
+        code = from_generator(BitMatrix(16, 300, rows))
+        assert code.dimension == 16 > BLOCK
+        assert_same_counts(code)

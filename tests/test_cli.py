@@ -264,7 +264,7 @@ class TestAnalyze:
         assert code == 4
         assert err == "error: codeword search needs 15 evaluations, above the cap of 4\n"
 
-    def test_weight_cap_message_names_the_weight_distribution(self, capsys, fano_file, monkeypatch):
+    def test_one_scan_of_15_words_is_charged_to_the_cap_once(self, capsys, fano_file, monkeypatch):
         # The distance and the weights read one scan of the 15 nonzero
         # codewords, and the cap charges it once, by those 15 words.
         monkeypatch.setenv("HYPERCODE_ENUM_CAP", "15")

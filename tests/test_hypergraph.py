@@ -579,6 +579,23 @@ class TestHypergraphTextFormat:
         with pytest.raises(ValueError, match="plain decimal integers"):
             parse_hypergraph(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 1\n1 0\n", "edge vertices must be ascending: '1 0'"),
+            ("3 1\n0 0\n", "edge (0, 0) repeats a vertex"),
+            ("3 1\n0 3\n", "edge (0, 3) is out of range for 3 vertices"),
+            # An edge out of order is reported before any other edge's error.
+            ("3 2\n0 3\n2 1\n", "edge vertices must be ascending: '2 1'"),
+            ("3 2\n1 1 2\n2 1 1\n", "edge vertices must be ascending: '2 1 1'"),
+            ("3 2\n1 1\n0 5\n", "edge (1, 1) repeats a vertex"),
+        ],
+    )
+    def test_edge_errors(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_hypergraph(text)
+        assert str(info.value) == message
+
     def test_multi_digit_and_zero_tokens_parse(self):
         text = "12 2\n0 10 11\n\t9  10\n"
         assert parse_hypergraph(text) == Hypergraph(12, ((0, 10, 11), (9, 10)))
