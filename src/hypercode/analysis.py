@@ -125,26 +125,20 @@ def _analyze(
     witness: tuple[int, ...] | None = None
     exact: bool | None = None
     if code.dimension > 0:
-        code_result = None
-        eonv_result = None
-        if method in ("codeword", "both"):
-            code_result = codeword_distance_search(code, early_exit=early_exit)
-        if method in ("eonv", "both"):
-            eonv_result = eonv_distance_search(eonv_input, early_exit=early_exit)
-        if method == "codeword":
-            value, exact = code_result.value, code_result.exact
-        elif method == "eonv":
-            value, exact = eonv_result.value, eonv_result.exact
-            witness = eonv_result.witness
-        else:
-            exact = code_result.exact and eonv_result.exact
-            if exact and code_result.value != eonv_result.value:
-                raise EngineDisagreement(
-                    f"codeword engine found d={code_result.value} but the subset "
-                    f"engine found d={eonv_result.value}"
-                )
-            value = min(code_result.value, eonv_result.value)
-            witness = eonv_result.witness
+        results = []
+        if method != "eonv":
+            results.append(codeword_distance_search(code, early_exit=early_exit))
+        if method != "codeword":
+            results.append(eonv_distance_search(eonv_input, early_exit=early_exit))
+            witness = results[-1].witness
+        # Inexact values are upper bounds, so only two exact ones must agree.
+        values = [result.value for result in results]
+        exact = all(result.exact for result in results)
+        value = min(values)
+        if exact and value != max(values):
+            raise EngineDisagreement(
+                f"codeword engine found d={values[0]} but the subset engine found d={values[1]}"
+            )
 
     dist = weight_distribution(code) if weights else None
     return AnalysisReport(
@@ -197,7 +191,7 @@ def analyze_matrix(
     """
     code = from_generator(matrix)
     eonv_input = None
-    if method in ("eonv", "both") and code.dimension > 0:
+    if method != "codeword" and code.dimension > 0:
         eonv_input = _nonzero_column_hypergraph(matrix)
     return _analyze(
         code,

@@ -10,11 +10,18 @@ Subcommands:
 
 ``analyze`` reads either text format of :mod:`hypercode.textformat`, named
 by ``--format`` or detected.  Files use 0-based vertex indices;
-human-facing output (reports, findings) uses 1-based labels.  Exit codes
-for ``analyze``: 2 on parse failure, 3 on engine disagreement, 4 on an
-exceeded enumeration cap; ``verify`` exits 1 when a criterion fails, 2 on
-an unknown ``--only`` tag and 4 when a criterion's search exceeds the cap;
-``family`` exits 2 when it cannot write its ``-o`` file.
+human-facing output (reports, findings) uses 1-based labels.
+
+Every subcommand exits with one of these codes, and on codes 2-4 prints
+one ``error:`` line on stderr:
+
+* 0 success
+* 1 a failed ``verify`` criterion, or stdout closed by its reader
+* 2 bad input, bad parameters or an unwritable output file
+* 3 the two distance engines disagree
+* 4 a search would exceed the enumeration cap
+
+Options that argparse itself rejects also exit 2, after its usage line.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from .hypergraph import (
     incidence_matrix,
     projective_geometry,
 )
-from .limits import EnumerationCapError
+from .limits import MAX_EDGES, MAX_VERTICES, EnumerationCapError
 from .textformat import FORMATS, format_hypergraph, parse_text
 from .verify import run_criteria
 
@@ -54,6 +61,13 @@ EXIT_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_DISAGREEMENT = 3
 EXIT_CAP = 4
+
+# The errors a subcommand raises, in the order ``main`` tests them.
+_EXIT_CODES = {
+    EngineDisagreement: EXIT_DISAGREEMENT,
+    EnumerationCapError: EXIT_CAP,
+    ValueError: EXIT_PARSE,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,15 +139,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_size(kind: str, vertices: int, edges: int) -> None:
+    # Counted in closed form, so that nothing is built before the check.
+    for count, limit, what in ((vertices, MAX_VERTICES, "vertices"), (edges, MAX_EDGES, "edges")):
+        if count > limit:
+            raise ValueError(f"{kind} would have more than {limit} {what}")
+
+
 def _make_family(args: argparse.Namespace) -> Hypergraph:
     kind = args.kind
     if kind == "k3partite":
         if args.n is None or args.n < 1:
             raise ValueError("k3partite needs --n >= 1")
+        _check_size(kind, 3 * args.n, args.n**3)
         return complete_3partite(args.n)
     if kind == "pg":
         if args.n is None or args.n < 3:
             raise ValueError("pg needs --n >= 3")
+        # Every n above MAX_VERTICES.bit_length() has too many points, so
+        # capping n there changes no verdict and keeps 2^n small.
+        n = min(args.n, MAX_VERTICES.bit_length() + 1)
+        points = (1 << n) - 1
+        _check_size(kind, points, points * ((1 << (n - 1)) - 1) // 3)
         return projective_geometry(args.n)
     if kind == "fano":
         return fano_circulant()
@@ -143,23 +170,18 @@ def _make_family(args: argparse.Namespace) -> Hypergraph:
         return circulant_hypergraph(args.row)
     if args.k is None or args.m is None or args.k < 1 or args.m < 1:
         raise ValueError("block-circulant needs --k >= 1 and --m >= 1")
+    _check_size(kind, 2 * args.k * args.m, 2 * args.k * args.m)
     return circulant_hypergraph(block_row(args.k, args.m))
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    try:
-        hypergraph = _make_family(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    text = format_hypergraph(hypergraph)
+    text = format_hypergraph(_make_family(args))
     if args.output:
         try:
             with open(args.output, "w", encoding="ascii") as handle:
                 handle.write(text)
         except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+            raise ValueError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -168,57 +190,33 @@ def _cmd_family(args: argparse.Namespace) -> int:
 def _read_input(path: str) -> str:
     """The input text with its line breaks untranslated, for the parsers to split.
 
-    Raises OSError, or ValueError for non-ASCII input.
+    Raises ValueError naming the path when it cannot be read or is not ASCII.
     """
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    return data.decode("ascii")
+    try:
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        return data.decode("ascii")
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        text = _read_input(args.input)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
+    text = _read_input(args.input)
     try:
         parsed = parse_text(text, args.format)
     except ValueError as exc:
-        print(f"error: cannot parse {args.input}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
+        raise ValueError(f"cannot parse {args.input}: {exc}") from exc
     analyze = analyze_hypergraph if isinstance(parsed, Hypergraph) else analyze_matrix
-    try:
-        report = analyze(
-            parsed, method=args.method, weights=args.weights, early_exit=args.early_exit
-        )
-    except EngineDisagreement as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISAGREEMENT
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
+    report = analyze(parsed, method=args.method, weights=args.weights, early_exit=args.early_exit)
     sys.stdout.write(report.to_csv() if args.csv else report.to_json() + "\n")
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        results = run_criteria(args.only)
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    results = run_criteria(args.only)
     failed = 0
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -230,14 +228,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_selfdual_scan(args: argparse.Namespace) -> int:
-    try:
-        samples = connected_uniform_samples(
-            args.seed, n_max=args.n_max, budget=args.budget, uniform=args.uniform
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
+    samples = connected_uniform_samples(
+        args.seed, n_max=args.n_max, budget=args.budget, uniform=args.uniform
+    )
     scanned = 0
     findings = 0
     for hypergraph in samples:
@@ -276,15 +269,11 @@ def _parse_poly(text: str) -> int:
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
-    try:
-        if args.poly_command == "gcd":
-            g = poly_gcd(_parse_poly(args.first), _parse_poly(args.second))
-            print(format_row(g, g.bit_length()))
-        else:
-            print(cyclic_code_dimension(_parse_poly(args.row), len(args.row)))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.poly_command == "gcd":
+        g = poly_gcd(_parse_poly(args.first), _parse_poly(args.second))
+        print(format_row(g, g.bit_length()))
+    else:
+        print(cyclic_code_dimension(_parse_poly(args.row), len(args.row)))
     return EXIT_OK
 
 
@@ -307,6 +296,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # that the flush at interpreter exit cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAILURE
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(exit_code for kind, exit_code in _EXIT_CODES.items() if isinstance(exc, kind))
     return code
 
 

@@ -7,7 +7,8 @@ the ``HYPERCODE_ENUM_CAP`` environment variable, read at call time, or
 Exceeding the cap raises instead of silently truncating: an exhaustive
 answer is either exact or an error, never a quiet bound.
 
-``MAX_VERTICES`` bounds the vertex count of a parsed hypergraph; it is
+``MAX_VERTICES`` bounds the vertex count of a parsed or generated
+hypergraph, and ``MAX_EDGES`` the edge count of a generated one; both are
 fixed.
 """
 
@@ -25,6 +26,12 @@ ENUM_CAP_ENV_VAR = "HYPERCODE_ENUM_CAP"
 # benchmark input (the largest has 127 vertices) and every family small
 # enough to generate.
 MAX_VERTICES = 1 << 20
+
+# A family is built edge by edge from its parameters alone, so
+# ``hypercode family k3partite --n 2000`` would exhaust memory on its 8e9
+# edges.  2**20 edges keep every family that tests, verify and the
+# benchmark use (the largest is complete_3partite(16), with 4096 edges).
+MAX_EDGES = 1 << 20
 
 
 class EnumerationCapError(RuntimeError):

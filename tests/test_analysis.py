@@ -50,6 +50,19 @@ class TestAnalyzeHypergraph:
         assert report.distance_exact is False
         assert report.min_distance >= 3
 
+    def test_both_takes_the_lower_of_two_inexact_bounds(self):
+        # With T = 13 the codeword engine stops at a weight-13 word and the
+        # subset engine at the weight-9 edge set of vertex 1: two different
+        # upper bounds, which is no disagreement.
+        hg = complete_3partite(3)
+        by_codewords = analyze_hypergraph(hg, method="codeword", early_exit=13)
+        by_subsets = analyze_hypergraph(hg, method="eonv", early_exit=13)
+        assert (by_codewords.min_distance, by_codewords.distance_exact) == (13, False)
+        assert (by_subsets.min_distance, by_subsets.distance_exact) == (9, False)
+        report = analyze_hypergraph(hg, method="both", early_exit=13)
+        assert (report.min_distance, report.distance_exact) == (9, False)
+        assert report.witness == by_subsets.witness == (0,)
+
     def test_invalid_method(self):
         with pytest.raises(ValueError):
             analyze_hypergraph(fano_circulant(), method="magic")

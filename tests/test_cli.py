@@ -95,6 +95,38 @@ class TestFamily:
         assert code != 0
         assert err
 
+    @pytest.mark.parametrize(
+        "argv,what",
+        [
+            (("k3partite", "--n", "102"), "edges"),
+            (("k3partite", "--n", "349526"), "vertices"),
+            (("pg", "--n", "12"), "edges"),
+            (("pg", "--n", "1000000000000"), "vertices"),
+            (("block-circulant", "--k", "1", "--m", "524289"), "vertices"),
+            (("block-circulant", "--k", "1000000000", "--m", "1000000000"), "vertices"),
+        ],
+    )
+    def test_too_large_family_exits_2_before_building(self, capsys, argv, what):
+        code, out, err = run_cli(capsys, "family", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {argv[0]} would have more than {1 << 20} {what}\n"
+
+    @pytest.mark.parametrize(
+        "argv,builder",
+        [
+            (("k3partite", "--n", "101"), "complete_3partite"),
+            (("pg", "--n", "11"), "projective_geometry"),
+            (("block-circulant", "--k", "1", "--m", "524288"), "circulant_hypergraph"),
+        ],
+    )
+    def test_largest_families_pass_the_size_check(self, capsys, monkeypatch, argv, builder):
+        import hypercode.cli as cli
+
+        built = []
+        monkeypatch.setattr(cli, builder, lambda arg: built.append(arg) or cli.fano_circulant())
+        assert run_cli(capsys, "family", *argv)[0] == 0
+        assert len(built) == 1
+
 
     @pytest.mark.parametrize("target", ["missing/fano.hg", "."])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, target):
@@ -524,6 +556,59 @@ class TestParseErrorHashes:
             code, _, err = run_cli(capsys, "analyze", "-", "--format", fmt)
             out.append(f"{code}\n{err}")
         assert TestReportHashes.digest("".join(out)) == expected
+
+
+# Every failure path of every subcommand: (environment, stdin bytes, argv).
+# Paths are relative to a fresh working directory holding fano.hg, so the
+# messages that name them are the same on every run.
+FAILURE_CASES = [
+    ({}, None, ("family", "k3partite")),
+    ({}, None, ("family", "k3partite", "--n", "0")),
+    ({}, None, ("family", "pg", "--n", "2")),
+    ({}, None, ("family", "circulant")),
+    ({}, None, ("family", "circulant", "--row", "000")),
+    ({}, None, ("family", "block-circulant", "--k", "1")),
+    ({}, None, ("family", "fano", "-o", "missing/fano.hg")),
+    ({}, None, ("analyze", "missing.hg")),
+    ({}, b"7 1\n0 1 \xff\n", ("analyze", "-")),
+    ({"HYPERCODE_ENUM_CAP": "4"}, None, ("analyze", "fano.hg")),
+    ({"HYPERCODE_ENUM_CAP": "x"}, None, ("analyze", "fano.hg")),
+    ({}, None, ("analyze", "fano.hg", "--early-exit", "-1")),
+    ({}, None, ("verify", "--only", "nosuch")),
+    ({"HYPERCODE_ENUM_CAP": "5"}, None, ("verify", "--only", "fano")),
+    ({}, None, ("selfdual-scan", "--n-max", "1", "--seed", "1")),
+    ({}, None, ("selfdual-scan", "--n-max", "3", "--seed", "1", "--uniform", "0")),
+    ({}, None, ("selfdual-scan", "--n-max", "3", "--seed", "1", "--uniform", "9")),
+    ({}, None, ("selfdual-scan", "--n-max", "3", "--seed", "1", "--budget", "-1")),
+    ({}, None, ("poly", "gcd", "", "1")),
+    ({}, None, ("poly", "gcd", "0", "0")),
+    ({}, None, ("poly", "gcd", "1x", "1")),
+    ({}, None, ("poly", "cyclic-dim", "")),
+    ({}, None, ("poly", "cyclic-dim", "000")),
+]
+
+
+class TestFailurePathHashes:
+    """Exit code, stdout and stderr of every subcommand's failure paths.
+
+    Hashed like :class:`TestReportHashes`: any change to one message byte or
+    one exit code fails here.
+    """
+
+    def test_exit_codes_and_messages(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, "family", "fano", "-o", "fano.hg")[0] == 0
+        out = []
+        for env, data, argv in FAILURE_CASES:
+            with monkeypatch.context() as patch:
+                for name, value in env.items():
+                    patch.setenv(name, value)
+                if data is not None:
+                    patch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+                code, stdout, err = run_cli(capsys, *argv)
+            assert code != 0 and stdout == "" and err.count("\n") == 1, argv
+            out.append(f"{' '.join(argv)}\n{code}\n{err}")
+        assert TestReportHashes.digest("".join(out)) == "6158f84a8e463d82"
 
 
 class TestPoly:
