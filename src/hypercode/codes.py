@@ -37,16 +37,18 @@ Each self-duality fact has one implementation.  A code builds its Gram
 matrix at most once, beside its basis, and :func:`is_self_dual` adds
 only the dimension test 2k = n.  On the hypergraph side the counting criterion for
 connected graphs is :func:`structural_self_orthogonality` plus the edge
-count m = 2n - 2.
+count m = 2n - 2, and that route counts the vertex pairs of each edge
+instead of forming a matrix product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import combinations_with_replacement
 
 from .gf2core import BitMatrix, gram, nullspace_basis, rref, set_bits
-from .hypergraph import Hypergraph, edges_at, is_connected
+from .hypergraph import Hypergraph, is_connected
 from .limits import check_enum_cap
 
 # The columns of a block kernel, 2^t bits per coordinate (or edge), take at
@@ -70,6 +72,8 @@ class LinearCode:
 
     # ``rref`` and ``gram`` are looked up in this module at call time, so the
     # benchmark's trace spans on ``codes.rref`` and ``codes.gram`` record them.
+    # The generator keeps its reduction (see ``gf2core.rref``), which
+    # ``dual`` reads again instead of reducing the basis.
     @cached_property
     def basis(self) -> BitMatrix:
         reduced, pivots = rref(self.generator)
@@ -476,8 +480,13 @@ def weight_distribution(code: LinearCode) -> dict[int, int]:
 
 
 def dual(code: LinearCode) -> LinearCode:
-    """The dual code: all vectors orthogonal to every codeword."""
-    return from_generator(nullspace_basis(code.basis))
+    """The dual code: all vectors orthogonal to every codeword.
+
+    It is the null space of the generator, whose RREF has the same nonzero
+    rows and pivots as the basis, so the generator's stored reduction serves
+    it and the basis is never reduced.
+    """
+    return from_generator(nullspace_basis(code.generator))
 
 
 def is_self_orthogonal(code: LinearCode) -> bool:
@@ -500,18 +509,14 @@ def structural_self_orthogonality(hypergraph: Hypergraph) -> bool:
     True exactly when every vertex degree is even and every two distinct
     vertices lie in an even number of common edges.  Must agree with
     ``is_self_orthogonal(from_generator(incidence_matrix(hypergraph)))``;
-    this route works with edge sets on purpose, independently of the
-    matrix product.
+    this route counts edges on purpose, independently of the matrix
+    product: each edge toggles every pair u <= v of its vertices in one
+    set, which ends up empty exactly when every count is even.
     """
-    n = hypergraph.num_vertices
-    incident = [edges_at(hypergraph, u) for u in range(n)]
-    if any(len(s) % 2 for s in incident):
-        return False
-    for u in range(n):
-        for v in range(u + 1, n):
-            if len(incident[u] & incident[v]) % 2:
-                return False
-    return True
+    odd: set[tuple[int, int]] = set()
+    for edge in hypergraph.edges:
+        odd.symmetric_difference_update(combinations_with_replacement(edge, 2))
+    return not odd
 
 
 def graph_self_duality_criterion(hypergraph: Hypergraph) -> bool:

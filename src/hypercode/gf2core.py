@@ -8,7 +8,13 @@ the matrix text format built on it is in :mod:`hypercode.textformat`.
 Arbitrary-precision ints make the packing width a non-issue while keeping
 the inner loops single machine operations per row.
 
-Everything here is a pure function on immutable values.
+Everything here is a pure function on immutable values, with one
+exception: a matrix keeps its own reduction.  :func:`rref` computes a
+matrix's reduced row-echelon form at most once and stores it on the
+matrix; every elimination route (:func:`rank`, :func:`nullspace_basis`,
+:func:`row_space_equal`, a code's basis and its dual) reads that one
+result.  The stored pair is not a field, so equality, hashing and
+``repr`` ignore it.
 """
 
 from __future__ import annotations
@@ -86,14 +92,24 @@ class BitMatrix:
         return [format_row(r, self.num_cols) for r in self.rows]
 
 
+# The key under which a matrix keeps its reduction, outside its fields.
+_REDUCTION = "_rref"
+
+
 def rref(matrix: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
-    """Reduced row-echelon form over GF(2).
+    """Reduced row-echelon form over GF(2), computed once per matrix.
 
     Returns:
         (R, pivots): R is the unique RREF with the same row space as the
         input; pivots are the strictly increasing pivot column indices, and
         the first ``len(pivots)`` rows of R are its nonzero rows.
+
+    The first call on a matrix stores the pair on it; later calls on the same
+    matrix return that same pair.
     """
+    known = matrix.__dict__.get(_REDUCTION)
+    if known is not None:
+        return known
     basis: dict[int, int] = {}  # pivot bit (lowest set bit) -> reduced row
     for row in matrix.rows:
         for bit, reduced in basis.items():
@@ -108,7 +124,9 @@ def rref(matrix: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     bits = sorted(basis)
     rows = tuple(basis[bit] for bit in bits) + (0,) * (matrix.num_rows - len(bits))
     pivots = tuple(bit.bit_length() - 1 for bit in bits)
-    return BitMatrix(matrix.num_rows, matrix.num_cols, rows), pivots
+    known = (BitMatrix(matrix.num_rows, matrix.num_cols, rows), pivots)
+    matrix.__dict__[_REDUCTION] = known
+    return known
 
 
 def rank(matrix: BitMatrix) -> int:
@@ -122,12 +140,15 @@ def nullspace_basis(matrix: BitMatrix) -> BitMatrix:
     Returns one basis row per free column of the RREF, ordered by free
     column index, so the row count is ``num_cols - rank(matrix)``.  The row
     of free column f has bit f, no other free-column bit, and the pivot bit
-    of every RREF row holding a 1 in column f.
+    of every RREF row holding a 1 in column f.  It reads the matrix's one
+    stored reduction (see :func:`rref`).
     """
     reduced, pivots = rref(matrix)
     pivot_mask = sum(1 << p for p in pivots)
-    free = set_bits(((1 << matrix.num_cols) - 1) & ~pivot_mask)
-    basis = {f: 1 << f for f in free}
+    # One step per column from the pivot set; set_bits on the complement
+    # mask would take one big-int operation per free column.
+    pivot_set = set(pivots)
+    basis = {f: 1 << f for f in range(matrix.num_cols) if f not in pivot_set}
     for row, p in zip(reduced.rows, pivots):
         for f in set_bits(row & ~pivot_mask):
             basis[f] |= 1 << p
@@ -153,12 +174,19 @@ def gram(matrix: BitMatrix) -> BitMatrix:
 
 
 def row_space_equal(a: BitMatrix, b: BitMatrix) -> bool:
-    """Whether two matrices span the same row space."""
+    """Whether two matrices span the same row space.
+
+    Each matrix is reduced at most once (see :func:`rref`), and ``b`` not at
+    all when it has fewer rows than ``a`` has rank, since it cannot span
+    ``a``'s row space then.
+    """
     if a.num_cols != b.num_cols:
         raise ValueError(
             f"cannot compare row spaces of width {a.num_cols} and {b.num_cols}"
         )
     ra, pa = rref(a)
+    if b.num_rows < len(pa):
+        return False
     rb, pb = rref(b)
     return ra.rows[: len(pa)] == rb.rows[: len(pb)]
 

@@ -8,8 +8,9 @@ Exceeding the cap raises instead of silently truncating: an exhaustive
 answer is either exact or an error, never a quiet bound.
 
 ``MAX_VERTICES`` bounds the vertex count of a parsed or generated
-hypergraph, and ``MAX_EDGES`` the edge count of a generated one; both are
-fixed.
+hypergraph, ``MAX_EDGES`` the edge count of a generated one and
+``MAX_INCIDENCES`` its vertex-edge incidences, the sum of its edge sizes;
+all three are fixed.
 """
 
 from __future__ import annotations
@@ -32,6 +33,14 @@ MAX_VERTICES = 1 << 20
 # edges.  2**20 edges keep every family that tests, verify and the
 # benchmark use (the largest is complete_3partite(16), with 4096 edges).
 MAX_EDGES = 1 << 20
+
+# Each incidence is one vertex index stored in one edge, so a family of few
+# but wide edges passes both bounds above and still exhausts memory:
+# ``block-circulant --k 1 --m 300000`` asks for 600000 edges of 300000
+# vertices each.  2**22 is above 3 * MAX_EDGES, so it never binds before
+# MAX_EDGES on the 3-uniform families, and far above every family that tests,
+# verify and the benchmark use (the largest, block_circulant(8,16), has 32768).
+MAX_INCIDENCES = 1 << 22
 
 
 class EnumerationCapError(RuntimeError):

@@ -116,7 +116,10 @@ class TestFamily:
         [
             (("k3partite", "--n", "101"), "complete_3partite"),
             (("pg", "--n", "11"), "projective_geometry"),
-            (("block-circulant", "--k", "1", "--m", "524288"), "circulant_hypergraph"),
+            # 2896 * 1448 incidences; m = 1449 has 4199202, above 2^22.
+            (("block-circulant", "--k", "1", "--m", "1448"), "circulant_hypergraph"),
+            # 2^20 vertices and edges of 4 vertices: exactly 2^22 incidences.
+            (("circulant", "--row", "1111" + "0" * ((1 << 20) - 4)), "circulant_hypergraph"),
         ],
     )
     def test_largest_families_pass_the_size_check(self, capsys, monkeypatch, argv, builder):
@@ -126,6 +129,27 @@ class TestFamily:
         monkeypatch.setattr(cli, builder, lambda arg: built.append(arg) or cli.fano_circulant())
         assert run_cli(capsys, "family", *argv)[0] == 0
         assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("block-circulant", "--k", "1", "--m", "300000"),
+            ("block-circulant", "--k", "1", "--m", "1449"),
+            ("block-circulant", "--k", "64", "--m", "32"),
+            ("circulant", "--row", "1" * 60000),
+            ("circulant", "--row", "11111" + "0" * ((1 << 20) - 5)),
+        ],
+        ids=["bc-1x300000", "bc-1x1449", "bc-64x32", "circulant-60000-ones", "circulant-weight-5"],
+    )
+    def test_wide_family_exits_2_before_building(self, capsys, monkeypatch, argv):
+        # Few vertices and edges, but edges so wide that the incidences
+        # alone would exhaust memory; the builder must never be reached.
+        import hypercode.cli as cli
+
+        monkeypatch.setattr(cli, "circulant_hypergraph", lambda arg: pytest.fail("built"))
+        code, out, err = run_cli(capsys, "family", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {argv[0]} would have more than {1 << 22} incidences\n"
 
 
     @pytest.mark.parametrize("target", ["missing/fano.hg", "."])
@@ -569,6 +593,8 @@ FAILURE_CASES = [
     ({}, None, ("family", "circulant", "--row", "000")),
     ({}, None, ("family", "block-circulant", "--k", "1")),
     ({}, None, ("family", "fano", "-o", "missing/fano.hg")),
+    ({}, None, ("family", "block-circulant", "--k", "1", "--m", "300000")),
+    ({}, None, ("family", "circulant", "--row", "1" * 60000)),
     ({}, None, ("analyze", "missing.hg")),
     ({}, b"7 1\n0 1 \xff\n", ("analyze", "-")),
     ({"HYPERCODE_ENUM_CAP": "4"}, None, ("analyze", "fano.hg")),
@@ -608,7 +634,7 @@ class TestFailurePathHashes:
                 code, stdout, err = run_cli(capsys, *argv)
             assert code != 0 and stdout == "" and err.count("\n") == 1, argv
             out.append(f"{' '.join(argv)}\n{code}\n{err}")
-        assert TestReportHashes.digest("".join(out)) == "6158f84a8e463d82"
+        assert TestReportHashes.digest("".join(out)) == "b3616a46f5f69358"
 
 
 class TestPoly:

@@ -369,6 +369,18 @@ class TestStructuralSelfOrthogonality:
         assert is_self_orthogonal(from_generator(matrix)) == expected
 
 
+    @given(hypergraphs(max_vertices=8, max_edges=8), st.data())
+    def test_edge_counting_with_repeated_edges(self, hg, data):
+        # Repeats cancel in pairs: an edge taken twice adds an even count
+        # to every pair it holds.
+        repeats = data.draw(st.lists(st.sampled_from(hg.edges), max_size=8))
+        edges = list(hg.edges) + repeats
+        data.draw(st.randoms()).shuffle(edges)
+        repeated = Hypergraph(hg.num_vertices, tuple(edges))
+        expected = gram(incidence_matrix(repeated)).is_zero
+        assert structural_self_orthogonality(repeated) == expected
+
+
 class TestGraphSelfDualityCriterion:
     def test_path_fails_on_edge_count(self):
         hg = Hypergraph(3, ((0, 1), (1, 2)))

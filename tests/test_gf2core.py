@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import bit_matrices
+from conftest import bit_matrices, span_words
 from hypercode import (
     BitMatrix,
+    complete_3partite,
+    dual,
     fano_circulant,
+    from_generator,
     format_matrix,
     gram,
     incidence_matrix,
@@ -23,6 +26,7 @@ from hypercode import (
     row_space_equal,
     rref,
 )
+import hypercode.gf2core as gf2core
 from hypercode.gf2core import format_row, set_bits
 from hypercode.textformat import split_lines
 
@@ -210,6 +214,106 @@ class TestRowSpaceEqual:
             row_space_equal(
                 BitMatrix.from_strings(["10", "01"]), BitMatrix.from_strings(["100", "010", "001"])
             )
+
+
+class CountedRows(tuple):
+    """A row tuple that counts how often it is walked: once when its matrix
+    is built (the range check), and once more per reduction of the matrix."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def counted(m: BitMatrix) -> BitMatrix:
+    rows = CountedRows(m.rows)
+    counted_matrix = BitMatrix(m.num_rows, m.num_cols, rows)
+    assert rows.walks == 1
+    return counted_matrix
+
+
+def set_bits_nullspace(m: BitMatrix) -> BitMatrix:
+    """The former route: free columns by set_bits on the complement mask."""
+    reduced, pivots = rref(m)
+    pivot_mask = sum(1 << p for p in pivots)
+    free = set_bits(((1 << m.num_cols) - 1) & ~pivot_mask)
+    basis = {f: 1 << f for f in free}
+    for row, p in zip(reduced.rows, pivots):
+        for f in set_bits(row & ~pivot_mask):
+            basis[f] |= 1 << p
+    return BitMatrix(len(basis), m.num_cols, tuple(basis.values()))
+
+
+@st.composite
+def row_space_pairs(draw):
+    # b mixes combinations of a's rows with random rows, and is often
+    # shorter than a's rank, where row_space_equal answers without reducing it.
+    a = draw(bit_matrices(max_rows=6, max_cols=8, min_cols=1))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        if a.num_rows and draw(st.booleans()):
+            picks = draw(st.sets(st.integers(0, a.num_rows - 1)))
+            rows.append(row_combination(a, picks))
+        else:
+            rows.append(draw(st.integers(0, (1 << a.num_cols) - 1)))
+    return a, BitMatrix(len(rows), a.num_cols, tuple(rows))
+
+
+class TestOneReduction:
+    """Each matrix is reduced at most once, and every route reads that result."""
+
+    def test_every_route_reads_the_one_reduction(self):
+        m = counted(incidence_matrix(complete_3partite(3)))
+        code = from_generator(m)
+        assert code.dimension == 7
+        null = nullspace_basis(m)
+        assert rank(m) == 7 and not row_space_equal(m, null)
+        assert m.rows.walks == 2
+        assert rref(m) is rref(m)
+
+    def test_dual_reads_the_generator_reduction(self, monkeypatch):
+        m = incidence_matrix(complete_3partite(3))
+        code = from_generator(m)
+        assert code.dimension == 7
+        asked = []
+        monkeypatch.setattr(gf2core, "rref", lambda matrix: asked.append(matrix) or rref(matrix))
+        other = dual(code)
+        # One lookup, of the generator's stored pair: the basis is never reduced.
+        assert len(asked) == 1 and asked[0] is m
+        monkeypatch.undo()
+        assert other.generator == nullspace_basis(code.basis)
+
+    @given(bit_matrices(max_rows=10, max_cols=12, min_cols=1))
+    def test_dual_equals_the_null_space_of_the_basis(self, m):
+        code = from_generator(m)
+        assert dual(code).generator == nullspace_basis(code.basis)
+
+    def test_the_stored_reduction_is_not_a_field(self):
+        m = BitMatrix.from_strings(["110", "011"])
+        plain = BitMatrix.from_strings(["110", "011"])
+        before = repr(m)
+        rref(m)
+        assert m == plain and hash(m) == hash(plain) and repr(m) == before
+
+    @given(row_space_pairs())
+    def test_early_exit_agrees_with_a_full_comparison(self, pair):
+        a, b = pair
+        expected = span_words(a.rows) == span_words(b.rows)
+        b = counted(b)
+        assert row_space_equal(a, b) == expected
+        # b is reduced only when it has enough rows to span a's row space.
+        assert b.rows.walks == (1 if b.num_rows < rank(a) else 2)
+
+    def test_wide_incidence_nullspace_is_unchanged(self):
+        m = incidence_matrix(complete_3partite(6))
+        assert (m.num_rows, m.num_cols) == (18, 216)
+        assert nullspace_basis(m).rows == set_bits_nullspace(m).rows
+
+    @given(st.one_of(bit_matrices(max_rows=10, max_cols=12), WIDE))
+    def test_nullspace_rows_match_the_set_bits_route(self, m):
+        assert nullspace_basis(m) == set_bits_nullspace(m)
 
 
 class TestRowCombination:
