@@ -39,7 +39,6 @@ from .hypergraph import (
     circulant_hypergraph,
     complete_3partite,
     connected_uniform_samples,
-    edges_at,
     eonv,
     f_count,
     fano_circulant,
@@ -75,7 +74,6 @@ __all__ = [
     "connected_uniform_samples",
     "cyclic_code_dimension",
     "dual",
-    "edges_at",
     "eonv",
     "eonv_distance_search",
     "f_count",

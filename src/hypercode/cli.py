@@ -12,6 +12,14 @@ Subcommands:
 by ``--format`` or detected.  Files use 0-based vertex indices;
 human-facing output (reports, findings) uses 1-based labels.
 
+``selfdual-scan`` is the package's one loop over
+:func:`hypercode.hypergraph.connected_uniform_samples`.  It prints one JSON
+finding per self-orthogonal sample on stdout.  On stderr it prints the
+sample and finding counts, the self-orthogonal and self-dual hits by
+(vertices, edges) and, for graphs (``--uniform 2``), the number of samples
+on which :func:`hypercode.codes.graph_self_duality_criterion` disagrees
+with the direct check; the criterion is checked on every sample.
+
 Every subcommand exits with one of these codes, and on codes 2-4 prints
 one ``error:`` line on stderr:
 
@@ -30,6 +38,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from typing import Sequence
 
 from .analysis import METHODS, EngineDisagreement, analyze_hypergraph, analyze_matrix
@@ -241,16 +250,25 @@ def _cmd_selfdual_scan(args: argparse.Namespace) -> int:
     samples = connected_uniform_samples(
         args.seed, n_max=args.n_max, budget=args.budget, uniform=args.uniform
     )
+    graphs = args.uniform == 2
     scanned = 0
-    findings = 0
+    mismatches = 0
+    orthogonal_hits: Counter[tuple[int, int]] = Counter()
+    dual_hits: Counter[tuple[int, int]] = Counter()
     for hypergraph in samples:
         scanned += 1
         code = from_generator(incidence_matrix(hypergraph))
         self_orth = is_self_orthogonal(code)
         self_dual = is_self_dual(code)
-        if not (self_orth or self_dual):
+        if graphs:
+            criterion = graph_self_duality_criterion(hypergraph)
+            mismatches += criterion != self_dual
+        if not self_orth:  # a self-dual code is self-orthogonal too
             continue
-        findings += 1
+        key = (hypergraph.num_vertices, hypergraph.num_edges)
+        orthogonal_hits[key] += 1
+        if self_dual:
+            dual_hits[key] += 1
         finding = {
             "vertices": hypergraph.num_vertices,
             "edge_count": hypergraph.num_edges,
@@ -260,15 +278,21 @@ def _cmd_selfdual_scan(args: argparse.Namespace) -> int:
             "self_dual": self_dual,
             "structural_self_orthogonal": structural_self_orthogonality(hypergraph),
         }
-        if args.uniform == 2:
-            criterion = graph_self_duality_criterion(hypergraph)
+        if graphs:
             finding["criterion_self_dual"] = criterion
             finding["criterion_agrees"] = criterion == self_dual
         print(json.dumps(finding))
-    print(
-        f"scanned {scanned} connected samples, {findings} findings",
-        file=sys.stderr,
-    )
+    summary = [
+        f"scanned {scanned} connected samples, {orthogonal_hits.total()} findings",
+        f"self-orthogonal hits by (n, m): {dict(sorted(orthogonal_hits.items()))}",
+        f"self-dual hits by (n, m): {dict(sorted(dual_hits.items()))}",
+    ]
+    if graphs:
+        summary.append(
+            f"counting criterion vs direct check: {mismatches} mismatches "
+            f"on {scanned} connected graphs"
+        )
+    print("\n".join(summary), file=sys.stderr)
     return EXIT_OK
 
 

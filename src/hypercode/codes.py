@@ -140,12 +140,11 @@ def codeword_distance_search(
     if early_exit is None:
         counts = _capped_weights(code, "codeword search")
         return DistanceResult(next(w for w in range(1, len(counts)) if counts[w]), True)
-    total = 1 << k
-    check_enum_cap("codeword search", total - 1)
+    check_enum_cap("codeword search", k)
     rows = code.basis.rows
     best = code.length + 1  # above every weight; basis combinations are nonzero
     acc = 0
-    for i in range(1, total):
+    for i in range(1, 1 << k):
         acc ^= rows[(i & -i).bit_length() - 1]
         w = acc.bit_count()
         if w < best:
@@ -174,7 +173,7 @@ def eonv_distance_search(
     rows = hypergraph.vertex_rows
     if not any(rows):
         raise ValueError("the incidence matrix is zero; there is no nonzero codeword")
-    check_enum_cap("subset search", (1 << hypergraph.num_vertices) - 1)
+    check_enum_cap("subset search", hypergraph.num_vertices)
     if 1 << hypergraph.num_vertices <= _WALK_WORDS_PER_COLUMN * hypergraph.num_edges:
         return _subset_walk(hypergraph, early_exit)
     return _subset_blocks(hypergraph, early_exit)
@@ -340,7 +339,7 @@ def _capped_weights(code: LinearCode, search: str) -> list[int]:
     # Both callers charge the one scan the same figure, the nonzero words of
     # the scanned side, each under its own name.
     n, k = code.length, code.dimension
-    check_enum_cap(search, (1 << (n - k if _dual_is_cheaper(code) else k)) - 1)
+    check_enum_cap(search, n - k if _dual_is_cheaper(code) else k)
     return code._weights
 
 

@@ -19,9 +19,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 from typing import Iterable, Iterator
 
 from .gf2core import BitMatrix, parse_row, set_bits
+from .limits import MAX_CELLS
 
 Edge = tuple[int, ...]
 
@@ -219,14 +221,6 @@ def block_row(k: int, m: int) -> str:
 # Local structure
 
 
-def edges_at(hypergraph: Hypergraph, vertex: int) -> frozenset[int]:
-    """Indices of the edges containing the vertex; its size is the degree."""
-    if not 0 <= vertex < hypergraph.num_vertices:
-        raise IndexError(f"vertex {vertex} out of range")
-    row = hypergraph.vertex_rows[vertex]
-    return frozenset(set_bits(row))
-
-
 def is_connected(hypergraph: Hypergraph) -> bool:
     """Whether the bipartite vertex-edge incidence structure is connected."""
     n = hypergraph.num_vertices
@@ -297,10 +291,16 @@ def connected_uniform_samples(
     Each draw picks a vertex count n in [max(2, uniform), n_max] and an edge
     count in [1, 2n], then builds a ``uniform``-uniform hypergraph with
     :func:`random_uniform_hypergraph`.  The parameters are checked at the
-    call, before the first draw.
+    call, before the first draw; ``n_max`` may not let a sample's n x 2n
+    incidence matrix exceed :data:`hypercode.limits.MAX_CELLS`.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
+    if n_max * 2 * n_max > MAX_CELLS:
+        raise ValueError(
+            f"n_max must be at most {isqrt(MAX_CELLS // 2)}, so that a sample stays within "
+            f"{MAX_CELLS} incidence matrix cells, got {n_max}"
+        )
     if not 1 <= uniform <= n_max:
         raise ValueError(f"uniform must lie between 1 and n_max, got {uniform}")
     if budget < 0:

@@ -8,9 +8,10 @@ Exceeding the cap raises instead of silently truncating: an exhaustive
 answer is either exact or an error, never a quiet bound.
 
 ``MAX_VERTICES`` bounds the vertex count of a parsed or generated
-hypergraph, ``MAX_EDGES`` the edge count of a generated one and
-``MAX_INCIDENCES`` its vertex-edge incidences, the sum of its edge sizes;
-all three are fixed.
+hypergraph, ``MAX_EDGES`` the edge count of a generated one,
+``MAX_INCIDENCES`` its vertex-edge incidences, the sum of its edge sizes,
+and ``MAX_CELLS`` the n x m incidence matrix of a parsed or sampled one;
+all four are fixed.
 """
 
 from __future__ import annotations
@@ -42,16 +43,26 @@ MAX_EDGES = 1 << 20
 # verify and the benchmark use (the largest, block_circulant(8,16), has 32768).
 MAX_INCIDENCES = 1 << 22
 
+# The incidence rows are dense, n * m / 8 bytes, however few incidences the
+# text lists: a 1.3 MB file of 200000 vertices and 200000 one-vertex edges
+# asks for 5 GB of rows.  2**26 cells are 8 MB of rows; that is far above
+# every test, verify and benchmark input (the largest, PG(6,2), has
+# 127 x 2667 = 338709) and above 2**20 vertices on one edge.
+MAX_CELLS = 1 << 26
+
 
 class EnumerationCapError(RuntimeError):
     """A search would exceed the configured evaluation budget."""
 
 
-def check_enum_cap(search: str, evaluations: int) -> None:
-    """Raise :class:`EnumerationCapError` if ``evaluations`` exceed the cap.
+def check_enum_cap(search: str, bits: int) -> None:
+    """Raise :class:`EnumerationCapError` if a scan of 2^bits - 1 words exceeds the cap.
 
-    ``search`` names the search in the message, for example
-    ``codeword search needs 15 evaluations, above the cap of 4``.
+    Every search walks the nonzero words of a ``bits``-bit space.
+    ``search`` names it in the message, for example ``codeword search needs
+    15 evaluations, above the cap of 4``.  Above 64 bits the count is
+    written ``2^bits - 1``: in decimal it would run to thousands of digits,
+    and ``str`` refuses more than 4300.
     """
     raw = os.environ.get(ENUM_CAP_ENV_VAR)
     if raw is None:
@@ -65,7 +76,9 @@ def check_enum_cap(search: str, evaluations: int) -> None:
             ) from None
         if limit < 0:
             raise ValueError(f"{ENUM_CAP_ENV_VAR} must be non-negative, got {limit}")
+    evaluations = (1 << bits) - 1
     if evaluations > limit:
+        count = evaluations if bits <= 64 else f"2^{bits} - 1"
         raise EnumerationCapError(
-            f"{search} needs {evaluations} evaluations, above the cap of {limit}"
+            f"{search} needs {count} evaluations, above the cap of {limit}"
         )

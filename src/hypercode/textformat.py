@@ -14,7 +14,7 @@ import re
 
 from .gf2core import BitMatrix, parse_row
 from .hypergraph import Hypergraph
-from .limits import MAX_VERTICES
+from .limits import MAX_CELLS, MAX_VERTICES
 
 FORMATS = ("auto", "hypergraph", "matrix")
 
@@ -122,7 +122,9 @@ def parse_hypergraph(text: str) -> Hypergraph:
     ``0|[1-9][0-9]*``; ``int`` alone would also take ``01``, ``+1``, ``1_0``
     and non-ASCII digits, and so let a matrix file such as ``2 2 / 01 / 01``
     pass for a hypergraph.  The vertex count may not exceed
-    :data:`hypercode.limits.MAX_VERTICES`.
+    :data:`hypercode.limits.MAX_VERTICES`, nor the vertex count times the
+    edge count :data:`hypercode.limits.MAX_CELLS`; both are checked at the
+    header, before anything is built.
     """
     lines = split_lines(text, _TOKEN_RULE)
     lines = [line for line in map(str.strip, lines) if line and line[0] != "#"]
@@ -132,6 +134,11 @@ def parse_hypergraph(text: str) -> Hypergraph:
     num_vertices, num_edges = _read_header(lines, len(lines), shape, _TOKEN_RULE)
     if num_vertices > MAX_VERTICES:
         raise ValueError(f"{num_vertices} vertices exceed the limit of {MAX_VERTICES}")
+    if num_vertices * num_edges > MAX_CELLS:
+        raise ValueError(
+            f"{num_vertices} vertices x {num_edges} edges exceed the limit of "
+            f"{MAX_CELLS} incidence matrix cells"
+        )
     body = lines[1:]
     if len(body) != num_edges:
         raise ValueError(f"expected {num_edges} edge lines, found {len(body)}")

@@ -2,24 +2,31 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import hypercode.cli as cli
 import hypercode.verify as verify
 from hypercode import (
+    DEFAULT_ENUM_CAP,
     block_row,
     circulant_hypergraph,
+    connected_uniform_samples,
     format_hypergraph,
     parse_hypergraph,
 )
 from hypercode.cli import main
+from hypercode.limits import MAX_CELLS
 
 
 # A full-rank hypergraph with 16 vertices and 22 edges: a [22,16,2] code.
@@ -349,6 +356,33 @@ class TestAnalyze:
         assert code == 4
         assert err == "error: codeword search needs 2097151 evaluations, above the cap of 100\n"
 
+    @pytest.mark.parametrize("vertices", [14400, 1 << 20])
+    def test_cap_error_on_a_huge_subset_scan_is_one_short_line(self, capsys, monkeypatch, vertices):
+        # In decimal, 2^14400 - 1 has more digits than str() converts.
+        monkeypatch.delenv("HYPERCODE_ENUM_CAP", raising=False)
+        data = f"{vertices} 1\n0\n".encode()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, out, err = run_cli(capsys, "analyze", "-")
+        assert (code, out) == (4, "")
+        assert err == (
+            f"error: subset search needs 2^{vertices} - 1 evaluations, "
+            f"above the cap of {DEFAULT_ENUM_CAP}\n"
+        )
+
+    def test_header_beyond_the_cell_limit_exits_2(self, tmp_path, capsys):
+        # 200000 one-vertex edges are 1.3 MB of text and 5 GB of dense rows;
+        # the header alone is refused.
+        path = tmp_path / "sparse.hg"
+        path.write_text("200000 200000\n")
+        code, out, err = run_cli(
+            capsys, "analyze", str(path), "--format", "hypergraph", "--method", "codeword"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: cannot parse {path}: 200000 vertices x 200000 edges exceed the limit "
+            f"of {MAX_CELLS} incidence matrix cells\n"
+        )
+
     def test_negative_early_exit_exits_2(self, capsys, fano_file):
         code, out, err = run_cli(capsys, "analyze", str(fano_file), "--early-exit", "-1")
         assert (code, out) == (2, "")
@@ -431,6 +465,70 @@ class TestSelfdualScan:
         for line in out.splitlines():
             finding = json.loads(line)
             assert "criterion_self_dual" not in finding
+
+    @staticmethod
+    def summary(err):
+        # The sample count, the two hit tallies and the criterion line, if any.
+        lines = err.splitlines()
+        scanned = int(re.fullmatch(r"scanned (\d+) connected samples, \d+ findings", lines[0])[1])
+        tallies = []
+        for line, label in zip(lines[1:3], ("self-orthogonal", "self-dual")):
+            prefix = f"{label} hits by (n, m): "
+            assert line.startswith(prefix)
+            tallies.append(ast.literal_eval(line[len(prefix) :]))
+        return scanned, *tallies, lines[3:]
+
+    @pytest.mark.parametrize(
+        "seed, n_max, budget, uniform",
+        [("7", "6", "300", "2"), ("5", "7", "200", "3")],
+    )
+    def test_summary_tallies_every_sample_and_finding(self, capsys, seed, n_max, budget, uniform):
+        code, out, err = run_cli(
+            capsys, "selfdual-scan", "--seed", seed, "--n-max", n_max,
+            "--budget", budget, "--uniform", uniform,
+        )
+        assert code == 0
+        scanned, orthogonal, dual, rest = self.summary(err)
+        samples = connected_uniform_samples(
+            int(seed), n_max=int(n_max), budget=int(budget), uniform=int(uniform)
+        )
+        assert scanned == len(list(samples))
+        findings = [json.loads(line) for line in out.splitlines()]
+        assert err.startswith(f"scanned {scanned} connected samples, {len(findings)} findings\n")
+        assert orthogonal == Counter((f["vertices"], f["edge_count"]) for f in findings)
+        assert dual == Counter((f["vertices"], f["edge_count"]) for f in findings if f["self_dual"])
+        if uniform == "2":
+            assert rest == [
+                f"counting criterion vs direct check: 0 mismatches on {scanned} connected graphs"
+            ]
+        else:
+            assert rest == []
+
+    def test_criterion_is_checked_on_every_sample(self, capsys, monkeypatch):
+        # A criterion that calls every graph self-dual is wrong exactly on
+        # the samples that are not.
+        monkeypatch.setattr(cli, "graph_self_duality_criterion", lambda hypergraph: True)
+        code, _, err = run_cli(
+            capsys, "selfdual-scan", "--n-max", "6", "--seed", "7", "--budget", "300"
+        )
+        assert code == 0
+        scanned, _, dual, rest = self.summary(err)
+        wrong = scanned - sum(dual.values())
+        assert 0 < wrong < scanned
+        assert rest == [
+            f"counting criterion vs direct check: {wrong} mismatches on {scanned} connected graphs"
+        ]
+
+    def test_n_max_beyond_the_cell_limit_exits_2(self, capsys):
+        # A budget of 0 draws nothing: n_max is checked at the call.
+        code, out, err = run_cli(
+            capsys, "selfdual-scan", "--n-max", "100000000", "--seed", "1", "--budget", "0"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: n_max must be at most 5792, so that a sample stays within {MAX_CELLS} "
+            "incidence matrix cells, got 100000000\n"
+        )
 
     def test_bad_parameters_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "selfdual-scan", "--n-max", "1", "--seed", "1")

@@ -20,7 +20,6 @@ from hypercode import (
     circulant_hypergraph,
     complete_3partite,
     connected_uniform_samples,
-    edges_at,
     eonv,
     eonv_distance_search,
     f_count,
@@ -36,7 +35,7 @@ from hypercode import (
     row_combination,
 )
 from hypercode.gf2core import format_row, set_bits
-from hypercode.limits import MAX_VERTICES
+from hypercode.limits import MAX_CELLS, MAX_VERTICES
 
 # Displayed incidence matrix of the complete 3-partite 3-uniform hypergraph
 # with parts of size 2 (row order x1 x2 y1 y2 z1 z2).
@@ -347,6 +346,10 @@ class TestFanoCirculant:
     def test_first_row(self):
         assert incidence_matrix(fano_circulant()).to_strings()[0] == "1000101"
 
+    def test_every_point_lies_on_three_lines(self):
+        hg = fano_circulant()
+        assert all(hg.degree(u) == 3 for u in range(7))
+
     def test_rows_are_cyclic_shifts(self):
         m = incidence_matrix(fano_circulant())
         first = m.rows[0]
@@ -421,19 +424,6 @@ class TestComplementEdge:
                 for j in range(n):
                     complement = frozenset(range(n)) - set(hg.edges[j])
                     assert complement == frozenset(hg.edges[(j + m) % n])
-
-
-class TestEdgesAt:
-    def test_single_edge(self):
-        assert edges_at(Hypergraph(2, ((0, 1),)), 0) == frozenset({0})
-
-    def test_fano_degrees(self):
-        hg = fano_circulant()
-        assert all(len(edges_at(hg, u)) == 3 for u in range(7))
-
-    def test_invalid_vertex(self):
-        with pytest.raises(IndexError):
-            edges_at(fano_circulant(), 9)
 
 
 class TestConnectivity:
@@ -524,6 +514,15 @@ class TestRandomGenerators:
         with pytest.raises(ValueError):
             connected_uniform_samples(1, n_max=n_max, budget=budget, uniform=uniform)
 
+    def test_connected_samples_keep_within_the_cell_limit(self):
+        # A sample has at most n_max vertices and 2 * n_max edges.
+        largest = 5792
+        assert 2 * largest**2 <= MAX_CELLS < 2 * (largest + 1) ** 2
+        assert list(connected_uniform_samples(1, n_max=largest, budget=0)) == []
+        for n_max in (largest + 1, 10**8):
+            with pytest.raises(ValueError, match=f"^n_max must be at most {largest}, "):
+                connected_uniform_samples(1, n_max=n_max, budget=1)
+
 
 class TestHypergraphTextFormat:
     def test_known_file(self):
@@ -610,3 +609,21 @@ class TestHypergraphTextFormat:
         message = f"^{MAX_VERTICES + 1} vertices exceed the limit of {MAX_VERTICES}$"
         with pytest.raises(ValueError, match=message):
             parse_hypergraph(f"{MAX_VERTICES + 1} 1\n0\n")
+
+    def test_cell_count_limit(self):
+        # MAX_VERTICES x 64 = MAX_CELLS: the largest n x m incidence matrix.
+        edges = MAX_CELLS // MAX_VERTICES
+        at_limit = parse_hypergraph(f"{MAX_VERTICES} {edges}\n" + "0\n" * edges)
+        assert at_limit.num_edges * at_limit.num_vertices == MAX_CELLS
+        message = (
+            f"^{MAX_VERTICES} vertices x {edges + 1} edges exceed the limit of "
+            f"{MAX_CELLS} incidence matrix cells$"
+        )
+        with pytest.raises(ValueError, match=message):
+            parse_hypergraph(f"{MAX_VERTICES} {edges + 1}\n" + "0\n" * (edges + 1))
+
+    def test_small_sparse_text_is_refused_before_its_dense_rows_are_built(self):
+        # 1.3 MB of text whose incidence rows would take 200000^2 / 8 bytes.
+        text = "200000 200000\n" + "".join(f"{v}\n" for v in range(200000))
+        with pytest.raises(ValueError, match=f"exceed the limit of {MAX_CELLS} incidence"):
+            parse_hypergraph(text)
