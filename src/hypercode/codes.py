@@ -26,12 +26,19 @@ q, so that one big-int operation acts on every word of the block.  A
 carry-save vertical counter sums the columns into bit planes of the
 weights, from which a few more operations read the block's answer: the
 weight histogram, or the least nonzero weight with the words that reach it.
-A Gray walk over the high rows moves from block to block by complementing
-the columns that one row touches.  The columns take at most 2^23 bits
-(1 MB) in all, built on each call; the truth tables they start from are
-built on first use.  A scan of at most 8 words per column walks one word
-per Gray step instead, one XOR and one popcount per word, which costs less
-than building the columns; the tests hold each kernel to its walk.
+The subset search moves from block to block by a Gray walk over the high
+vertices, complementing the columns of the edges at the vertex it toggles.
+The weight counts read a weight as a sum over the generator's columns
+(MacWilliams & Sloane, ch. 5): the coordinates fall into classes by their
+pattern over the high rows, and a block complements a whole class or none
+of it.  So each class is summed once, into the bit planes of S and of
+|class| - S, and a block adds one of the two sums per class, not one
+column per coordinate.  The columns, or the class sums with the columns
+of one class, take at most 2^23 bits (1 MB), built on each call; the truth
+tables they start from are built on first use.  A scan of at most 8 words
+per column walks one word per Gray step instead, one XOR and one popcount
+per word, which costs less than building the columns; the tests hold each
+kernel to its walk.
 
 Each self-duality fact has one implementation.  A code builds its Gram
 matrix at most once, beside its basis, and :func:`is_self_dual` adds
@@ -51,9 +58,10 @@ from .gf2core import BitMatrix, gram, nullspace_basis, rref, set_bits
 from .hypergraph import Hypergraph, is_connected
 from .limits import check_enum_cap
 
-# The columns of a block kernel, 2^t bits per coordinate (or edge), take at
-# most 2^_TABLE_BITS bits in all, with t <= _BLOCK_BITS.  At 8 words per
-# column or fewer, building the columns costs more than walking the words.
+# The columns of a block kernel, 2^t bits per coordinate (or edge), or the
+# count kernel's class sums, take at most 2^_TABLE_BITS bits in all, with
+# t <= _BLOCK_BITS.  At 8 words per column or fewer, building the columns
+# costs more than walking the words.
 _TABLE_BITS = 23
 _BLOCK_BITS = 14
 _WALK_WORDS_PER_COLUMN = 8
@@ -374,36 +382,98 @@ def _count_walk(rows: tuple[int, ...], n: int) -> list[int]:
 def _count_blocks(rows: tuple[int, ...], n: int) -> list[int]:
     """The counts of :func:`_count_walk`, in blocks of 2^t codewords.
 
-    The low t rows give each coordinate a 2^t-bit column whose bit q is
-    that coordinate of the combination q of those rows.  A block adds one
-    combination of the high rows, reached by a Gray walk that at each step
-    complements the columns where the toggled row is set; a carry-save
-    vertical counter sums the columns into bit planes, plane j holding bit
-    j of every word's weight, and splitting the positions plane by plane
-    reads off the block's histogram.
+    Block h holds the 2^t words whose high rows (those >= t) combine to h,
+    bit q for the word whose low rows combine to q.  The coordinates fall
+    into classes by their pattern gamma over the high rows.  Block h
+    complements every column of a class, or none, by the parity of
+    h & gamma, so the class adds to each word either the sum S of its
+    columns over the low rows or |gamma| - S; both sums are built once, as
+    bit planes, from the columns of one class at a time.  A carry-save
+    vertical counter adds the planes that each block chooses, each at its
+    own level, into planes of the weights, plane j holding bit j of every
+    word's weight, and splitting the positions plane by plane reads off the
+    block's histogram.  The class of gamma = 0 is never complemented: its
+    counter starts every block.  With k <= t it is the only class, there is
+    one block, and no complement is built.
     """
     k = len(rows)
-    t = max(0, min(k, _BLOCK_BITS, _TABLE_BITS - (n - 1).bit_length()))
+    t = min(k, _BLOCK_BITS)
+    while True:
+        classes = {0: (1 << n) - 1}  # high pattern -> mask of its coordinates
+        if k > t:
+            high = [0] * n
+            for i, row in enumerate(rows[t:]):
+                bit = 1 << i
+                while row:
+                    p = row.bit_length() - 1
+                    high[p] |= bit
+                    row ^= 1 << p
+            classes = {}
+            for p, gamma in enumerate(high):
+                classes[gamma] = classes.get(gamma, 0) | 1 << p
+        # The columns of the class being summed, with the sums kept so far,
+        # and at the end all the sums, each take at most 2^_TABLE_BITS bits.
+        # A class keeps |class|.bit_length() planes, twice if some block
+        # complements it.
+        peak = kept = 0
+        for gamma, mask in classes.items():
+            size = mask.bit_count()
+            peak = max(peak, kept + size)
+            kept += size.bit_length() << (gamma > 0)
+        if not t or max(peak, kept) << t <= 1 << _TABLE_BITS:
+            break
+        t -= 1
     full = (1 << (1 << t)) - 1
-    columns = [0] * n
-    for row, table in zip(rows, _message_tables(t)):
-        while row:
-            p = row.bit_length() - 1
-            columns[p] ^= table
-            row ^= 1 << p
-    flips = [set_bits(row) for row in rows[t:]]
     levels = n.bit_length()
-    counts = [0] * (n + 1)
-    for h in range(1 << (k - t)):
-        if h:
-            for p in flips[(h & -h).bit_length() - 1]:
-                columns[p] ^= full
+    base_planes = base_waiting = [0] * levels  # copied before any change
+    sums = []  # (gamma, level, plane of S, plane of |gamma| - S), gamma > 0
+    for gamma, mask in classes.items():
+        columns = [0] * n
+        for row, table in zip(rows, _message_tables(t)):
+            row &= mask
+            while row:
+                p = row.bit_length() - 1
+                columns[p] ^= table
+                row ^= 1 << p
+        size = mask.bit_count()
+        top = size.bit_length() if gamma else levels
         # Level j keeps a sum plane and at most one plane waiting for a
         # partner; a full adder of both and a new plane carries the majority.
-        planes = [0] * levels
-        waiting = [0] * levels
-        for x in columns:
+        planes = [0] * top
+        waiting = [0] * top
+        for x in filter(None, columns):
             j = 0
+            while x:
+                b = waiting[j]
+                if not b:
+                    waiting[j] = x
+                    break
+                waiting[j] = 0
+                a = planes[j]
+                u = a ^ b
+                planes[j] = u ^ x
+                x = (a & b) | (u & x)
+                j += 1
+        del columns
+        if not gamma:
+            base_planes, base_waiting = planes, waiting
+            continue
+        carry = 0
+        for j in range(top):
+            a, b = planes[j], waiting[j]
+            u = a ^ b
+            planes[j] = u ^ carry
+            carry = (a & b) | (u & carry)
+        for j, (x, x_bar) in enumerate(zip(planes, _complement_sum(planes, size, full))):
+            if x or x_bar:
+                sums.append((gamma, j, x, x_bar))
+    counts = [0] * (n + 1)
+    for h in range(1 << (k - t)):
+        planes = base_planes.copy()
+        waiting = base_waiting.copy()
+        for gamma, j, x, x_bar in sums:
+            if (h & gamma).bit_count() & 1:
+                x = x_bar
             while x:
                 b = waiting[j]
                 if not b:
@@ -436,6 +506,20 @@ def _count_blocks(rows: tuple[int, ...], n: int) -> list[int]:
         for w, s in groups:
             counts[w] += s.bit_count()
     return counts
+
+
+def _complement_sum(planes: list[int], size: int, full: int) -> list[int]:
+    # Bit planes of size - S from those of S <= size: size + ~S + 1,
+    # rippled level by level, with the carry out of the top level dropped.
+    out = []
+    carry = full
+    for j, plane in enumerate(planes):
+        a = plane ^ full
+        c = full if size >> j & 1 else 0
+        u = a ^ c
+        out.append(u ^ carry)
+        carry = (a & c) | (u & carry)
+    return out
 
 
 @cache

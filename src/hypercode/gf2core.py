@@ -145,13 +145,19 @@ def nullspace_basis(matrix: BitMatrix) -> BitMatrix:
     """
     reduced, pivots = rref(matrix)
     pivot_mask = sum(1 << p for p in pivots)
-    # One step per column from the pivot set; set_bits on the complement
-    # mask would take one big-int operation per free column.
+    # One step per column from the pivot set.  Each row's free bits are
+    # taken from the top down, so the row shrinks as it is read: set_bits
+    # takes them from the bottom, each step an operation as wide as the row.
     pivot_set = set(pivots)
     basis = {f: 1 << f for f in range(matrix.num_cols) if f not in pivot_set}
+    free_mask = ~pivot_mask
     for row, p in zip(reduced.rows, pivots):
-        for f in set_bits(row & ~pivot_mask):
-            basis[f] |= 1 << p
+        bit = 1 << p
+        row &= free_mask
+        while row:
+            f = row.bit_length() - 1
+            basis[f] |= bit
+            row ^= 1 << f
     return BitMatrix(len(basis), matrix.num_cols, tuple(basis.values()))
 
 

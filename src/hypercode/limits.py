@@ -62,23 +62,37 @@ def check_enum_cap(search: str, bits: int) -> None:
     ``search`` names it in the message, for example ``codeword search needs
     15 evaluations, above the cap of 4``.  Above 64 bits the count is
     written ``2^bits - 1``: in decimal it would run to thousands of digits,
-    and ``str`` refuses more than 4300.
+    and ``str`` refuses more than 4300.  A cap of ASCII digits is read
+    exactly whatever its length; a message shows at most 32 characters of
+    a value from the environment.
     """
     raw = os.environ.get(ENUM_CAP_ENV_VAR)
+    digits = None  # the cap as set, when it is a string of ASCII digits
     if raw is None:
         limit = DEFAULT_ENUM_CAP
+    elif raw.isascii() and raw.isdigit():
+        # int() refuses more than 4300 digits at once.
+        digits = raw.lstrip("0") or "0"
+        limit = 0
+        for start in range(0, len(digits), 4300):
+            piece = digits[start : start + 4300]
+            limit = limit * 10 ** len(piece) + int(piece)
     else:
         try:
             limit = int(raw)
         except ValueError:
+            more = f" and {len(raw) - 32} more characters" if len(raw) > 32 else ""
             raise ValueError(
-                f"{ENUM_CAP_ENV_VAR} must be an integer, got {raw!r}"
+                f"{ENUM_CAP_ENV_VAR} must be an integer, got {raw[:32]!r}{more}"
             ) from None
         if limit < 0:
             raise ValueError(f"{ENUM_CAP_ENV_VAR} must be non-negative, got {limit}")
     evaluations = (1 << bits) - 1
     if evaluations > limit:
         count = evaluations if bits <= 64 else f"2^{bits} - 1"
+        cap = str(limit) if digits is None else digits
+        if len(cap) > 32:
+            cap = f"{cap[:32]}... ({len(cap)} digits)"
         raise EnumerationCapError(
-            f"{search} needs {count} evaluations, above the cap of {limit}"
+            f"{search} needs {count} evaluations, above the cap of {cap}"
         )

@@ -48,9 +48,12 @@ def assert_same_search(hg: Hypergraph, early_exit: int | None = None):
     return kernel
 
 
+def assert_same_row_counts(rows, n):
+    assert _count_blocks(rows, n) == _count_walk(rows, n)
+
+
 def assert_same_counts(code):
-    rows = code.basis.rows
-    assert _count_blocks(rows, code.length) == _count_walk(rows, code.length)
+    assert_same_row_counts(code.basis.rows, code.length)
 
 
 def test_small_scans_walk_and_larger_ones_use_blocks(monkeypatch):
@@ -152,7 +155,103 @@ class TestSubsetBlocks:
             assert_same_search(hg, early_exit)
 
 
+def spread(columns):
+    """Rows of the matrix with these columns, each a k-bit int (bit i is row i)."""
+    k = max(column.bit_length() for column in columns)
+    return tuple(
+        sum(1 << p for p, column in enumerate(columns) if column >> i & 1) for i in range(k)
+    )
+
+
+def complement_sizes(monkeypatch):
+    """The class sizes that ``_count_blocks`` builds complement sums for."""
+    sizes = []
+    complement_sum = codes._complement_sum
+
+    def counted(planes, size, full):
+        sizes.append(size)
+        return complement_sum(planes, size, full)
+
+    monkeypatch.setattr(codes, "_complement_sum", counted)
+    return sizes
+
+
 class TestCountBlocks:
+    """Block h adds the high rows' combination h, and the coordinates fall
+    into classes by their pattern over the high rows: the rows >= BLOCK
+    here, since t = BLOCK in every test but the one of the budget."""
+
+    def test_every_coordinate_repeated(self):
+        # Twenty distinct columns, each repeated 8 to 16 times: large classes.
+        rng = random.Random(21)
+        k = BLOCK + 2
+        distinct = [rng.getrandbits(k) | 1 << (k - 1) for _ in range(20)]
+        columns = [c for c in distinct for _ in range(rng.randint(8, 16))]
+        rng.shuffle(columns)
+        assert_same_row_counts(spread(columns), len(columns))
+
+    def test_all_coordinates_in_one_class(self):
+        # The high rows are all ones: every coordinate has the same pattern,
+        # and every block complements every column or none.
+        rng = random.Random(22)
+        n = 40
+        rows = tuple(rng.getrandbits(n) for _ in range(BLOCK)) + ((1 << n) - 1,) * 3
+        assert_same_row_counts(rows, n)
+
+    def test_every_coordinate_its_own_class(self):
+        # n = 2^(k - t): coordinate p has high pattern p, one class each.
+        rng = random.Random(23)
+        high_rows = 4
+        n = 1 << high_rows
+        rows = tuple(rng.getrandbits(n) for _ in range(BLOCK))
+        rows += tuple(sum(1 << p for p in range(n) if p >> i & 1) for i in range(high_rows))
+        assert_same_row_counts(rows, n)
+
+    def test_one_high_row(self):
+        rng = random.Random(24)
+        for n in (1, 2, 17, 100):
+            assert_same_row_counts(tuple(rng.getrandbits(n) for _ in range(BLOCK + 1)), n)
+
+    def test_zero_coordinates_and_zero_high_patterns(self):
+        # Coordinates 0..9 are zero in every row and 10..29 in every high
+        # row, so the class of pattern zero mixes zero and nonzero columns.
+        rng = random.Random(25)
+        n = 60
+        rows = tuple(rng.getrandbits(50) << 10 for _ in range(BLOCK))
+        rows += tuple(rng.getrandbits(30) << 30 for _ in range(2))
+        assert_same_row_counts(rows, n)
+
+    def test_random_narrow_codes_over_two_to_eight_blocks(self):
+        rng = random.Random(26)
+        for k in range(BLOCK + 1, BLOCK + 4):
+            for _ in range(2):
+                n = rng.randint(16, 64)
+                assert_same_row_counts(tuple(rng.getrandbits(n) for _ in range(k)), n)
+
+    def test_one_block_builds_no_complement_sums(self, monkeypatch):
+        sizes = complement_sizes(monkeypatch)
+        rng = random.Random(27)
+        n = 64
+        rows = tuple(rng.getrandbits(n) for _ in range(BLOCK))
+        assert_same_row_counts(rows, n)
+        assert sizes == []
+        # One high row: the coordinates it touches form the one class that
+        # blocks complement.
+        rows += (rng.getrandbits(n),)
+        assert_same_row_counts(rows, n)
+        assert sizes == [rows[-1].bit_count()]
+
+    def test_columns_beyond_the_budget_lower_t(self, monkeypatch):
+        # 600 columns of 2^BLOCK bits exceed 2^23 bits: t drops by one, and
+        # the last row becomes a high row whose class blocks complement.
+        sizes = complement_sizes(monkeypatch)
+        rng = random.Random(28)
+        n = 600
+        assert n << BLOCK > 1 << codes._TABLE_BITS
+        rows = tuple(rng.getrandbits(n) for _ in range(BLOCK))
+        assert_same_row_counts(rows, n)
+        assert sizes == [rows[-1].bit_count()]
+
     def test_wide_codes_over_several_blocks(self):
         rng = random.Random(8)
         for k, n in ((15, 512), (16, 600)):

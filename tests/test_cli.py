@@ -369,6 +369,31 @@ class TestAnalyze:
             f"above the cap of {DEFAULT_ENUM_CAP}\n"
         )
 
+    def test_a_cap_of_5000_digits_is_read_as_a_cap(self, capsys, fano_file, monkeypatch):
+        # int() refuses more than 4300 digits; the cap is read all the same.
+        monkeypatch.delenv("HYPERCODE_ENUM_CAP", raising=False)
+        unset = run_cli(capsys, "analyze", str(fano_file), "--weights")
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "9" * 5000)
+        assert run_cli(capsys, "analyze", str(fano_file), "--weights") == unset
+        assert unset[0] == 0
+        # A cap it binds is shown cut, on one short line.
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"20000 1\n0\n")))
+        code, out, err = run_cli(capsys, "analyze", "-")
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: subset search needs 2^20000 - 1 evaluations, above the cap of "
+            + "9" * 32
+            + "... (5000 digits)\n"
+        )
+
+    def test_a_long_non_integer_cap_is_quoted_cut(self, capsys, fano_file, monkeypatch):
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "9" * 5000 + "x")
+        code, out, err = run_cli(capsys, "analyze", str(fano_file))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: HYPERCODE_ENUM_CAP must be an integer, got '{'9' * 32}' and 4969 more characters\n"
+        )
+
     def test_header_beyond_the_cell_limit_exits_2(self, tmp_path, capsys):
         # 200000 one-vertex edges are 1.3 MB of text and 5 GB of dense rows;
         # the header alone is refused.

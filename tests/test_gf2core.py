@@ -21,6 +21,7 @@ from hypercode import (
     nullspace_basis,
     parse_matrix,
     parse_row,
+    projective_geometry,
     rank,
     row_combination,
     row_space_equal,
@@ -309,6 +310,17 @@ class TestOneReduction:
     def test_wide_incidence_nullspace_is_unchanged(self):
         m = incidence_matrix(complete_3partite(6))
         assert (m.num_rows, m.num_cols) == (18, 216)
+        assert nullspace_basis(m).rows == set_bits_nullspace(m).rows
+
+    @pytest.mark.parametrize(
+        "hypergraph,shape",
+        [(complete_3partite(16), (48, 4096)), (projective_geometry(7), (127, 2667))],
+        ids=["complete_3partite(16)", "projective_geometry(7)"],
+    )
+    def test_largest_selfdual_inputs_keep_their_nullspace(self, hypergraph, shape):
+        # The widest incidence matrices of the benchmark's selfdual workload.
+        m = incidence_matrix(hypergraph)
+        assert (m.num_rows, m.num_cols) == shape
         assert nullspace_basis(m).rows == set_bits_nullspace(m).rows
 
     @given(st.one_of(bit_matrices(max_rows=10, max_cols=12), WIDE))
