@@ -61,7 +61,7 @@ from .hypergraph import (
     incidence_matrix,
     projective_geometry,
 )
-from .limits import MAX_EDGES, MAX_INCIDENCES, MAX_VERTICES, EnumerationCapError
+from .limits import EnumerationCapError, check_size
 from .textformat import FORMATS, format_hypergraph, parse_text
 from .verify import run_criteria
 
@@ -148,33 +148,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_size(kind: str, vertices: int, edges: int, incidences: int) -> None:
-    # Counted in closed form, so that nothing is built before the check.
-    for count, limit, what in (
-        (vertices, MAX_VERTICES, "vertices"),
-        (edges, MAX_EDGES, "edges"),
-        (incidences, MAX_INCIDENCES, "incidences"),
-    ):
-        if count > limit:
-            raise ValueError(f"{kind} would have more than {limit} {what}")
-
-
 def _make_family(args: argparse.Namespace) -> Hypergraph:
+    # Each family's counts are checked in closed form, before anything is
+    # built, by the rule that parse_hypergraph applies to its text.
     kind = args.kind
     if kind == "k3partite":
         if args.n is None or args.n < 1:
             raise ValueError("k3partite needs --n >= 1")
-        _check_size(kind, 3 * args.n, args.n**3, 3 * args.n**3)
+        check_size(3 * args.n, args.n**3, 3 * args.n**3)
         return complete_3partite(args.n)
     if kind == "pg":
         if args.n is None or args.n < 3:
             raise ValueError("pg needs --n >= 3")
-        # Every n above MAX_VERTICES.bit_length() has too many points, so
-        # capping n there changes no verdict and keeps 2^n small.
-        n = min(args.n, MAX_VERTICES.bit_length() + 1)
+        # 2^64 - 1 points are far past the size rule, so capping n there
+        # changes no verdict and keeps 1 << n small; above it the counts
+        # checked are those of --n 64.
+        n = min(args.n, 64)
         points = (1 << n) - 1
         lines = points * ((1 << (n - 1)) - 1) // 3
-        _check_size(kind, points, lines, 3 * lines)
+        check_size(points, lines, 3 * lines)
         return projective_geometry(args.n)
     if kind == "fano":
         return fano_circulant()
@@ -184,12 +176,12 @@ def _make_family(args: argparse.Namespace) -> Hypergraph:
         # One vertex and one edge per entry of the row, each edge as wide as
         # the row has ones.
         length = len(args.row)
-        _check_size(kind, length, length, length * args.row.count("1"))
+        check_size(length, length, length * args.row.count("1"))
         return circulant_hypergraph(args.row)
     if args.k is None or args.m is None or args.k < 1 or args.m < 1:
         raise ValueError("block-circulant needs --k >= 1 and --m >= 1")
     length = 2 * args.k * args.m
-    _check_size(kind, length, length, length * args.k * args.m)
+    check_size(length, length, length * args.k * args.m)
     return circulant_hypergraph(block_row(args.k, args.m))
 
 

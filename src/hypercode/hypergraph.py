@@ -19,11 +19,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt
 from typing import Iterable, Iterator
 
 from .gf2core import BitMatrix, parse_row, set_bits
-from .limits import MAX_CELLS
+from .limits import check_size
 
 Edge = tuple[int, ...]
 
@@ -291,18 +290,15 @@ def connected_uniform_samples(
     Each draw picks a vertex count n in [max(2, uniform), n_max] and an edge
     count in [1, 2n], then builds a ``uniform``-uniform hypergraph with
     :func:`random_uniform_hypergraph`.  The parameters are checked at the
-    call, before the first draw; ``n_max`` may not let a sample's n x 2n
-    incidence matrix exceed :data:`hypercode.limits.MAX_CELLS`.
+    call, before the first draw; the largest sample they allow, n_max
+    vertices and 2 n_max edges of ``uniform`` vertices, must pass
+    :func:`hypercode.limits.check_size`.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
-    if n_max * 2 * n_max > MAX_CELLS:
-        raise ValueError(
-            f"n_max must be at most {isqrt(MAX_CELLS // 2)}, so that a sample stays within "
-            f"{MAX_CELLS} incidence matrix cells, got {n_max}"
-        )
     if not 1 <= uniform <= n_max:
         raise ValueError(f"uniform must lie between 1 and n_max, got {uniform}")
+    check_size(n_max, 2 * n_max, uniform * 2 * n_max)
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     rng = random.Random(seed)

@@ -7,11 +7,12 @@ the ``HYPERCODE_ENUM_CAP`` environment variable, read at call time, or
 Exceeding the cap raises instead of silently truncating: an exhaustive
 answer is either exact or an error, never a quiet bound.
 
-``MAX_VERTICES`` bounds the vertex count of a parsed or generated
-hypergraph, ``MAX_EDGES`` the edge count of a generated one,
-``MAX_INCIDENCES`` its vertex-edge incidences, the sum of its edge sizes,
-and ``MAX_CELLS`` the n x m incidence matrix of a parsed or sampled one;
-all four are fixed.
+:func:`check_size` is the one rule on a hypergraph's size.  ``hypercode
+family``, the hypergraph parser and the random sampler all apply it before
+building anything, so every ``family`` output parses.  It bounds no edge
+count: every edge is nonempty, so edges <= incidences, and every family
+passes 2^20 edges only where it breaks the cell bound already
+(``k3partite --n 102``, ``pg --n 12``, a circulant of 2^20 + 1 entries).
 """
 
 from __future__ import annotations
@@ -22,26 +23,11 @@ DEFAULT_ENUM_CAP = 1 << 32
 ENUM_CAP_ENV_VAR = "HYPERCODE_ENUM_CAP"
 
 # A hypergraph holds one incidence row per vertex, and the row list is
-# allocated from the header count alone, so a header of 10**15 vertices
-# would exhaust memory before any later check could reject the file.  2**20
-# vertices cost 8 MB of row slots; that is far above every test and
-# benchmark input (the largest has 127 vertices) and every family small
-# enough to generate.
+# allocated from the vertex count alone, so a header of 10**15 vertices and
+# no edges would exhaust memory before any later check could reject the
+# file.  2**20 vertices cost 8 MB of row slots; that is far above every test
+# and benchmark input (the largest has 127 vertices).
 MAX_VERTICES = 1 << 20
-
-# A family is built edge by edge from its parameters alone, so
-# ``hypercode family k3partite --n 2000`` would exhaust memory on its 8e9
-# edges.  2**20 edges keep every family that tests, verify and the
-# benchmark use (the largest is complete_3partite(16), with 4096 edges).
-MAX_EDGES = 1 << 20
-
-# Each incidence is one vertex index stored in one edge, so a family of few
-# but wide edges passes both bounds above and still exhausts memory:
-# ``block-circulant --k 1 --m 300000`` asks for 600000 edges of 300000
-# vertices each.  2**22 is above 3 * MAX_EDGES, so it never binds before
-# MAX_EDGES on the 3-uniform families, and far above every family that tests,
-# verify and the benchmark use (the largest, block_circulant(8,16), has 32768).
-MAX_INCIDENCES = 1 << 22
 
 # The incidence rows are dense, n * m / 8 bytes, however few incidences the
 # text lists: a 1.3 MB file of 200000 vertices and 200000 one-vertex edges
@@ -49,6 +35,29 @@ MAX_INCIDENCES = 1 << 22
 # every test, verify and benchmark input (the largest, PG(6,2), has
 # 127 x 2667 = 338709) and above 2**20 vertices on one edge.
 MAX_CELLS = 1 << 26
+
+# Each incidence is one vertex index stored in one edge, so a few wide
+# edges pass both bounds above and still take memory: a circulant row of
+# 8192 ones has 8192 x 8192 cells but 2**26 stored ints.  2**22 is far above
+# every family that tests, verify and the benchmark use (the largest,
+# block_circulant(8,16), has 32768).
+MAX_INCIDENCES = 1 << 22
+
+
+def check_size(vertices: int, edges: int, incidences: int) -> None:
+    """Raise ``ValueError`` naming the first bound these counts break, if any.
+
+    ``incidences`` is the sum of the edge sizes.  The bounds, in order:
+    ``vertices`` <= MAX_VERTICES, ``vertices * edges`` <= MAX_CELLS and
+    ``incidences`` <= MAX_INCIDENCES.
+    """
+    if vertices > MAX_VERTICES:
+        raise ValueError(f"{vertices} vertices exceed the limit of {MAX_VERTICES}")
+    if vertices * edges > MAX_CELLS:
+        cells = f"{MAX_CELLS} incidence matrix cells"
+        raise ValueError(f"{vertices} vertices x {edges} edges exceed the limit of {cells}")
+    if incidences > MAX_INCIDENCES:
+        raise ValueError(f"{incidences} incidences exceed the limit of {MAX_INCIDENCES}")
 
 
 class EnumerationCapError(RuntimeError):
@@ -62,21 +71,25 @@ def check_enum_cap(search: str, bits: int) -> None:
     ``search`` names it in the message, for example ``codeword search needs
     15 evaluations, above the cap of 4``.  Above 64 bits the count is
     written ``2^bits - 1``: in decimal it would run to thousands of digits,
-    and ``str`` refuses more than 4300.  A cap of ASCII digits is read
-    exactly whatever its length; a message shows at most 32 characters of
-    a value from the environment.
+    and ``str`` refuses more than 4300.  A cap of ASCII digits, after an
+    optional ``-``, is read exactly whatever its length, so a negative one
+    is always refused as negative; a message shows at most 32 characters
+    of a value from the environment.
     """
     raw = os.environ.get(ENUM_CAP_ENV_VAR)
-    digits = None  # the cap as set, when it is a string of ASCII digits
+    # The cap's magnitude in decimal, once it is read.
+    digits = str(DEFAULT_ENUM_CAP) if raw is None else raw.removeprefix("-")
     if raw is None:
         limit = DEFAULT_ENUM_CAP
-    elif raw.isascii() and raw.isdigit():
+    elif digits.isascii() and digits.isdigit():
         # int() refuses more than 4300 digits at once.
-        digits = raw.lstrip("0") or "0"
+        digits = digits.lstrip("0") or "0"
         limit = 0
         for start in range(0, len(digits), 4300):
             piece = digits[start : start + 4300]
             limit = limit * 10 ** len(piece) + int(piece)
+        if raw[0] == "-":
+            limit = -limit
     else:
         try:
             limit = int(raw)
@@ -85,14 +98,14 @@ def check_enum_cap(search: str, bits: int) -> None:
             raise ValueError(
                 f"{ENUM_CAP_ENV_VAR} must be an integer, got {raw[:32]!r}{more}"
             ) from None
-        if limit < 0:
-            raise ValueError(f"{ENUM_CAP_ENV_VAR} must be non-negative, got {limit}")
+        digits = str(abs(limit))
     evaluations = (1 << bits) - 1
-    if evaluations > limit:
-        count = evaluations if bits <= 64 else f"2^{bits} - 1"
-        cap = str(limit) if digits is None else digits
-        if len(cap) > 32:
-            cap = f"{cap[:32]}... ({len(cap)} digits)"
-        raise EnumerationCapError(
-            f"{search} needs {count} evaluations, above the cap of {cap}"
-        )
+    if evaluations <= limit:
+        return
+    value = "-" * (limit < 0) + digits
+    if len(value) > 32:
+        value = f"{value[:32]}... ({len(digits)} digits)"
+    if limit < 0:
+        raise ValueError(f"{ENUM_CAP_ENV_VAR} must be non-negative, got {value}")
+    count = evaluations if bits <= 64 else f"2^{bits} - 1"
+    raise EnumerationCapError(f"{search} needs {count} evaluations, above the cap of {value}")

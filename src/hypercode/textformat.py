@@ -14,12 +14,13 @@ import re
 
 from .gf2core import BitMatrix, parse_row
 from .hypergraph import Hypergraph
-from .limits import MAX_CELLS, MAX_VERTICES
+from .limits import check_size
 
 FORMATS = ("auto", "hypergraph", "matrix")
 
 _NOT_TEXT = re.compile(r"[^\t\n -~]")
-_DIGITS_AND_BLANKS = b"0123456789 \t\n"
+# Each byte as 1 for a digit, 0 for a blank and 2 for anything else.
+_TOKEN_CLASSES = bytes(1 if c in b"0123456789" else 0 if c in b" \t\n" else 2 for c in range(256))
 _ZERO_LED_TOKEN = re.compile(rb"[ \t\n]0[0-9]")
 _TOKEN_RULE = "hypergraph tokens must be plain decimal integers, 0|[1-9][0-9]*"
 
@@ -48,21 +49,24 @@ def split_lines(text: str, rule: str) -> list[str]:
     return lines
 
 
-def _read_header(lines: list[str], token_lines: int, shape: str, rule: str) -> tuple[int, int]:
-    # The two counts of the '<a> <b>' header, lines[0].  Every token of the
-    # first ``token_lines`` lines, the header's at least, must pass the one
+def _read_header(lines: list[str], token_lines: int, shape: str, rule: str) -> tuple[int, int, int]:
+    # The two counts of the '<a> <b>' header, lines[0], and the number of
+    # tokens on lines 1 to ``token_lines`` - 1.  Every token of the first
+    # ``token_lines`` lines, the header's at least, must pass the one
     # decimal-token rule, 0|[1-9][0-9]*: int alone would also take 01, +1,
-    # 1_0 and non-ASCII digits.  Two C-level passes stand in for a
+    # 1_0 and non-ASCII digits.  C-level passes stand in for a
     # token-by-token match: nothing but digits and blanks, and no zero that
-    # starts a longer token.  ``shape`` leads the error for another header
-    # token count, ``rule`` is the error for a token that breaks the rule.
+    # starts a longer token; a token starts wherever a digit follows a
+    # blank.  ``shape`` leads the error for another header token count,
+    # ``rule`` is the error for a token that breaks the rule.
     tokens = lines[0].split()
     if len(tokens) != 2:
         raise ValueError(f"{shape}, got {lines[0]!r}")
     data = ("\n" + "\n".join(lines[:token_lines])).encode("ascii")
-    if data.translate(None, _DIGITS_AND_BLANKS) or _ZERO_LED_TOKEN.search(data):
+    classes = data.translate(_TOKEN_CLASSES)
+    if 2 in classes or _ZERO_LED_TOKEN.search(data):
         raise ValueError(rule)
-    return int(tokens[0]), int(tokens[1])
+    return int(tokens[0]), int(tokens[1]), classes.count(b"\0\1") - 2
 
 
 def format_matrix(matrix: BitMatrix) -> str:
@@ -88,7 +92,7 @@ def parse_matrix(text: str) -> BitMatrix:
     if not lines:
         raise ValueError("empty matrix file")
     rule = f"matrix header must be two plain decimal integers, 0|[1-9][0-9]*, got {lines[0]!r}"
-    num_rows, num_cols = _read_header(lines, 1, "matrix header must be '<rows> <cols>'", rule)
+    num_rows, num_cols, _ = _read_header(lines, 1, "matrix header must be '<rows> <cols>'", rule)
     data = lines[1 : 1 + num_rows]
     if len(data) < num_rows:
         raise ValueError(f"expected {num_rows} row lines, found {len(data)}")
@@ -121,24 +125,18 @@ def parse_hypergraph(text: str) -> Hypergraph:
     allowed.  Every token must be a plain decimal integer,
     ``0|[1-9][0-9]*``; ``int`` alone would also take ``01``, ``+1``, ``1_0``
     and non-ASCII digits, and so let a matrix file such as ``2 2 / 01 / 01``
-    pass for a hypergraph.  The vertex count may not exceed
-    :data:`hypercode.limits.MAX_VERTICES`, nor the vertex count times the
-    edge count :data:`hypercode.limits.MAX_CELLS`; both are checked at the
-    header, before anything is built.
+    pass for a hypergraph.  The header's counts and the number of vertex
+    tokens on the edge lines, the incidences, must pass
+    :func:`hypercode.limits.check_size`; they are checked before anything
+    is built.
     """
     lines = split_lines(text, _TOKEN_RULE)
     lines = [line for line in map(str.strip, lines) if line and line[0] != "#"]
     if not lines:
         raise ValueError("empty hypergraph file")
     shape = "hypergraph header must be '<vertices> <edges>'"
-    num_vertices, num_edges = _read_header(lines, len(lines), shape, _TOKEN_RULE)
-    if num_vertices > MAX_VERTICES:
-        raise ValueError(f"{num_vertices} vertices exceed the limit of {MAX_VERTICES}")
-    if num_vertices * num_edges > MAX_CELLS:
-        raise ValueError(
-            f"{num_vertices} vertices x {num_edges} edges exceed the limit of "
-            f"{MAX_CELLS} incidence matrix cells"
-        )
+    num_vertices, num_edges, incidences = _read_header(lines, len(lines), shape, _TOKEN_RULE)
+    check_size(num_vertices, num_edges, incidences)
     body = lines[1:]
     if len(body) != num_edges:
         raise ValueError(f"expected {num_edges} edge lines, found {len(body)}")

@@ -27,6 +27,7 @@ from hypercode import (
 )
 from hypercode.cli import main
 from hypercode.limits import MAX_CELLS
+from hypercode.textformat import parse_text
 
 
 # A full-rank hypergraph with 16 vertices and 22 edges: a [22,16,2] code.
@@ -103,35 +104,70 @@ class TestFamily:
         assert err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("k3partite", "--n", "3"),
+            ("pg", "--n", "4"),
+            ("circulant", "--row", "1101000"),
+            ("block-circulant", "--k", "2", "--m", "3"),
+        ],
+    )
+    def test_closed_form_counts_are_those_of_the_built_family(self, monkeypatch, argv):
+        checked = []
+        monkeypatch.setattr(cli, "check_size", lambda *counts: checked.append(counts))
+        hg = cli._make_family(cli.build_parser().parse_args(["family", *argv]))
+        assert checked == [(hg.num_vertices, hg.num_edges, sum(map(len, hg.edges)))]
+
+    @pytest.mark.parametrize(
         "argv,what",
         [
-            (("k3partite", "--n", "102"), "edges"),
+            # One step past the largest k3partite and pg.
+            (("k3partite", "--n", "69"), "cells"),
             (("k3partite", "--n", "349526"), "vertices"),
-            (("pg", "--n", "12"), "edges"),
+            (("pg", "--n", "10"), "cells"),
             (("pg", "--n", "1000000000000"), "vertices"),
             (("block-circulant", "--k", "1", "--m", "524289"), "vertices"),
             (("block-circulant", "--k", "1000000000", "--m", "1000000000"), "vertices"),
+            # One entry past the longest circulant row.
+            (("circulant", "--row", "1" + "0" * 8192), "cells"),
         ],
     )
-    def test_too_large_family_exits_2_before_building(self, capsys, argv, what):
+    def test_too_large_family_exits_2_before_building(self, capsys, monkeypatch, argv, what):
+        for builder in ("complete_3partite", "projective_geometry", "circulant_hypergraph"):
+            monkeypatch.setattr(cli, builder, lambda arg: pytest.fail("built"))
         code, out, err = run_cli(capsys, "family", *argv)
         assert (code, out) == (2, "")
-        assert err == f"error: {argv[0]} would have more than {1 << 20} {what}\n"
+        message = {
+            "vertices": rf"[0-9]+ vertices exceed the limit of {1 << 20}",
+            "cells": rf"[0-9]+ vertices x [0-9]+ edges exceed the limit of {1 << 26} "
+            "incidence matrix cells",
+        }[what]
+        assert re.fullmatch(f"error: {message}\n", err), err
+
+    def test_family_and_parser_refuse_with_the_same_message(self, capsys):
+        # 207 vertices x 328509 edges, the counts of complete_3partite(69).
+        code, _, err = run_cli(capsys, "family", "k3partite", "--n", "69")
+        assert code == 2
+        with pytest.raises(ValueError) as info:
+            parse_hypergraph("207 328509\n")
+        assert err == f"error: {info.value}\n"
+        assert err == (
+            f"error: 207 vertices x 328509 edges exceed the limit of {MAX_CELLS} "
+            "incidence matrix cells\n"
+        )
 
     @pytest.mark.parametrize(
         "argv,builder",
         [
-            (("k3partite", "--n", "101"), "complete_3partite"),
-            (("pg", "--n", "11"), "projective_geometry"),
+            (("k3partite", "--n", "68"), "complete_3partite"),
+            (("pg", "--n", "9"), "projective_geometry"),
             # 2896 * 1448 incidences; m = 1449 has 4199202, above 2^22.
             (("block-circulant", "--k", "1", "--m", "1448"), "circulant_hypergraph"),
-            # 2^20 vertices and edges of 4 vertices: exactly 2^22 incidences.
-            (("circulant", "--row", "1111" + "0" * ((1 << 20) - 4)), "circulant_hypergraph"),
+            # 8192 x 8192 cells and 8192 * 512 incidences: both at their bound.
+            (("circulant", "--row", "1" * 512 + "0" * 7680), "circulant_hypergraph"),
         ],
     )
     def test_largest_families_pass_the_size_check(self, capsys, monkeypatch, argv, builder):
-        import hypercode.cli as cli
-
         built = []
         monkeypatch.setattr(cli, builder, lambda arg: built.append(arg) or cli.fano_circulant())
         assert run_cli(capsys, "family", *argv)[0] == 0
@@ -140,24 +176,55 @@ class TestFamily:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("block-circulant", "--k", "1", "--m", "300000"),
-            ("block-circulant", "--k", "1", "--m", "1449"),
-            ("block-circulant", "--k", "64", "--m", "32"),
-            ("circulant", "--row", "1" * 60000),
-            ("circulant", "--row", "11111" + "0" * ((1 << 20) - 5)),
+            ("pg", "--n", "9"),
+            ("circulant", "--row", "1" + "0" * 8191),
+            ("block-circulant", "--k", "1", "--m", "1448"),
         ],
-        ids=["bc-1x300000", "bc-1x1449", "bc-64x32", "circulant-60000-ones", "circulant-weight-5"],
+        ids=["pg-9", "circulant-8192", "bc-1x1448"],
     )
-    def test_wide_family_exits_2_before_building(self, capsys, monkeypatch, argv):
-        # Few vertices and edges, but edges so wide that the incidences
-        # alone would exhaust memory; the builder must never be reached.
-        import hypercode.cli as cli
+    def test_largest_families_parse_back(self, capsys, argv):
+        # k3partite --n 68 takes seconds; CI runs it through the installed script.
+        code, out, _ = run_cli(capsys, "family", *argv)
+        assert code == 0
+        hg = parse_text(out)
+        assert out.startswith(f"{hg.num_vertices} {hg.num_edges}\n")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ("block-circulant", "--k", "1", "--m", "300000"),
+                f"600000 vertices x 600000 edges exceed the limit of {MAX_CELLS} "
+                "incidence matrix cells",
+            ),
+            (
+                ("block-circulant", "--k", "1", "--m", "1449"),
+                f"{2898 * 1449} incidences exceed the limit of {1 << 22}",
+            ),
+            (
+                ("block-circulant", "--k", "64", "--m", "32"),
+                f"{4096 * 2048} incidences exceed the limit of {1 << 22}",
+            ),
+            (
+                ("circulant", "--row", "1" * 60000),
+                f"60000 vertices x 60000 edges exceed the limit of {MAX_CELLS} "
+                "incidence matrix cells",
+            ),
+            (
+                ("circulant", "--row", "1" * 513 + "0" * 7679),
+                f"{8192 * 513} incidences exceed the limit of {1 << 22}",
+            ),
+        ],
+        ids=["bc-1x300000", "bc-1x1449", "bc-64x32", "circulant-60000-ones", "circulant-8192x513"],
+    )
+    def test_wide_family_exits_2_before_building(self, capsys, monkeypatch, argv, message):
+        # Edges so wide that the incidences alone would take too much memory;
+        # the cell bound or, on few enough vertices and edges, the incidence
+        # bound refuses them, and the builder is never reached.
         monkeypatch.setattr(cli, "circulant_hypergraph", lambda arg: pytest.fail("built"))
         code, out, err = run_cli(capsys, "family", *argv)
         assert (code, out) == (2, "")
-        assert err == f"error: {argv[0]} would have more than {1 << 22} incidences\n"
-
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("target", ["missing/fano.hg", "."])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, target):
@@ -394,6 +461,16 @@ class TestAnalyze:
             f"error: HYPERCODE_ENUM_CAP must be an integer, got '{'9' * 32}' and 4969 more characters\n"
         )
 
+    @pytest.mark.parametrize("nines", [200, 5000])
+    def test_a_long_negative_cap_is_refused_as_negative(self, capsys, fano_file, monkeypatch, nines):
+        # int() refuses the 5000 digits; the sign is read all the same.
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "-" + "9" * nines)
+        code, out, err = run_cli(capsys, "analyze", str(fano_file))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: HYPERCODE_ENUM_CAP must be non-negative, got -{'9' * 31}... ({nines} digits)\n"
+        )
+
     def test_header_beyond_the_cell_limit_exits_2(self, tmp_path, capsys):
         # 200000 one-vertex edges are 1.3 MB of text and 5 GB of dense rows;
         # the header alone is refused.
@@ -547,12 +624,12 @@ class TestSelfdualScan:
     def test_n_max_beyond_the_cell_limit_exits_2(self, capsys):
         # A budget of 0 draws nothing: n_max is checked at the call.
         code, out, err = run_cli(
-            capsys, "selfdual-scan", "--n-max", "100000000", "--seed", "1", "--budget", "0"
+            capsys, "selfdual-scan", "--n-max", "5793", "--seed", "1", "--budget", "0"
         )
         assert (code, out) == (2, "")
         assert err == (
-            f"error: n_max must be at most 5792, so that a sample stays within {MAX_CELLS} "
-            "incidence matrix cells, got 100000000\n"
+            f"error: 5793 vertices x 11586 edges exceed the limit of {MAX_CELLS} "
+            "incidence matrix cells\n"
         )
 
     def test_bad_parameters_exit_2(self, capsys):
@@ -722,6 +799,7 @@ FAILURE_CASES = [
     ({}, b"7 1\n0 1 \xff\n", ("analyze", "-")),
     ({"HYPERCODE_ENUM_CAP": "4"}, None, ("analyze", "fano.hg")),
     ({"HYPERCODE_ENUM_CAP": "x"}, None, ("analyze", "fano.hg")),
+    ({"HYPERCODE_ENUM_CAP": "-" + "9" * 200}, None, ("analyze", "fano.hg")),
     ({}, None, ("analyze", "fano.hg", "--early-exit", "-1")),
     ({}, None, ("verify", "--only", "nosuch")),
     ({"HYPERCODE_ENUM_CAP": "5"}, None, ("verify", "--only", "fano")),
@@ -757,7 +835,7 @@ class TestFailurePathHashes:
                 code, stdout, err = run_cli(capsys, *argv)
             assert code != 0 and stdout == "" and err.count("\n") == 1, argv
             out.append(f"{' '.join(argv)}\n{code}\n{err}")
-        assert TestReportHashes.digest("".join(out)) == "b3616a46f5f69358"
+        assert TestReportHashes.digest("".join(out)) == "21080819077c475e"
 
 
 class TestPoly:

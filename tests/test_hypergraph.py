@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hypercode.textformat as textformat
 from conftest import hypergraphs, hypergraphs_with_subset, random_connected_graph
 from hypercode import (
     BitMatrix,
@@ -35,7 +36,7 @@ from hypercode import (
     row_combination,
 )
 from hypercode.gf2core import format_row, set_bits
-from hypercode.limits import MAX_CELLS, MAX_VERTICES
+from hypercode.limits import MAX_CELLS, MAX_INCIDENCES, MAX_VERTICES, check_size
 
 # Displayed incidence matrix of the complete 3-partite 3-uniform hypergraph
 # with parts of size 2 (row order x1 x2 y1 y2 z1 z2).
@@ -515,13 +516,19 @@ class TestRandomGenerators:
             connected_uniform_samples(1, n_max=n_max, budget=budget, uniform=uniform)
 
     def test_connected_samples_keep_within_the_cell_limit(self):
-        # A sample has at most n_max vertices and 2 * n_max edges.
+        # A sample has at most n_max vertices and 2 * n_max edges of
+        # ``uniform`` vertices each.
         largest = 5792
         assert 2 * largest**2 <= MAX_CELLS < 2 * (largest + 1) ** 2
-        assert list(connected_uniform_samples(1, n_max=largest, budget=0)) == []
-        for n_max in (largest + 1, 10**8):
-            with pytest.raises(ValueError, match=f"^n_max must be at most {largest}, "):
-                connected_uniform_samples(1, n_max=n_max, budget=1)
+        assert list(connected_uniform_samples(1, n_max=largest, budget=0, uniform=2)) == []
+        cells = f"{largest + 1} vertices x {2 * largest + 2} edges exceed the limit of {MAX_CELLS}"
+        with pytest.raises(ValueError, match=f"^{cells} incidence matrix cells$"):
+            connected_uniform_samples(1, n_max=largest + 1, budget=1)
+        with pytest.raises(ValueError, match=f"^{10**8} vertices exceed the limit of {MAX_VERTICES}$"):
+            connected_uniform_samples(1, n_max=10**8, budget=1)
+        # 1100 * 4096 incidences pass the cell bound, not the incidence bound.
+        with pytest.raises(ValueError, match=f"^{1100 * 4096} incidences exceed the limit of "):
+            connected_uniform_samples(1, n_max=2048, budget=0, uniform=1100)
 
 
 class TestHypergraphTextFormat:
@@ -627,3 +634,54 @@ class TestHypergraphTextFormat:
         text = "200000 200000\n" + "".join(f"{v}\n" for v in range(200000))
         with pytest.raises(ValueError, match=f"exceed the limit of {MAX_CELLS} incidence"):
             parse_hypergraph(text)
+
+    def test_incidence_count_limit(self):
+        # 65536 lines of 64 vertices are MAX_INCIDENCES tokens; a header of
+        # one more edge lets them pass to the edge-line count, unbuilt.
+        line = " ".join(map(str, range(64))) + "\n"
+        lines = MAX_INCIDENCES // 64
+        with pytest.raises(ValueError, match=f"^expected {lines + 1} edge lines, found {lines}$"):
+            parse_hypergraph(f"64 {lines + 1}\n" + line * lines)
+        message = f"^{MAX_INCIDENCES + 1} incidences exceed the limit of {MAX_INCIDENCES}$"
+        with pytest.raises(ValueError, match=message):
+            parse_hypergraph(f"64 {lines + 1}\n" + line * lines + "0\n")
+
+    def test_incidences_are_the_vertex_tokens_of_the_edge_lines(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(textformat, "check_size", lambda *counts: checked.append(counts))
+        text = "# 1 2 3\r\n9 4\n0 1 2\n\t3\t  4 \n\n  # 5 6\n5\n0 6 7 8\n"
+        hg = parse_hypergraph(text)
+        assert checked == [(9, 4, 10)] == [(9, hg.num_edges, sum(map(len, hg.edges)))]
+
+
+class TestCheckSize:
+    @pytest.mark.parametrize(
+        "counts,message",
+        [
+            ((MAX_VERTICES, 0, 0), None),
+            (
+                (MAX_VERTICES + 1, 0, 0),
+                f"{MAX_VERTICES + 1} vertices exceed the limit of {MAX_VERTICES}",
+            ),
+            ((MAX_VERTICES, MAX_CELLS // MAX_VERTICES, MAX_INCIDENCES), None),
+            ((1, MAX_CELLS, MAX_INCIDENCES), None),
+            (
+                (MAX_VERTICES, MAX_CELLS // MAX_VERTICES + 1, 1),
+                f"{MAX_VERTICES} vertices x {MAX_CELLS // MAX_VERTICES + 1} edges exceed the "
+                f"limit of {MAX_CELLS} incidence matrix cells",
+            ),
+            (
+                (1, 1, MAX_INCIDENCES + 1),
+                f"{MAX_INCIDENCES + 1} incidences exceed the limit of {MAX_INCIDENCES}",
+            ),
+            # The first bound broken is the one named.
+            ((MAX_VERTICES + 1, MAX_CELLS, MAX_INCIDENCES + 1), f"{MAX_VERTICES + 1} vertices exceed "),
+            ((2, MAX_CELLS, MAX_INCIDENCES + 1), f"2 vertices x {MAX_CELLS} edges exceed "),
+        ],
+    )
+    def test_each_bound_and_one_above(self, counts, message):
+        if message is None:
+            check_size(*counts)
+        else:
+            with pytest.raises(ValueError, match=f"^{message}"):
+                check_size(*counts)
