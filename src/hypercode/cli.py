@@ -61,7 +61,7 @@ from .hypergraph import (
     incidence_matrix,
     projective_geometry,
 )
-from .limits import EnumerationCapError, check_size
+from .limits import MAX_VERTICES, EnumerationCapError, check_size
 from .textformat import FORMATS, format_hypergraph, parse_text
 from .verify import run_criteria
 
@@ -160,12 +160,12 @@ def _make_family(args: argparse.Namespace) -> Hypergraph:
     if kind == "pg":
         if args.n is None or args.n < 3:
             raise ValueError("pg needs --n >= 3")
-        # 2^64 - 1 points are far past the size rule, so capping n there
-        # changes no verdict and keeps 1 << n small; above it the counts
-        # checked are those of --n 64.
-        n = min(args.n, 64)
-        points = (1 << n) - 1
-        lines = points * ((1 << (n - 1)) - 1) // 3
+        if args.n > 64:
+            # Far past the size rule; refused here so that 1 << n stays small.
+            vertices = f"2^{args.n} - 1 vertices"
+            raise ValueError(f"pg --n {args.n} has {vertices}, over the limit of {MAX_VERTICES}")
+        points = (1 << args.n) - 1
+        lines = points * ((1 << (args.n - 1)) - 1) // 3
         check_size(points, lines, 3 * lines)
         return projective_geometry(args.n)
     if kind == "fano":

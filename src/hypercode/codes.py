@@ -16,8 +16,6 @@ When 2^(n-k) + n^2 < 2^k it comes from the 2^(n-k) words of C⊥ by the exact
 MacWilliams identity (MacWilliams & Sloane, *The Theory of Error-Correcting
 Codes*, ch. 5); the n^2 term stands for the second elimination and the
 transform.  The cap counts the nonzero words of the side that is scanned.
-Only a search with an early-exit threshold runs the Gray-code minimum loop,
-one word per step.
 
 The weight counts and the subset search are bit-sliced block kernels.  A
 block is 2^t words that share their high rows (or vertices); each
@@ -38,7 +36,10 @@ of one class, take at most 2^23 bits (1 MB), built on each call; the truth
 tables they start from are built on first use.  A scan of at most 8 words
 per column walks one word per Gray step instead, one XOR and one popcount
 per word, which costs less than building the columns; the tests hold each
-kernel to its walk.
+kernel to its walk.  The count kernel lists each block's words, and its
+blocks, in the order of the Gray walk over the code's own words, which
+meets an odd block's positions downwards, so that an early-exit search
+reads it too and stops at the walk's first weight within the threshold.
 
 Each self-duality fact has one implementation.  A code builds its Gram
 matrix at most once, beside its basis, and :func:`is_self_dual` adds
@@ -52,7 +53,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
+from typing import Iterator
 
 from .gf2core import BitMatrix, gram, nullspace_basis, rref, set_bits
 from .hypergraph import Hypergraph, is_connected
@@ -136,29 +138,27 @@ def codeword_distance_search(
 
     Without ``early_exit`` the value is the least nonzero weight of the
     code's weight counts, the list :func:`weight_distribution` reads, scanned
-    once per code.  With it, all 2^k - 1 nonzero messages are walked in
-    Gray-code order, XORing one basis row per step, and the scan stops at
-    the first weight <= early_exit with the result flagged as an upper
+    once per code.  With it, the blocks of :func:`_weight_groups` are read
+    in the order of the Gray walk over all 2^k messages, and the search
+    stops at the walk's first weight <= early_exit, flagged as an upper
     bound.  Neither route shares code with the subset engine, so the two
     distance routes stay independently checkable.
     """
-    k = code.dimension
-    if k == 0:
+    if code.dimension == 0:
         raise ValueError("the zero code has no nonzero codeword")
     if early_exit is None:
         counts = _capped_weights(code, "codeword search")
         return DistanceResult(next(w for w in range(1, len(counts)) if counts[w]), True)
-    check_enum_cap("codeword search", k)
-    rows = code.basis.rows
-    best = code.length + 1  # above every weight; basis combinations are nonzero
-    acc = 0
-    for i in range(1, 1 << k):
-        acc ^= rows[(i & -i).bit_length() - 1]
-        w = acc.bit_count()
-        if w < best:
-            best = w
-            if w <= early_exit:
-                return DistanceResult(best, False)
+    check_enum_cap("codeword search", code.dimension)
+    best = code.length + 1  # above every weight
+    for h, groups in enumerate(_weight_groups(code.basis.rows, code.length)):
+        # The walk meets the positions of block h upwards when h is even and
+        # downwards when it is odd, so the first stop is the lowest or the
+        # highest candidate; only the zero word has weight 0.
+        stops = [(s.bit_length() if h & 1 else -(s & -s), w) for w, s in groups if 0 < w <= early_exit]
+        if stops:
+            return DistanceResult(max(stops)[1], False)
+        best = min([best] + [w for w, _ in groups if w])
     return DistanceResult(best, True)
 
 
@@ -380,21 +380,28 @@ def _count_walk(rows: tuple[int, ...], n: int) -> list[int]:
 
 
 def _count_blocks(rows: tuple[int, ...], n: int) -> list[int]:
-    """The counts of :func:`_count_walk`, in blocks of 2^t codewords.
+    """The counts of :func:`_count_walk`, summed over :func:`_weight_groups`."""
+    counts = [0] * (n + 1)
+    for w, s in chain.from_iterable(_weight_groups(rows, n)):
+        counts[w] += s.bit_count()
+    return counts
 
-    Block h holds the 2^t words whose high rows (those >= t) combine to h,
-    bit q for the word whose low rows combine to q.  The coordinates fall
-    into classes by their pattern gamma over the high rows.  Block h
-    complements every column of a class, or none, by the parity of
-    h & gamma, so the class adds to each word either the sum S of its
-    columns over the low rows or |gamma| - S; both sums are built once, as
-    bit planes, from the columns of one class at a time.  A carry-save
-    vertical counter adds the planes that each block chooses, each at its
-    own level, into planes of the weights, plane j holding bit j of every
-    word's weight, and splitting the positions plane by plane reads off the
-    block's histogram.  The class of gamma = 0 is never complemented: its
-    counter starts every block.  With k <= t it is the only class, there is
-    one block, and no complement is built.
+
+def _weight_groups(rows: tuple[int, ...], n: int) -> Iterator[list[tuple[int, int]]]:
+    """The 2^k codewords grouped by weight, block by block in walk order.
+
+    Block h holds the 2^t words whose high rows (those >= t) combine to
+    gray(h) = h ^ (h >> 1), bit q for the word whose low rows combine to
+    gray(q); step h * 2^t + q of the Gray walk over all messages reaches
+    position q when h is even and 2^t - 1 - q when h is odd.  The
+    coordinates fall into classes by their pattern gamma over the high rows,
+    complemented together by the parity of gray(h) & gamma, so a class adds
+    to each word the sum S of its columns over the low rows or |gamma| - S,
+    both built once as bit planes.  A carry-save vertical counter adds the
+    planes each block chooses, each at its own level, into planes of the
+    weights; splitting the positions plane by plane gives the block's
+    (weight, positions) groups.  The class of gamma = 0 is never
+    complemented: it starts every block, and is the only one if k <= t.
     """
     k = len(rows)
     t = min(k, _BLOCK_BITS)
@@ -467,12 +474,12 @@ def _count_blocks(rows: tuple[int, ...], n: int) -> list[int]:
         for j, (x, x_bar) in enumerate(zip(planes, _complement_sum(planes, size, full))):
             if x or x_bar:
                 sums.append((gamma, j, x, x_bar))
-    counts = [0] * (n + 1)
     for h in range(1 << (k - t)):
+        g = h ^ (h >> 1)  # the high rows' message
         planes = base_planes.copy()
         waiting = base_waiting.copy()
         for gamma, j, x, x_bar in sums:
-            if (h & gamma).bit_count() & 1:
+            if (g & gamma).bit_count() & 1:
                 x = x_bar
             while x:
                 b = waiting[j]
@@ -503,9 +510,7 @@ def _count_blocks(rows: tuple[int, ...], n: int) -> list[int]:
                     if one != s:
                         split.append((w, s ^ one))
                 groups = split
-        for w, s in groups:
-            counts[w] += s.bit_count()
-    return counts
+        yield groups
 
 
 def _complement_sum(planes: list[int], size: int, full: int) -> list[int]:
@@ -524,9 +529,11 @@ def _complement_sum(planes: list[int], size: int, full: int) -> list[int]:
 
 @cache
 def _message_tables(t: int) -> tuple[int, ...]:
-    # Entry i has bit q set when message q uses basis row i.
+    # Entry i has bit q set when row i is in the message gray(q), that is
+    # when bits i and i + 1 of q differ; bit t of every q < 2^t is 0.
     full = (1 << (1 << t)) - 1
-    return tuple(full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(t))
+    bit = [full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(t + 1)]
+    return tuple(bit[i] ^ bit[i + 1] for i in range(t))
 
 
 def _macwilliams(dual_counts: list[int], n: int, k_dual: int) -> list[int]:

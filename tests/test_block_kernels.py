@@ -5,13 +5,17 @@ larger one in blocks of 2^t words, t at most ``codes._BLOCK_BITS``.  Here
 each kernel is called directly and must return exactly what the walk
 returns, witness and early-exit stop included.  The inputs are sized so
 that one block, or several with odd ones among them, covers the scan under
-that fixed bound.
+that fixed bound.  The codeword early exit reads the count kernel's blocks
+whatever the code's size, so it is held to the per-word Gray loop it
+replaced, with the bound lowered to 1, 2 and 3 to spread small codes over
+many blocks.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,6 +26,7 @@ from hypercode import (
     Hypergraph,
     block_row,
     circulant_hypergraph,
+    codeword_distance_search,
     eonv_distance_search,
     from_generator,
     random_hypergraph,
@@ -268,3 +273,94 @@ class TestCountBlocks:
         code = from_generator(BitMatrix(16, 300, rows))
         assert code.dimension == 16 > BLOCK
         assert_same_counts(code)
+
+
+def gray_loop_search(code, early_exit):
+    """The codeword early exit as a per-word Gray loop, with the step it stopped at.
+
+    Step i XORs one basis row and reaches the message gray(i); the first
+    weight <= early_exit stops it with an upper bound.  Without a stop the
+    step is None and the least weight met is exact.
+    """
+    rows = code.basis.rows
+    best = code.length + 1
+    acc = 0
+    for i in range(1, 1 << len(rows)):
+        acc ^= rows[(i & -i).bit_length() - 1]
+        w = acc.bit_count()
+        if w < best:
+            best = w
+            if w <= early_exit:
+                return codes.DistanceResult(best, False), i
+    return codes.DistanceResult(best, True), None
+
+
+def assert_same_early_exits(code):
+    """Every threshold from 0 to n + 1 against the loop; the steps that stopped."""
+    steps = []
+    for early_exit in range(code.length + 2):
+        expected, step = gray_loop_search(code, early_exit)
+        assert codeword_distance_search(code, early_exit=early_exit) == expected, early_exit
+        steps.append(step)
+    return steps
+
+
+class TestCountEarlyExit:
+    """Block h of the count kernel is walked upwards when h is even and
+    downwards when it is odd, so a stop takes the block's lowest or highest
+    position with 0 < weight <= early_exit."""
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_every_threshold_over_many_blocks(self, monkeypatch, bits):
+        monkeypatch.setattr(codes, "_BLOCK_BITS", bits)
+        rng = random.Random(40 + bits)
+        odd_stops = 0
+        for _ in range(60):
+            k, n = rng.randint(bits + 1, 10), rng.randint(4, 16)
+            code = from_generator(BitMatrix(k, n, tuple(rng.getrandbits(n) for _ in range(k))))
+            if not code.dimension:
+                continue
+            for step in assert_same_early_exits(code):
+                if step is not None and code.dimension > bits:
+                    odd_stops += step >> bits & 1
+        assert odd_stops > 0
+
+    def test_early_exit_in_an_odd_block_takes_its_highest_position(self, monkeypatch):
+        # Basis rows r0, r1 in the low block bits and r2 high, so block 1
+        # holds r2 plus the low words.  Block 0 has no weight <= 4; block 1
+        # is walked downwards and meets r1 ^ r2 (weight 3) at its highest
+        # position before r0 ^ r2 (weight 4) at a lower one.
+        monkeypatch.setattr(codes, "_BLOCK_BITS", 2)
+        rows = (0b101110001, 0b011111010, 0b001111100)
+        code = from_generator(BitMatrix(3, 9, rows))
+        assert code.basis.rows == rows
+        assert [(rows[2] ^ r).bit_count() for r in rows[:2]] == [4, 3]
+        assert codeword_distance_search(code, early_exit=4) == codes.DistanceResult(3, False)
+        assert gray_loop_search(code, 4) == (codes.DistanceResult(3, False), 4)
+
+    def test_zero_word_is_never_a_stop(self, monkeypatch):
+        # The zero word sits at position 0 of block 0: threshold 0 finds no
+        # stop, and threshold n stops at the walk's first word, row 0.
+        monkeypatch.setattr(codes, "_BLOCK_BITS", 2)
+        rng = random.Random(41)
+        for k in (1, 2, 5):
+            code = from_generator(BitMatrix(k, 12, tuple(rng.getrandbits(12) for _ in range(k))))
+            exact = codeword_distance_search(code)
+            assert codeword_distance_search(code, early_exit=0) == exact
+            first = code.basis.rows[0].bit_count()
+            assert codeword_distance_search(code, early_exit=12) == codes.DistanceResult(first, False)
+            assert_same_early_exits(code)
+
+    def test_budget_lowered_t_gives_the_same_result(self, monkeypatch):
+        # 40 columns of 2^8 bits exceed 2^12 bits, so t drops below k = 8.
+        # Rows 0..6 are heavy and row 7 has weight 2, so some thresholds
+        # first stop past block 0.
+        monkeypatch.setattr(codes, "_TABLE_BITS", 12)
+        rng = random.Random(42)
+        rows = tuple(1 << i | rng.getrandbits(32) << 8 for i in range(7)) + (1 << 7 | 1 << 8,)
+        code = from_generator(BitMatrix(8, 40, rows))
+        assert code.basis.rows == rows
+        blocks = sum(1 for _ in codes._weight_groups(code.basis.rows, code.length))
+        assert blocks > 1
+        steps = assert_same_early_exits(code)
+        assert any(step is not None and step >= (1 << 8) // blocks for step in steps)

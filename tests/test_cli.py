@@ -130,6 +130,10 @@ class TestFamily:
             (("block-circulant", "--k", "1000000000", "--m", "1000000000"), "vertices"),
             # One entry past the longest circulant row.
             (("circulant", "--row", "1" + "0" * 8192), "cells"),
+            # The first pg past the vertex bound, and both sides of --n 64.
+            (("pg", "--n", "21"), "vertices"),
+            (("pg", "--n", "64"), "vertices"),
+            (("pg", "--n", "65"), "vertices"),
         ],
     )
     def test_too_large_family_exits_2_before_building(self, capsys, monkeypatch, argv, what):
@@ -137,6 +141,18 @@ class TestFamily:
             monkeypatch.setattr(cli, builder, lambda arg: pytest.fail("built"))
         code, out, err = run_cli(capsys, "family", *argv)
         assert (code, out) == (2, "")
+        if argv[0] == "pg":
+            # Each count is the family's own: 2^n - 1 points, (2^n - 1)(2^(n-1) - 1)/3 lines.
+            assert err == "error: " + {
+                "10": f"1023 vertices x 174251 edges exceed the limit of {1 << 26} "
+                "incidence matrix cells",
+                "21": f"2097151 vertices exceed the limit of {1 << 20}",
+                "64": f"18446744073709551615 vertices exceed the limit of {1 << 20}",
+                "65": f"pg --n 65 has 2^65 - 1 vertices, over the limit of {1 << 20}",
+                "1000000000000": "pg --n 1000000000000 has 2^1000000000000 - 1 vertices, "
+                f"over the limit of {1 << 20}",
+            }[argv[2]] + "\n"
+            return
         message = {
             "vertices": rf"[0-9]+ vertices exceed the limit of {1 << 20}",
             "cells": rf"[0-9]+ vertices x [0-9]+ edges exceed the limit of {1 << 26} "
@@ -416,7 +432,7 @@ class TestAnalyze:
         data = json.loads(out)
         assert (data["dimension"], data["min_distance"], data["distance_exact"]) == (21, 2, True)
         assert sum(data["weight_distribution"].values()) == 1 << 21
-        # An early-exit search always walks the code's own 2^21 - 1 messages.
+        # An early-exit search always scans the code's own 2^21 - 1 messages.
         code, _, err = run_cli(
             capsys, "analyze", str(path), "--method", "codeword", "--weights", "--early-exit", "1"
         )

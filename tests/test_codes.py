@@ -183,8 +183,8 @@ class TestWeightDistribution:
         if positive:
             d = min(positive)
             assert d == brute_min_distance(m.rows)
-            # early_exit=0 walks the whole Gray-code minimum loop and never
-            # stops, so the loop is checked against the exact value.
+            # early_exit=0 never stops: the early-exit reading of the count
+            # kernel's blocks is checked against the exact value.
             assert codeword_distance_search(code, early_exit=0) == DistanceResult(d, True)
             assert codeword_distance_search(code) == DistanceResult(d, True)
 
