@@ -30,12 +30,16 @@ The weight counts read a weight as a sum over the generator's columns
 (MacWilliams & Sloane, ch. 5): the coordinates fall into classes by their
 pattern over the high rows, and a block complements a whole class or none
 of it.  So each class is summed once, into the bit planes of S and of
-|class| - S, and a block adds one of the two sums per class, not one
-column per coordinate.  The columns, or the class sums with the columns
-of one class, take at most 2^23 bits (1 MB), built on each call; the truth
-tables they start from are built on first use.  A scan of at most 8 words
-per column walks one word per Gray step instead, one XOR and one popcount
-per word, which costs less than building the columns; the tests hold each
+|class| - S, and the blocks' sums over the classes are a Walsh-Hadamard
+transform (ch. 14), taken by halving over the K high rows: about K * 2^K
+class additions for the 2^K blocks.  A code that holds the all-ones word,
+as every hypergraph whose edges all have odd size gives, has
+A_w = A_{n-w}, and its blocks count only the half spanned by all basis
+rows but the last.  The columns, or the sums that the kernel holds at
+once, take at most 2^23 bits (1 MB), built on each call; the truth tables
+they start from are built on first use.  A scan of at most 8 words per
+column walks one word per Gray step instead, one XOR and one popcount per
+word, which costs less than building the columns; the tests hold each
 kernel to its walk.  The count kernel lists each block's words, and its
 blocks, in the order of the Gray walk over the code's own words, which
 meets an odd block's positions downwards, so that an early-exit search
@@ -52,8 +56,9 @@ instead of forming a matrix product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import chain, combinations_with_replacement
+from operator import xor
 from typing import Iterator
 
 from .gf2core import BitMatrix, gram, nullspace_basis, rref, set_bits
@@ -61,9 +66,9 @@ from .hypergraph import Hypergraph, is_connected
 from .limits import check_enum_cap
 
 # The columns of a block kernel, 2^t bits per coordinate (or edge), or the
-# count kernel's class sums, take at most 2^_TABLE_BITS bits in all, with
-# t <= _BLOCK_BITS.  At 8 words per column or fewer, building the columns
-# costs more than walking the words.
+# sums that the count kernel holds at once, take at most 2^_TABLE_BITS bits
+# in all, with t <= _BLOCK_BITS.  At 8 words per column or fewer, building
+# the columns costs more than walking the words.
 _TABLE_BITS = 23
 _BLOCK_BITS = 14
 _WALK_WORDS_PER_COLUMN = 8
@@ -354,9 +359,14 @@ def _capped_weights(code: LinearCode, search: str) -> list[int]:
 def _weight_counts(code: LinearCode) -> list[int]:
     """Counts of the 2^k codewords by weight 0..n.
 
-    A code of more than 8 codewords per coordinate is counted in
-    bit-sliced blocks (:func:`_count_blocks`); a smaller one is walked one
-    codeword per step, which costs less there.
+    A code of at most 8 codewords per coordinate is walked one codeword per
+    step, which costs less than building columns; a larger one is counted
+    in bit-sliced blocks (:func:`_count_blocks`).  Each pivot bit of the
+    RREF basis sits in one row, so a code holds the all-ones word exactly
+    when the XOR of its rows is that word, as it does for every hypergraph
+    whose edges all have odd size.  The code is then C' + {0, all-ones}, C'
+    spanned by all rows but the last, and the blocks count only C':
+    A_w = A'_w + A'_{n-w}.
     """
     rows = code.basis.rows
     if not rows:
@@ -365,7 +375,10 @@ def _weight_counts(code: LinearCode) -> list[int]:
     n = code.length
     if 1 << len(rows) <= _WALK_WORDS_PER_COLUMN * n:
         return _count_walk(rows, n)
-    return _count_blocks(rows, n)
+    if reduce(xor, rows) != (1 << n) - 1:
+        return _count_blocks(rows, n)
+    counts = _count_blocks(rows[:-1], n)
+    return [a + b for a, b in zip(counts, reversed(counts))]
 
 
 def _count_walk(rows: tuple[int, ...], n: int) -> list[int]:
@@ -397,11 +410,17 @@ def _weight_groups(rows: tuple[int, ...], n: int) -> Iterator[list[tuple[int, in
     coordinates fall into classes by their pattern gamma over the high rows,
     complemented together by the parity of gray(h) & gamma, so a class adds
     to each word the sum S of its columns over the low rows or |gamma| - S,
-    both built once as bit planes.  A carry-save vertical counter adds the
-    planes each block chooses, each at its own level, into planes of the
-    weights; splitting the positions plane by plane gives the block's
-    (weight, positions) groups.  The class of gamma = 0 is never
-    complemented: it starts every block, and is the only one if k <= t.
+    both built once as bit planes by a carry-save vertical counter.
+
+    The block sums are a Walsh-Hadamard transform over the classes, taken
+    by halving (:func:`_halve`): high row b merges the classes gamma and
+    gamma ^ 2^b into one, once for each value of its message bit, so the K
+    high rows cost about K * 2^K class additions, not one per class and
+    block (up to 4^K).
+    The halves are visited depth first from the top row, the bit-1 half in
+    reverse, as the reflected Gray code orders them, and each block's
+    weights split plane by plane into its (weight, positions) groups.  The
+    class of gamma = 0 is never complemented, and is the only one if k <= t.
     """
     k = len(rows)
     t = min(k, _BLOCK_BITS)
@@ -418,22 +437,11 @@ def _weight_groups(rows: tuple[int, ...], n: int) -> Iterator[list[tuple[int, in
             classes = {}
             for p, gamma in enumerate(high):
                 classes[gamma] = classes.get(gamma, 0) | 1 << p
-        # The columns of the class being summed, with the sums kept so far,
-        # and at the end all the sums, each take at most 2^_TABLE_BITS bits.
-        # A class keeps |class|.bit_length() planes, twice if some block
-        # complements it.
-        peak = kept = 0
-        for gamma, mask in classes.items():
-            size = mask.bit_count()
-            peak = max(peak, kept + size)
-            kept += size.bit_length() << (gamma > 0)
-        if not t or max(peak, kept) << t <= 1 << _TABLE_BITS:
+        if not t or _held_planes(classes, k - t) << t <= 1 << _TABLE_BITS:
             break
         t -= 1
     full = (1 << (1 << t)) - 1
-    levels = n.bit_length()
-    base_planes = base_waiting = [0] * levels  # copied before any change
-    sums = []  # (gamma, level, plane of S, plane of |gamma| - S), gamma > 0
+    sums = {}  # gamma -> (planes of S, planes of |gamma| - S or None if gamma = 0)
     for gamma, mask in classes.items():
         columns = [0] * n
         for row, table in zip(rows, _message_tables(t)):
@@ -443,7 +451,7 @@ def _weight_groups(rows: tuple[int, ...], n: int) -> Iterator[list[tuple[int, in
                 columns[p] ^= table
                 row ^= 1 << p
         size = mask.bit_count()
-        top = size.bit_length() if gamma else levels
+        top = size.bit_length()
         # Level j keeps a sum plane and at most one plane waiting for a
         # partner; a full adder of both and a new plane carries the majority.
         planes = [0] * top
@@ -462,44 +470,24 @@ def _weight_groups(rows: tuple[int, ...], n: int) -> Iterator[list[tuple[int, in
                 x = (a & b) | (u & x)
                 j += 1
         del columns
-        if not gamma:
-            base_planes, base_waiting = planes, waiting
-            continue
         carry = 0
         for j in range(top):
             a, b = planes[j], waiting[j]
             u = a ^ b
             planes[j] = u ^ carry
             carry = (a & b) | (u & carry)
-        for j, (x, x_bar) in enumerate(zip(planes, _complement_sum(planes, size, full))):
-            if x or x_bar:
-                sums.append((gamma, j, x, x_bar))
-    for h in range(1 << (k - t)):
-        g = h ^ (h >> 1)  # the high rows' message
-        planes = base_planes.copy()
-        waiting = base_waiting.copy()
-        for gamma, j, x, x_bar in sums:
-            if (g & gamma).bit_count() & 1:
-                x = x_bar
-            while x:
-                b = waiting[j]
-                if not b:
-                    waiting[j] = x
-                    break
-                waiting[j] = 0
-                a = planes[j]
-                u = a ^ b
-                planes[j] = u ^ x
-                x = (a & b) | (u & x)
-                j += 1
-        carry = 0
-        for j in range(levels):
-            a, b = planes[j], waiting[j]
-            u = a ^ b
-            planes[j] = u ^ carry
-            carry = (a & b) | (u & carry)
+        sums[gamma] = (planes, _complement_sum(planes, size, full) if gamma else None)
+    stack = [(sums, k - t, 0)]  # (classes, high rows left to merge, reversed)
+    while stack:
+        state, level, reverse = stack.pop()
+        if level:
+            halves = _halve(state, 1 << (level - 1))
+            stack.append((halves[1 - reverse], level - 1, 1))
+            stack.append((halves[reverse], level - 1, 0))
+            continue
+        planes = state[0][0]
         groups = [(0, full)]  # (weight bits read so far, positions with them)
-        for j in reversed(range(levels)):
+        for j in reversed(range(len(planes))):
             plane = planes[j]
             if plane:
                 split = []
@@ -511,6 +499,93 @@ def _weight_groups(rows: tuple[int, ...], n: int) -> Iterator[list[tuple[int, in
                         split.append((w, s ^ one))
                 groups = split
         yield groups
+
+
+def _halve(state: dict, bit: int) -> tuple[dict, dict]:
+    # Merges the classes gamma and gamma ^ bit of ``state``, which it empties
+    # as it goes, into the classes of the rows below ``bit``: in the half
+    # where that row's message bit is 0 the pair adds S to S and complement
+    # to complement, in the other S to complement.  A class without a
+    # partner passes into both halves, swapped in the second if it has the
+    # bit.  No complement is kept for the class of gamma = 0.
+    zero, one = {}, {}
+    while state:
+        gamma, (s, c) = state.popitem()
+        low = gamma & ~bit
+        pair = state.pop(gamma ^ bit, None)
+        if pair is None:
+            zero[low] = (s, c if low else None)
+            one[low] = (c, s if low else None) if gamma & bit else zero[low]
+            continue
+        if gamma & bit:
+            (s, c), pair = pair, (s, c)
+        s1, c1 = pair
+        zero[low] = (_add_planes(s, s1), _add_planes(c, c1) if low else None)
+        one[low] = (_add_planes(s, c1), _add_planes(c, s1) if low else None)
+    return zero, one
+
+
+def _add_planes(a: list[int], b: list[int]) -> list[int]:
+    # Bit planes of the sum of two bit-sliced counts, rippled level by level.
+    if len(a) < len(b):
+        a, b = b, a
+    x, y = a[0], b[0]
+    out = [x ^ y]
+    carry = x & y
+    for j in range(1, len(b)):
+        x, y = a[j], b[j]
+        u = x ^ y
+        out.append(u ^ carry)
+        carry = (x & y) | (u & carry)
+    for j in range(len(b), len(a)):
+        if not carry:
+            return out + a[j:]
+        x = a[j]
+        out.append(x ^ carry)
+        carry &= x
+    if carry:
+        out.append(carry)
+    return out
+
+
+def _held_planes(classes: dict[int, int], high: int) -> int:
+    """The most planes of 2^t bits that :func:`_weight_groups` holds at once.
+
+    ``classes`` maps each high pattern gamma to the mask of its coordinates,
+    over ``high`` high rows.  A class's sums take |gamma|.bit_length()
+    planes each, two sums unless gamma = 0.  While the class sums are built,
+    the columns of one class are held with the sums made so far.  In the
+    halving, every state of one level has the same classes, so the deepest
+    point of the first descent holds the most: the two halves just built;
+    the waiting second half of every level above, with the sums it made;
+    and the sums that a popped state made and passed on unchanged.  The one
+    pair being added is left out.
+    """
+    peak = kept = 0
+    state = {}  # gamma -> (size, whether this level made its sums)
+    for gamma, mask in classes.items():
+        size = mask.bit_count()
+        peak = max(peak, kept + size)
+        kept += size.bit_length() << (gamma > 0)
+        state[gamma] = (size, True)
+    peak = max(peak, kept)
+    passed = waiting = 0
+    for level in reversed(range(high)):
+        bit = 1 << level
+        merged = {}
+        for gamma, (size, made) in state.items():
+            other = state.get(gamma ^ bit)
+            if other is None:
+                merged[gamma & ~bit] = (size, False)
+                if made:
+                    passed += size.bit_length() << (gamma > 0)
+            else:
+                merged[gamma & ~bit] = (size + other[0], True)
+        state = merged
+        made_here = sum(size.bit_length() << (gamma > 0) for gamma, (size, made) in state.items() if made)
+        peak = max(peak, passed + waiting + 2 * made_here)
+        waiting += made_here
+    return peak
 
 
 def _complement_sum(planes: list[int], size: int, full: int) -> list[int]:

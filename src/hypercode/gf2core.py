@@ -78,11 +78,17 @@ class BitMatrix:
         return cls(len(rows), len(lines[0]) if lines else 0, rows)
 
     def transpose(self) -> "BitMatrix":
-        cols = [0] * self.num_cols
-        for i, r in enumerate(self.rows):
-            for j in set_bits(r):
-                cols[j] |= 1 << i
-        return BitMatrix(self.num_cols, self.num_rows, tuple(cols))
+        """The matrix with rows and columns exchanged, in time linear in its cells.
+
+        Column j is read as the string of bit j of every row, last row
+        first, so ``int(..., 2)`` puts row i at bit i; walking each row's
+        set bits would cost one big-int step, as wide as the row, per bit.
+        """
+        if not (self.num_rows and self.num_cols):
+            return BitMatrix(self.num_cols, self.num_rows, (0,) * self.num_cols)
+        lines = [format(r, f"0{self.num_cols}b") for r in reversed(self.rows)]
+        cols = [int("".join(col), 2) for col in zip(*lines)]
+        return BitMatrix(self.num_cols, self.num_rows, tuple(reversed(cols)))
 
     @property
     def is_zero(self) -> bool:

@@ -8,12 +8,16 @@ that one block, or several with odd ones among them, covers the scan under
 that fixed bound.  The codeword early exit reads the count kernel's blocks
 whatever the code's size, so it is held to the per-word Gray loop it
 replaced, with the bound lowered to 1, 2 and 3 to spread small codes over
-many blocks.
+many blocks.  In the same way the halving over the high rows is held, block
+by block, to the per-block class loop it replaced, and the counts of a code
+that holds the all-ones word, taken by halves, to the walk over its whole
+basis.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -27,9 +31,13 @@ from hypercode import (
     block_row,
     circulant_hypergraph,
     codeword_distance_search,
+    complete_3partite,
     eonv_distance_search,
     from_generator,
+    incidence_matrix,
+    projective_geometry,
     random_hypergraph,
+    random_uniform_hypergraph,
 )
 from hypercode.codes import _count_blocks, _count_walk, _subset_blocks, _subset_walk
 
@@ -364,3 +372,264 @@ class TestCountEarlyExit:
         assert blocks > 1
         steps = assert_same_early_exits(code)
         assert any(step is not None and step >= (1 << 8) // blocks for step in steps)
+
+
+def per_block_groups(rows, n, t):
+    """The count kernel's blocks as each block once summed them on its own.
+
+    The coordinates fall into classes by their pattern gamma over the rows
+    >= t; each class's sum S of its columns over the low rows, and
+    |gamma| - S, are built as bit planes, and block h adds, for every class,
+    S or |gamma| - S by the parity of gray(h) & gamma into a carry-save
+    counter before splitting the positions plane by plane.  The halving must
+    give the same groups in the same order, block by block.
+    """
+    k = len(rows)
+    full = (1 << (1 << t)) - 1
+    levels = n.bit_length()
+    classes = {}
+    for p in range(n):
+        gamma = sum((row >> p & 1) << i for i, row in enumerate(rows[t:]))
+        classes[gamma] = classes.get(gamma, 0) | 1 << p
+    sums = []  # (gamma, level, plane of S, plane of |gamma| - S)
+    for gamma, mask in classes.items():
+        columns = [0] * n
+        for row, table in zip(rows, codes._message_tables(t)):
+            for p in range(n):
+                if (mask & row) >> p & 1:
+                    columns[p] ^= table
+        complements = [column ^ full for p, column in enumerate(columns) if mask >> p & 1]
+        columns = [column for p, column in enumerate(columns) if mask >> p & 1]
+        for j, (x, x_bar) in enumerate(zip(resolve(columns, levels), resolve(complements, levels))):
+            sums.append((gamma, j, x, x_bar))
+    for h in range(1 << (k - t)):
+        g = h ^ (h >> 1)
+        planes = [0] * levels
+        waiting = [0] * levels
+        for gamma, j, x, x_bar in sums:
+            if (g & gamma).bit_count() & 1:
+                x = x_bar
+            carry_save(planes, waiting, x, j)
+        planes = resolve_planes(planes, waiting)
+        groups = [(0, full)]
+        for j in reversed(range(levels)):
+            plane = planes[j]
+            if plane:
+                split = []
+                for w, s in groups:
+                    one = s & plane
+                    if one:
+                        split.append((w | 1 << j, one))
+                    if one != s:
+                        split.append((w, s ^ one))
+                groups = split
+        yield groups
+
+
+def carry_save(planes, waiting, x, j):
+    # Level j keeps a sum plane and at most one plane waiting for a partner.
+    while x:
+        b = waiting[j]
+        if not b:
+            waiting[j] = x
+            return
+        waiting[j] = 0
+        a = planes[j]
+        u = a ^ b
+        planes[j] = u ^ x
+        x = (a & b) | (u & x)
+        j += 1
+
+
+def resolve_planes(planes, waiting):
+    # The bit planes of planes + waiting, rippled level by level.
+    out = []
+    carry = 0
+    for a, b in zip(planes, waiting):
+        u = a ^ b
+        out.append(u ^ carry)
+        carry = (a & b) | (u & carry)
+    return out
+
+
+def resolve(columns, levels):
+    """Bit planes of the sum of the columns."""
+    planes = [0] * levels
+    waiting = [0] * levels
+    for x in columns:
+        carry_save(planes, waiting, x, 0)
+    return resolve_planes(planes, waiting)
+
+
+def assert_same_blocks(rows, n):
+    """The kernel's blocks against :func:`per_block_groups` at the kernel's t."""
+    blocks = list(codes._weight_groups(rows, n))
+    t = len(rows) - (len(blocks).bit_length() - 1)
+    assert len(blocks) == 1 << (len(rows) - t)
+    assert blocks == list(per_block_groups(rows, n, t))
+    counts = [0] * (n + 1)
+    for w, s in chain.from_iterable(blocks):
+        counts[w] += s.bit_count()
+    assert counts == _count_walk(rows, n)
+    return t
+
+
+class TestHalving:
+    """Block h of the count kernel comes from the halving over the high
+    rows; it must hold the groups, in order, that adding every class's sum
+    to the block gives.  ``_BLOCK_BITS`` is lowered so that small codes have
+    several high rows."""
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_random_codes(self, monkeypatch, bits):
+        monkeypatch.setattr(codes, "_BLOCK_BITS", bits)
+        rng = random.Random(50 + bits)
+        for _ in range(25):
+            k, n = rng.randint(bits + 1, 9), rng.randint(1, 20)
+            assert bits == assert_same_blocks(tuple(rng.getrandbits(n) for _ in range(k)), n)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_classes_without_partners(self, monkeypatch, bits):
+        # Five coordinates over five high rows: at most 5 of the 32 high
+        # patterns occur, so most merges find one class of a pair absent,
+        # and the class of pattern zero is absent too.
+        monkeypatch.setattr(codes, "_BLOCK_BITS", bits)
+        rng = random.Random(60 + bits)
+        for _ in range(10):
+            n = 5
+            columns = rng.sample(range(1 << (bits + 5)), n)
+            rows = spread(columns)
+            rows += (0,) * (bits + 5 - len(rows))
+            assert bits == assert_same_blocks(rows, n)
+        # Every coordinate has pattern 2^b: the one class passes every merge
+        # alone, and at row b it becomes the class of pattern zero, swapped
+        # in the half where that row's bit is 1.
+        for b in range(4):
+            rows = tuple(rng.getrandbits(5) for _ in range(bits))
+            rows += tuple(0b11111 if i == b else 0 for i in range(4))
+            assert bits == assert_same_blocks(rows, 5)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_one_high_row(self, monkeypatch, bits):
+        monkeypatch.setattr(codes, "_BLOCK_BITS", bits)
+        rng = random.Random(70 + bits)
+        for n in (1, 2, 7, 30):
+            assert bits == assert_same_blocks(tuple(rng.getrandbits(n) for _ in range(bits + 1)), n)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_zero_coordinates(self, monkeypatch, bits):
+        # Coordinates 0..3 are zero in every row, 4..7 in every high row.
+        monkeypatch.setattr(codes, "_BLOCK_BITS", bits)
+        rng = random.Random(80 + bits)
+        for high in (1, 3, 5):
+            rows = tuple(rng.getrandbits(12) << 4 for _ in range(bits))
+            rows += tuple(rng.getrandbits(8) << 8 for _ in range(high))
+            assert bits == assert_same_blocks(rows, 16)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_budget_lowered_t(self, monkeypatch, bits):
+        # 2^bits-bit planes in a budget of 2^(bits + 6) bits: the columns or
+        # the sums outgrow it for most of these codes, and t drops below the
+        # block bound, for some of them to 0.
+        monkeypatch.setattr(codes, "_BLOCK_BITS", bits)
+        monkeypatch.setattr(codes, "_TABLE_BITS", bits + 6)
+        rng = random.Random(90 + bits)
+        lowered = 0
+        for _ in range(10):
+            k, n = rng.randint(bits + 1, 8), rng.randint(6, 40)
+            lowered += assert_same_blocks(tuple(rng.getrandbits(n) for _ in range(k)), n) < bits
+        assert lowered
+
+    def test_wide_random_codes_keep_the_block_bound(self):
+        # Random [512, 19] and [64, 19] codes: the halving's sums fit the
+        # column budget at t = 14, five high rows.
+        rng = random.Random(91)
+        for n in (512, 64):
+            rows = tuple(rng.getrandbits(n) for _ in range(19))
+            assert sum(1 for _ in codes._weight_groups(rows, n)) == 1 << (19 - BLOCK)
+
+
+def counted_dimensions(monkeypatch):
+    """The row counts that ``_weight_counts`` hands to the walk or the blocks."""
+    seen = []
+    for name in ("_count_walk", "_count_blocks"):
+        kernel = getattr(codes, name)
+        monkeypatch.setattr(codes, name, lambda rows, n, kernel=kernel: seen.append(len(rows)) or kernel(rows, n))
+    return seen
+
+
+def assert_counts(monkeypatch, code):
+    """The code's counts equal the walk over its whole basis.  The blocks
+    count k - 1 rows exactly when the code holds the all-ones word; a code
+    small enough to walk is walked whole.  Returns whether it was halved."""
+    expected = _count_walk(code.basis.rows, code.length)
+    seen = counted_dimensions(monkeypatch)
+    assert codes._weight_counts(code) == expected
+    halved = expected[-1] == 1 and 1 << code.dimension > codes._WALK_WORDS_PER_COLUMN * code.length
+    assert seen == [code.dimension - halved]
+    return halved
+
+
+class TestAllOnesHalving:
+    """A code holds the all-ones word exactly when the XOR of its RREF rows
+    is that word; it is then C' + {0, all-ones}, with C' spanned by the other
+    rows, and A_w = A'_w + A'_{n-w} from the blocks of C' alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_complete_3partite(self, monkeypatch, n):
+        # Every edge has three vertices, so the vertex rows add up to the
+        # all-ones word, though no basis row is that word when k > 1.
+        # n <= 3 is walked; the [64,10], [125,13] and [216,16] codes halve.
+        code = from_generator(incidence_matrix(complete_3partite(n)))
+        assert assert_counts(monkeypatch, code) == (n >= 4)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_projective_geometries(self, monkeypatch, m):
+        # PG(2, 2), walked, and PG(3, 2), halved: lines of three points.
+        code = from_generator(incidence_matrix(projective_geometry(m)))
+        assert assert_counts(monkeypatch, code) == (m == 4)
+
+    def test_random_3_uniform_hypergraphs(self, monkeypatch):
+        rng = random.Random(100)
+        for n, m in ((10, 20), (12, 30), (15, 40), (16, 70)):
+            code = from_generator(incidence_matrix(random_uniform_hypergraph(rng, n, m, 3)))
+            assert assert_counts(monkeypatch, code)
+
+    def test_one_all_ones_row(self, monkeypatch):
+        code = from_generator(BitMatrix(1, 9, ((1 << 9) - 1,)))
+        assert not assert_counts(monkeypatch, code)
+        assert codes._weight_counts(code) == [1] + [0] * 8 + [1]
+
+    def test_all_ones_row_among_others(self, monkeypatch):
+        rng = random.Random(101)
+        for k, n in ((8, 20), (12, 40)):
+            rows = tuple(rng.getrandbits(n) for _ in range(k - 1)) + ((1 << n) - 1,)
+            code = from_generator(BitMatrix(k, n, rows))
+            assert code.dimension == k
+            assert assert_counts(monkeypatch, code)
+
+    def test_codes_without_the_all_ones_word_are_counted_whole(self, monkeypatch):
+        # complete_3partite(4) with a zero coordinate added: the XOR of the
+        # rows misses that one coordinate.
+        columns = incidence_matrix(complete_3partite(4)).transpose().rows + (0,)
+        padded = BitMatrix(len(columns), 12, columns).transpose()
+        assert not assert_counts(monkeypatch, from_generator(padded))
+        rng = random.Random(102)
+        code = from_generator(BitMatrix(13, 30, tuple(rng.getrandbits(30) for _ in range(13))))
+        assert not assert_counts(monkeypatch, code)
+
+    def test_even_code_through_its_dual(self, monkeypatch):
+        # Every word of an even code is orthogonal to the all-ones word, so
+        # its dual holds it; the MacWilliams route counts that dual by halves.
+        rng = random.Random(103)
+        n, k = 24, 16
+        rows = []
+        while len(rows) < k:
+            row = rng.getrandbits(n)
+            rows.append(row ^ (row.bit_count() & 1))
+        code = from_generator(BitMatrix(k, n, tuple(rows)))
+        assert code.dimension == k and codes._dual_is_cheaper(code)
+        expected = _count_walk(code.basis.rows, n)
+        seen = counted_dimensions(monkeypatch)
+        assert code._weights == expected
+        assert seen == [n - k - 1]

@@ -59,6 +59,35 @@ class TestRowText:
         assert format_row(0, 0) == ""
 
 
+def assert_transpose(m):
+    """``m.transpose()`` against its definition, one bit at a time."""
+    t = m.transpose()
+    assert (t.num_rows, t.num_cols) == (m.num_cols, m.num_rows)
+    for j, column in enumerate(t.rows):
+        assert column == sum((row >> j & 1) << i for i, row in enumerate(m.rows))
+    assert t.transpose() == m
+
+
+class TestTranspose:
+    @given(WIDE)
+    def test_matches_the_definition(self, m):
+        assert_transpose(m)
+
+    def test_wide_dense_rows(self):
+        rng = random.Random(30)
+        for rows, cols in ((1, 4096), (3, 3000), (5, 2049)):
+            dense = tuple(
+                ((1 << cols) - 1) ^ sum(1 << rng.randrange(cols) for _ in range(cols // 50))
+                for _ in range(rows)
+            )
+            assert_transpose(BitMatrix(rows, cols, dense))
+        assert_transpose(BitMatrix(1, 4096, ((1 << 4096) - 1,)))
+
+    def test_empty_shapes(self):
+        for rows, cols in ((0, 0), (0, 5), (3, 0)):
+            assert_transpose(BitMatrix(rows, cols, (0,) * rows))
+
+
 class TestRref:
     def test_zero_matrix(self):
         reduced, pivots = rref(BitMatrix(2, 2, (0, 0)))
