@@ -18,14 +18,19 @@ Codes*, ch. 5); the n^2 term stands for the second elimination and the
 transform.  The cap counts the nonzero words of the side that is scanned.
 
 The weight counts and the subset search are bit-sliced block kernels.  A
-block is 2^t words that share their high rows (or vertices); each
-coordinate (or edge) holds one 2^t-bit column, bit q for the block's word
-q, so that one big-int operation acts on every word of the block.  A
+block is 2^t words that share their high rows (or vertices), with t <= 14
+in the weight counts and t <= 16 in the subset search; each coordinate
+(or edge) holds one 2^t-bit column, bit q for the block's word q, so that
+one big-int operation acts on every word of the block.  A
 carry-save vertical counter sums the columns into bit planes of the
 weights, from which a few more operations read the block's answer: the
 weight histogram, or the least nonzero weight with the words that reach it.
 The subset search moves from block to block by a Gray walk over the high
 vertices, complementing the columns of the edges at the vertex it toggles.
+Over several blocks it sums the copies of an edge once, adding one column
+at the level of each set bit of their number.  In a block that only
+ties the best weight, its pass for the lexicographically smallest witness
+stops once the block's witness is known to be the larger.
 The weight counts read a weight as a sum over the generator's columns
 (MacWilliams & Sloane, ch. 5): the coordinates fall into classes by their
 pattern over the high rows, and a block complements a whole class or none
@@ -55,6 +60,7 @@ instead of forming a matrix product.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import chain, combinations_with_replacement
@@ -67,10 +73,12 @@ from .limits import check_enum_cap
 
 # The columns of a block kernel, 2^t bits per coordinate (or edge), or the
 # sums that the count kernel holds at once, take at most 2^_TABLE_BITS bits
-# in all, with t <= _BLOCK_BITS.  At 8 words per column or fewer, building
-# the columns costs more than walking the words.
+# in all, with t <= _BLOCK_BITS in the count kernel and
+# t <= _SUBSET_BLOCK_BITS in the subset kernel.  At 8 words per column or
+# fewer, building the columns costs more than walking the words.
 _TABLE_BITS = 23
 _BLOCK_BITS = 14
+_SUBSET_BLOCK_BITS = 16
 _WALK_WORDS_PER_COLUMN = 8
 
 
@@ -223,51 +231,66 @@ def _subset_blocks(hypergraph: Hypergraph, early_exit: int | None) -> DistanceRe
     vertices (those >= t), with the result of :func:`_subset_walk`.
 
     Each edge gets a 2^t-bit column whose bit q is the parity of its
-    intersection with the low subset gray(q).  A Gray walk over the high
-    vertices complements, at each step, the columns of the edges at the
-    vertex it toggles; a carry-save vertical counter sums the columns into
-    bit planes, plane j holding bit j of every subset's weight, and the
-    planes give the block's least nonzero weight with the positions that
-    reach it.
+    intersection with the low subset gray(q), and a carry-save vertical
+    counter sums the columns into bit planes, plane j holding bit j of
+    every subset's weight.  When the scan has several blocks, the copies of
+    an edge are summed once: the edge gets a column for each set bit j of
+    its multiplicity, added at level j.  A Gray walk over the high vertices
+    complements, at each step, the columns of the edges at the vertex it
+    toggles.  The planes give the block's least nonzero weight with the
+    positions that reach it.  t is at most ``_SUBSET_BLOCK_BITS``, and the
+    columns take at most 2^_TABLE_BITS bits.
 
     Within a block a greedy pass over the low vertices finds the
     lexicographically smallest minimizer: it keeps the candidates that
     contain each vertex whenever any do, and in the block without high
     vertices it first stops when the subset of the vertices chosen so far
-    is still a candidate.  The walk over all vertices visits the positions
+    is still a candidate.  In a block that only ties the best weight, each
+    vertex kept is compared with the best witness's element at its index,
+    and the pass stops once the block's witness is the larger: a kept
+    vertex above that element, or one more vertex after all of the best
+    witness's elements.  The walk over all vertices visits the positions
     of a block upwards after an even number of high steps and downwards
     after an odd one, so an early exit takes the lowest or the highest
     position with 0 < weight <= early_exit.
     """
-    rows = hypergraph.vertex_rows
     n, m = hypergraph.num_vertices, hypergraph.num_edges
-    t = max(0, min(n, _BLOCK_BITS, _TABLE_BITS - (m - 1).bit_length()))
+    t = max(0, min(n, _SUBSET_BLOCK_BITS, _TABLE_BITS - (m - 1).bit_length()))
     member = _gray_tables(t)
     full = (1 << (1 << t)) - 1
+    if n > t:
+        # Several blocks: the copies of an edge are summed once, as one
+        # column added at the level of each set bit of their number.
+        counts = Counter(hypergraph.edges)
+        edges, starts = zip(*[(edge, j) for edge, c in counts.items() for j in range(c.bit_length()) if c >> j & 1])
+    else:
+        # One block adds each copy's column once: on small scans, counting
+        # the copies costs more than the additions that it saves.
+        edges, starts = hypergraph.edges, [0] * m
     columns = []
-    for edge in hypergraph.edges:
+    flips: list[list[int]] = [[] for _ in range(n - t)]
+    for i, edge in enumerate(edges):
         column = 0
         for v in edge:
-            if v >= t:
-                break
-            column ^= member[v]
+            if v < t:
+                column ^= member[v]
+            else:
+                flips[v - t].append(i)
         columns.append(column)
-    flips = [set_bits(row) for row in rows[t:]]
     levels = m.bit_length()
     # A nonzero row exists, so its singleton subset sets a real minimum.
     best_w = m + 1
     best_wit: tuple[int, ...] = ()
     for h in range(1 << (n - t)):
         if h:
-            for p in flips[(h & -h).bit_length() - 1]:
-                columns[p] ^= full
+            for i in flips[(h & -h).bit_length() - 1]:
+                columns[i] ^= full
         # Carry-save vertical counter: level j holds an accumulated plane
         # and at most one plane waiting for a partner; a full adder of the
         # two and a new plane keeps the sum and carries the majority up.
         planes = [0] * levels
         waiting = [0] * levels
-        for x in columns:
-            j = 0
+        for x, j in zip(columns, starts):
             while x:
                 b = waiting[j]
                 if not b:
@@ -316,19 +339,27 @@ def _subset_blocks(hypergraph: Hypergraph, early_exit: int | None) -> DistanceRe
             w = sum((plane >> q & 1) << j for j, plane in enumerate(planes))
             return DistanceResult(w, False, set_bits(q ^ (q >> 1) | high))
         at = v = 0  # at: position of the subset of the low vertices chosen so far
+        # Elements of best_wit that the vertices kept so far match, while
+        # the block ties: -1 once it has no tie or has a smaller vertex.
+        matched = 0 if w == best_w else -1
         while cand & (cand - 1):
             if not high and cand >> at & 1:
                 cand = 1 << at
-                break
+                continue
             has = cand & member[v]
             if has:
+                if matched >= 0:
+                    if matched == len(best_wit) or v > best_wit[matched]:
+                        break  # the block's witness is the larger
+                    matched = matched + 1 if v == best_wit[matched] else -1
                 cand = has
                 at ^= (2 << v) - 1
             v += 1
-        q = cand.bit_length() - 1
-        witness = set_bits(q ^ (q >> 1) | high)
-        if w < best_w or witness < best_wit:
-            best_w, best_wit = w, witness
+        else:  # the pass was not stopped
+            q = cand.bit_length() - 1
+            witness = set_bits(q ^ (q >> 1) | high)
+            if w < best_w or witness < best_wit:
+                best_w, best_wit = w, witness
     return DistanceResult(best_w, True, best_wit)
 
 

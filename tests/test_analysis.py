@@ -86,11 +86,12 @@ class TestAnalyzeHypergraph:
         ids=["fano", "self-dual-matrix", "both-predicates"],
     )
     def test_gram_is_built_once_per_code(self, monkeypatch, run):
-        import hypercode.codes as codes_module
-
-        real = codes_module.gram
+        # The globals of the codes module that this file's imports call: a
+        # later fresh import of ``hypercode.codes`` would be another module.
+        codes_globals = from_generator.__globals__
+        real = codes_globals["gram"]
         built = []
-        monkeypatch.setattr(codes_module, "gram", lambda m: built.append(m) or real(m))
+        monkeypatch.setitem(codes_globals, "gram", lambda m: built.append(m) or real(m))
         run()
         assert len(built) == 1
 
@@ -130,15 +131,15 @@ class TestAnalyzeMatrix:
         assert report.min_distance is not None
 
     def test_engine_disagreement_is_raised(self, monkeypatch):
-        import hypercode.analysis as analysis_module
-
-        real = analysis_module.codeword_distance_search
+        # The analysis module that this file's imports call.
+        analysis_globals = analyze_hypergraph.__globals__
+        real = analysis_globals["codeword_distance_search"]
 
         def lying_search(code, **kwargs):
             result = real(code, **kwargs)
             return type(result)(result.value + 1, result.exact)
 
-        monkeypatch.setattr(analysis_module, "codeword_distance_search", lying_search)
+        monkeypatch.setitem(analysis_globals, "codeword_distance_search", lying_search)
         with pytest.raises(EngineDisagreement):
             analyze_hypergraph(fano_circulant(), method="both")
 

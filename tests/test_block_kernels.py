@@ -1,23 +1,29 @@
 """The bit-sliced block kernels against the one-word-per-step Gray walks.
 
 Both exhaustive engines walk a small scan one word per step and count a
-larger one in blocks of 2^t words, t at most ``codes._BLOCK_BITS``.  Here
+larger one in blocks of 2^t words, t at most ``codes._BLOCK_BITS`` for the
+weight counts and ``codes._SUBSET_BLOCK_BITS`` for the subset search.  Here
 each kernel is called directly and must return exactly what the walk
 returns, witness and early-exit stop included.  The inputs are sized so
-that one block, or several with odd ones among them, covers the scan under
-that fixed bound.  The codeword early exit reads the count kernel's blocks
-whatever the code's size, so it is held to the per-word Gray loop it
-replaced, with the bound lowered to 1, 2 and 3 to spread small codes over
-many blocks.  In the same way the halving over the high rows is held, block
-by block, to the per-block class loop it replaced, and the counts of a code
-that holds the all-ones word, taken by halves, to the walk over its whole
-basis.
+that one block, or several with odd ones among them, covers the scan: the
+subset tests sized for a bound of 14 lower the subset bound to 14, and the
+subset kernel is also held to the walk at every threshold, with its bound
+lowered to 1, 2 and 3 and at its default, on inputs with ties across
+blocks, repeated edges and repeated vertex rows.  The codeword early exit
+reads the count kernel's blocks whatever the code's size, so it is held to
+the per-word Gray loop it replaced, with the bound lowered to 1, 2 and 3
+to spread small codes over many blocks.  In the same way the halving over
+the high rows is held, block by block, to the per-block class loop it
+replaced, and the counts of a code that holds the all-ones word, taken by
+halves, to the walk over its whole basis.
 """
 
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import chain
+from operator import xor
 
 import pytest
 from hypothesis import given
@@ -40,8 +46,11 @@ from hypercode import (
     random_uniform_hypergraph,
 )
 from hypercode.codes import _count_blocks, _count_walk, _subset_blocks, _subset_walk
+from hypercode.gf2core import set_bits
 
 BLOCK = codes._BLOCK_BITS
+DEFAULT_SUBSET_BLOCK = codes._SUBSET_BLOCK_BITS
+SUBSET_BLOCK = 14  # the subset bound that TestSubsetBlocks sizes its inputs against
 
 
 def gray_index(subset: tuple[int, ...]) -> int:
@@ -103,11 +112,15 @@ class TestSingleBlock:
 
 
 class TestSubsetBlocks:
+    @pytest.fixture(autouse=True)
+    def subset_bound(self, monkeypatch):
+        monkeypatch.setattr(codes, "_SUBSET_BLOCK_BITS", SUBSET_BLOCK)
+
     def test_random_hypergraphs_over_two_to_eight_blocks(self):
         rng = random.Random(12)
         for n in (15, 16, 17):
             hg = random_hypergraph(rng, n, rng.randint(10, 24))
-            assert n > BLOCK
+            assert n > SUBSET_BLOCK
             assert_same_search(hg)
 
     def test_early_exit_first_met_in_an_odd_block(self):
@@ -119,7 +132,7 @@ class TestSubsetBlocks:
                 exact = assert_same_search(hg)
                 for threshold in range(exact.value, hg.num_edges + 1):
                     result = assert_same_search(hg, threshold)
-                    odd_exits += (gray_index(result.witness) >> BLOCK) & 1
+                    odd_exits += (gray_index(result.witness) >> SUBSET_BLOCK) & 1
         assert odd_exits > 0
 
     def test_early_exit_in_an_odd_block_takes_its_highest_position(self):
@@ -166,6 +179,110 @@ class TestSubsetBlocks:
         assert_same_search(hg)
         for early_exit in range(0, 5):
             assert_same_search(hg, early_exit)
+
+
+def hypergraph_from_rows(rows) -> Hypergraph:
+    """The hypergraph whose vertex v has incidence row ``rows[v]``."""
+    m = max(rows).bit_length()
+    edges = [tuple(v for v, row in enumerate(rows) if row >> j & 1) for j in range(m)]
+    return Hypergraph(len(rows), tuple(edge for edge in edges if edge))
+
+
+def tie_rows(rng, n, ties):
+    """Random rows of 40 edges for n vertices; then, for each (subset, v) of
+    ``ties`` in turn, row v is set so that the subset's rows add up to one
+    new private edge.  Those subsets have weight 1, and random rows of 40
+    bits leave no other subset that light."""
+    rows = [rng.getrandbits(40) for _ in range(n)]
+    for i, (subset, v) in enumerate(ties):
+        rows[v] = reduce(xor, (rows[u] for u in subset if u != v), 1 << (40 + i))
+    return rows
+
+
+def minimizers(hg):
+    """The subsets of least nonzero weight, in lexicographic order."""
+    rows = hg.vertex_rows
+    weights = {}
+    for mask in range(1, 1 << hg.num_vertices):
+        w = reduce(xor, (rows[v] for v in set_bits(mask))).bit_count()
+        if w:
+            weights[set_bits(mask)] = w
+    least = min(weights.values())
+    return sorted(subset for subset, w in weights.items() if w == least)
+
+
+class TestSubsetKernelAtEveryThreshold:
+    """``_subset_blocks`` against ``_subset_walk``: the exact value and
+    witness, and the early-exit stop at every threshold from 0 to m + 1.
+    The subset bound is lowered to 1, 2 and 3, which spreads each input
+    over many blocks, and kept at its default, which fits it in one."""
+
+    def assert_every_threshold(self, monkeypatch, hg):
+        expected = {e: _subset_walk(hg, e) for e in [None, *range(hg.num_edges + 2)]}
+        for bits in (1, 2, 3, DEFAULT_SUBSET_BLOCK):
+            monkeypatch.setattr(codes, "_SUBSET_BLOCK_BITS", bits)
+            for early_exit, result in expected.items():
+                assert _subset_blocks(hg, early_exit) == result, (bits, early_exit)
+        return expected[None]
+
+    @pytest.mark.parametrize("k, m", [(2, 2), (4, 1), (6, 1), (3, 2), (2, 3)])
+    def test_tie_heavy_block_circulants(self, monkeypatch, k, m):
+        hg = circulant_hypergraph(block_row(k, m))
+        assert len(set(hg.edges)) == 2 * m
+        self.assert_every_threshold(monkeypatch, hg)
+
+    def test_edges_repeated_two_to_five_times(self, monkeypatch):
+        rng = random.Random(31)
+        for n in (6, 9, 11):
+            base = random_hypergraph(rng, n, 8).edges
+            edges = [edge for edge in base for _ in range(rng.randint(2, 5))]
+            rng.shuffle(edges)
+            self.assert_every_threshold(monkeypatch, Hypergraph(n, tuple(edges)))
+
+    def test_an_edge_repeated_a_count_of_several_set_bits(self, monkeypatch):
+        # 13 = 0b1101 copies of one edge: over several blocks, one column
+        # added at levels 0, 2 and 3.
+        rng = random.Random(32)
+        for n in (7, 10):
+            edges = list(random_hypergraph(rng, n, 6).edges) + [(1, n - 2)] * 13
+            rng.shuffle(edges)
+            self.assert_every_threshold(monkeypatch, Hypergraph(n, tuple(edges)))
+
+    def test_vertex_pairs_with_identical_rows(self, monkeypatch):
+        # {0, 1} and {7, 8} have weight zero in low and high blocks alike.
+        rng = random.Random(33)
+        for _ in range(3):
+            rows = [rng.getrandbits(12) for _ in range(9)]
+            rows[1], rows[8] = rows[0], rows[7]
+            self.assert_every_threshold(monkeypatch, hypergraph_from_rows(rows))
+
+    def test_smallest_minimizer_in_a_block_after_the_first_tie(self, monkeypatch):
+        # The walk meets {0, 5} first.  At the bound 3, {0, 1, 6} and
+        # {0, 1, 2, 6} tie it in one later block, whose witness pass matches
+        # 0, is ahead at 1 < 5, and then keeps 2 as a third vertex.
+        ties = [((0, 5), 5), ((0, 1, 6), 6), ((0, 1, 2, 6), 2)]
+        hg = hypergraph_from_rows(tie_rows(random.Random(34), 8, ties))
+        assert minimizers(hg) == [(0, 1, 2, 6), (0, 1, 6), (0, 5)]
+        assert _subset_walk(hg, 1).witness == (0, 5)
+        assert self.assert_every_threshold(monkeypatch, hg).witness == (0, 1, 2, 6)
+
+    def test_shorter_prefix_in_block_zero_wins(self, monkeypatch):
+        # {0} has weight 1 in the first block.  At the bound 3, {0, 1, 5}
+        # and {0, 2, 5} tie it in one later block, whose witness pass
+        # matches 0 and then keeps one more vertex, so the block loses.
+        ties = [((0,), 0), ((0, 1, 5), 5), ((0, 2, 5), 2)]
+        hg = hypergraph_from_rows(tie_rows(random.Random(35), 7, ties))
+        assert minimizers(hg) == [(0,), (0, 1, 5), (0, 2, 5)]
+        assert self.assert_every_threshold(monkeypatch, hg) == codes.DistanceResult(1, True, (0,))
+
+    def test_smallest_minimizer_in_the_second_block_at_the_default_bound(self):
+        # {0, 5} in the first block; {0, 1, 16} and {0, 2, 16} tie it in
+        # the second, the block of vertex 16.
+        ties = [((0, 5), 5), ((0, 1, 16), 16), ((0, 2, 16), 2)]
+        hg = hypergraph_from_rows(tie_rows(random.Random(36), 17, ties))
+        assert DEFAULT_SUBSET_BLOCK == 16
+        assert _subset_walk(hg, 1).witness == (0, 5)
+        assert assert_same_search(hg) == codes.DistanceResult(1, True, (0, 1, 16))
 
 
 def spread(columns):

@@ -391,15 +391,15 @@ class TestAnalyze:
         assert code == 2
 
     def test_engine_disagreement_exits_3(self, capsys, fano_file, monkeypatch):
-        import hypercode.analysis as analysis_module
-
-        real = analysis_module.codeword_distance_search
+        # The analysis module that ``main`` calls, imported with this file.
+        analysis_globals = cli.analyze_hypergraph.__globals__
+        real = analysis_globals["codeword_distance_search"]
 
         def lying_search(code, **kwargs):
             result = real(code, **kwargs)
             return type(result)(result.value + 1, result.exact)
 
-        monkeypatch.setattr(analysis_module, "codeword_distance_search", lying_search)
+        monkeypatch.setitem(analysis_globals, "codeword_distance_search", lying_search)
         code, _, err = run_cli(capsys, "analyze", str(fano_file), "--method", "both")
         assert code == 3
         assert "engine" in err
