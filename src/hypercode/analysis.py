@@ -105,8 +105,18 @@ class AnalysisReport:
 def _nonzero_column_hypergraph(matrix: BitMatrix) -> Hypergraph:
     # Zero columns contribute nothing to any codeword weight, so the subset
     # engine may run on the hypergraph of the nonzero columns alone, each
-    # column an edge.
-    return Hypergraph(matrix.num_rows, tuple(set_bits(c) for c in matrix.transpose().rows if c))
+    # column an edge.  Its vertex rows, cached here, are the matrix rows
+    # without those columns: the rows themselves when there are none, else
+    # one more transpose, linear in the cells.  The hypergraph's own build
+    # of them walks every incidence into a row as wide as its edge index.
+    columns = tuple(c for c in matrix.transpose().rows if c)
+    hypergraph = Hypergraph(matrix.num_rows, tuple(map(set_bits, columns)))
+    if len(columns) == matrix.num_cols:
+        rows = matrix.rows
+    else:
+        rows = BitMatrix(len(columns), matrix.num_rows, columns).transpose().rows
+    hypergraph.__dict__["vertex_rows"] = rows
+    return hypergraph
 
 
 def _analyze(

@@ -31,6 +31,15 @@ Over several blocks it sums the copies of an edge once, adding one column
 at the level of each set bit of their number.  In a block that only
 ties the best weight, its pass for the lexicographically smallest witness
 stops once the block's witness is known to be the larger.
+Without an early exit, a subset search that spans several blocks (n > t)
+first finds the vertex dependencies, the subsets D with eonv(D) empty, by
+an elimination of its own.  They form a space of dimension n - k, and when
+there are any the kernel scans one subset per coset, the 2^k subsets that
+avoid one pivot vertex per dependency, keeping every position at the least
+weight.  A greedy over the dependencies turns each minimum word's scanned
+subset into the smallest member of its coset, the witness of the full
+scan; when the minimum words times n exceed the 2^n - 2^k subsets saved,
+the full scan runs instead.  The cap still counts 2^n - 1 subsets.
 The weight counts read a weight as a sum over the generator's columns
 (MacWilliams & Sloane, ch. 5): the coordinates fall into classes by their
 pattern over the high rows, and a block complements a whole class or none
@@ -64,11 +73,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import chain, combinations_with_replacement
-from operator import xor
-from typing import Iterator
+from operator import or_, xor
+from typing import Iterator, Sequence
 
 from .gf2core import BitMatrix, gram, nullspace_basis, rref, set_bits
-from .hypergraph import Hypergraph, is_connected
+from .hypergraph import Edge, Hypergraph, is_connected
 from .limits import check_enum_cap
 
 # The columns of a block kernel, 2^t bits per coordinate (or edge), or the
@@ -187,15 +196,34 @@ def eonv_distance_search(
     stops at the first subset of the walk with weight <= early_exit, and the
     result is an upper bound (``exact`` is False).
 
-    A scan of more than 8 subsets per edge runs in bit-sliced blocks
-    (:func:`_subset_blocks`); a smaller one walks one subset per step,
-    which costs less there.  Both give the same result.
+    eonv is linear, so the subsets D with eonv(D) empty, the dependencies,
+    form a space L of dimension n - k, and the full scan meets each word
+    2^(n-k) times.  Without ``early_exit``, a scan that spans several
+    kernel blocks (n > t, with t from :func:`_subset_bits`) first looks for
+    dependencies (:func:`_vertex_dependencies`).  If there are any, it
+    scans one subset per coset of L, 2^k in all (:func:`_subset_quotient`):
+    the subsets that avoid one pivot vertex per dependency.  The witness
+    is each minimum word's smallest coset member, reached by a greedy over
+    the dependencies in about n steps per word.  With A_d minimum words,
+    when A_d * n exceeds the 2^n - 2^k subsets saved, the full scan runs
+    instead.  Every other scan, and an early exit always, runs over all
+    2^n subsets: in bit-sliced blocks (:func:`_subset_blocks`) when it has
+    more than 8 subsets per edge, and otherwise one subset per step, which
+    costs less there.  Every route gives the same value and witness.  The
+    cap counts the 2^n - 1 subsets of the full scan, whichever route runs.
     """
     rows = hypergraph.vertex_rows
     if not any(rows):
         raise ValueError("the incidence matrix is zero; there is no nonzero codeword")
-    check_enum_cap("subset search", hypergraph.num_vertices)
-    if 1 << hypergraph.num_vertices <= _WALK_WORDS_PER_COLUMN * hypergraph.num_edges:
+    n, m = hypergraph.num_vertices, hypergraph.num_edges
+    check_enum_cap("subset search", n)
+    if early_exit is None and n > _subset_bits(n, m):
+        dependencies = _vertex_dependencies(rows)
+        if dependencies:
+            result = _subset_quotient(hypergraph, dependencies)
+            if result is not None:
+                return result
+    if 1 << n <= _WALK_WORDS_PER_COLUMN * m:
         return _subset_walk(hypergraph, early_exit)
     return _subset_blocks(hypergraph, early_exit)
 
@@ -226,20 +254,15 @@ def _subset_walk(hypergraph: Hypergraph, early_exit: int | None) -> DistanceResu
     return DistanceResult(best_w, True, best_wit)
 
 
-def _subset_blocks(hypergraph: Hypergraph, early_exit: int | None) -> DistanceResult:
-    """The subset search in blocks of 2^t subsets that share their high
-    vertices (those >= t), with the result of :func:`_subset_walk`.
+def _subset_bits(n: int, m: int) -> int:
+    # The subset kernel's blocks hold 2^t subsets: t <= _SUBSET_BLOCK_BITS,
+    # and the m columns of 2^t bits take at most 2^_TABLE_BITS bits.
+    return max(0, min(n, _SUBSET_BLOCK_BITS, _TABLE_BITS - (m - 1).bit_length()))
 
-    Each edge gets a 2^t-bit column whose bit q is the parity of its
-    intersection with the low subset gray(q), and a carry-save vertical
-    counter sums the columns into bit planes, plane j holding bit j of
-    every subset's weight.  When the scan has several blocks, the copies of
-    an edge are summed once: the edge gets a column for each set bit j of
-    its multiplicity, added at level j.  A Gray walk over the high vertices
-    complements, at each step, the columns of the edges at the vertex it
-    toggles.  The planes give the block's least nonzero weight with the
-    positions that reach it.  t is at most ``_SUBSET_BLOCK_BITS``, and the
-    columns take at most 2^_TABLE_BITS bits.
+
+def _subset_blocks(hypergraph: Hypergraph, early_exit: int | None) -> DistanceResult:
+    """The subset search over the blocks of :func:`_subset_minima`, with the
+    result of :func:`_subset_walk`.
 
     Within a block a greedy pass over the low vertices finds the
     lexicographically smallest minimizer: it keeps the candidates that
@@ -255,18 +278,85 @@ def _subset_blocks(hypergraph: Hypergraph, early_exit: int | None) -> DistanceRe
     position with 0 < weight <= early_exit.
     """
     n, m = hypergraph.num_vertices, hypergraph.num_edges
-    t = max(0, min(n, _SUBSET_BLOCK_BITS, _TABLE_BITS - (m - 1).bit_length()))
+    t = _subset_bits(n, m)
+    member = _gray_tables(t)
+    full = (1 << (1 << t)) - 1
+    # A nonzero row exists, so its singleton subset sets a real minimum.
+    best_w = m + 1
+    best_wit: tuple[int, ...] = ()
+    for h, w, cand, planes in _subset_minima(n, hypergraph.edges, t):
+        if w > best_w:
+            continue
+        high = (h ^ (h >> 1)) << t
+        if early_exit is not None and w <= early_exit:
+            # Positions with weight <= bound, compared plane by plane from
+            # the top; no weight exceeds m < 2^len(planes).
+            bound = min(early_exit, m)
+            above, equal = 0, full
+            for j in reversed(range(len(planes))):
+                if bound >> j & 1:
+                    equal &= planes[j]
+                else:
+                    above |= equal & planes[j]
+                    equal &= ~planes[j]
+            hits = reduce(or_, planes) & ~above
+            q = hits.bit_length() - 1 if h & 1 else (hits & -hits).bit_length() - 1
+            w = sum((plane >> q & 1) << j for j, plane in enumerate(planes))
+            return DistanceResult(w, False, set_bits(q ^ (q >> 1) | high))
+        at = v = 0  # at: position of the subset of the low vertices chosen so far
+        # Elements of best_wit that the vertices kept so far match, while
+        # the block ties: -1 once it has no tie or has a smaller vertex.
+        matched = 0 if w == best_w else -1
+        while cand & (cand - 1):
+            if not high and cand >> at & 1:
+                cand = 1 << at
+                continue
+            has = cand & member[v]
+            if has:
+                if matched >= 0:
+                    if matched == len(best_wit) or v > best_wit[matched]:
+                        break  # the block's witness is the larger
+                    matched = matched + 1 if v == best_wit[matched] else -1
+                cand = has
+                at ^= (2 << v) - 1
+            v += 1
+        else:  # the pass was not stopped
+            q = cand.bit_length() - 1
+            witness = set_bits(q ^ (q >> 1) | high)
+            if w < best_w or witness < best_wit:
+                best_w, best_wit = w, witness
+    return DistanceResult(best_w, True, best_wit)
+
+
+def _subset_minima(n: int, edges: Sequence[Edge], t: int) -> Iterator[tuple[int, int, int, list[int]]]:
+    """The subset kernel over the n vertices of ``edges``, in blocks of 2^t
+    subsets that share their high vertices (those >= t): block h holds the
+    subsets whose high vertices are gray(h), bit q for the low subset
+    gray(q).  For each block with a nonzero weight it yields h, the block's
+    least nonzero weight, the positions that reach it, and the block's bit
+    planes of the weights.
+
+    Each edge gets a 2^t-bit column whose bit q is the parity of its
+    intersection with the low subset gray(q), and a carry-save vertical
+    counter sums the columns into bit planes, plane j holding bit j of
+    every subset's weight.  When the scan has several blocks, the copies of
+    an edge are summed once: the edge gets a column for each set bit j of
+    its multiplicity, added at level j.  A Gray walk over the high vertices
+    complements, at each step, the columns of the edges at the vertex it
+    toggles.  The columns take at most 2^_TABLE_BITS bits.
+    """
+    m = len(edges)
     member = _gray_tables(t)
     full = (1 << (1 << t)) - 1
     if n > t:
         # Several blocks: the copies of an edge are summed once, as one
         # column added at the level of each set bit of their number.
-        counts = Counter(hypergraph.edges)
+        counts = Counter(edges)
         edges, starts = zip(*[(edge, j) for edge, c in counts.items() for j in range(c.bit_length()) if c >> j & 1])
     else:
         # One block adds each copy's column once: on small scans, counting
         # the copies costs more than the additions that it saves.
-        edges, starts = hypergraph.edges, [0] * m
+        starts = [0] * m
     columns = []
     flips: list[list[int]] = [[] for _ in range(n - t)]
     for i, edge in enumerate(edges):
@@ -278,9 +368,6 @@ def _subset_blocks(hypergraph: Hypergraph, early_exit: int | None) -> DistanceRe
                 flips[v - t].append(i)
         columns.append(column)
     levels = m.bit_length()
-    # A nonzero row exists, so its singleton subset sets a real minimum.
-    best_w = m + 1
-    best_wit: tuple[int, ...] = ()
     for h in range(1 << (n - t)):
         if h:
             for i in flips[(h & -h).bit_length() - 1]:
@@ -320,46 +407,93 @@ def _subset_blocks(hypergraph: Hypergraph, early_exit: int | None) -> DistanceRe
                 w |= 1 << j
             else:
                 cand ^= one
-        if w > best_w:
-            continue
-        high = (h ^ (h >> 1)) << t
-        if early_exit is not None and w <= early_exit:
-            # Positions with weight <= bound, compared plane by plane from
-            # the top; no weight exceeds m < 2^levels.
-            bound = min(early_exit, m)
-            above, equal = 0, full
-            for j in reversed(range(levels)):
-                if bound >> j & 1:
-                    equal &= planes[j]
-                else:
-                    above |= equal & planes[j]
-                    equal &= ~planes[j]
-            hits = nonzero & ~above
-            q = hits.bit_length() - 1 if h & 1 else (hits & -hits).bit_length() - 1
-            w = sum((plane >> q & 1) << j for j, plane in enumerate(planes))
-            return DistanceResult(w, False, set_bits(q ^ (q >> 1) | high))
-        at = v = 0  # at: position of the subset of the low vertices chosen so far
-        # Elements of best_wit that the vertices kept so far match, while
-        # the block ties: -1 once it has no tie or has a smaller vertex.
-        matched = 0 if w == best_w else -1
-        while cand & (cand - 1):
-            if not high and cand >> at & 1:
-                cand = 1 << at
-                continue
-            has = cand & member[v]
-            if has:
-                if matched >= 0:
-                    if matched == len(best_wit) or v > best_wit[matched]:
-                        break  # the block's witness is the larger
-                    matched = matched + 1 if v == best_wit[matched] else -1
-                cand = has
-                at ^= (2 << v) - 1
-            v += 1
-        else:  # the pass was not stopped
-            q = cand.bit_length() - 1
-            witness = set_bits(q ^ (q >> 1) | high)
-            if w < best_w or witness < best_wit:
-                best_w, best_wit = w, witness
+        yield h, w, cand, planes
+
+
+def _vertex_dependencies(rows: tuple[int, ...]) -> list[int]:
+    """A basis of the dependencies, the vertex subsets D with eonv(D)
+    empty, as packed vertex sets; ``rows`` are the vertex rows.
+
+    The subset engine's own elimination, apart from :mod:`hypercode.gf2core`.
+    The rows are reduced from the last vertex down at the leading edges of
+    the rows kept so far, each carrying the set of vertices it sums.  A
+    row that reduces to zero leaves a dependency of its own vertex and
+    vertices of kept rows, all higher.  So its lowest vertex, its pivot, is
+    its own, and no other dependency holds it.  They are returned by
+    ascending pivot.
+    """
+    kept: dict[int, tuple[int, int]] = {}  # leading edge -> (row, vertices it sums)
+    found: list[int] = []
+    for v in reversed(range(len(rows))):
+        row, subset = rows[v], 1 << v
+        while row:
+            lead = row.bit_length()
+            pivot = kept.get(lead)
+            if pivot is None:
+                kept[lead] = row, subset
+                break
+            row ^= pivot[0]
+            subset ^= pivot[1]
+        else:
+            found.append(subset)
+    return found[::-1]
+
+
+def _subset_quotient(hypergraph: Hypergraph, dependencies: list[int]) -> DistanceResult | None:
+    """The exact search over one subset per coset of the dependency space,
+    or None when the full scan costs less.
+
+    ``dependencies`` is the basis of :func:`_vertex_dependencies`.  Each
+    coset S + L has exactly one member that avoids the pivots, so the
+    kernel (:func:`_subset_minima`) runs over the subsets of the other k
+    vertices, on the hypergraph with the pivots deleted and the edges left
+    empty dropped, and keeps every position at the least weight: each is
+    one minimum word.
+
+    The witness is the lexicographically smallest minimizer over all 2^n
+    subsets, the smallest member of a minimum word's coset, which need not
+    be the one that avoids the pivots.  A greedy reaches it from that
+    member, walking the pivots upwards.  At pivot p, when the member has no
+    vertex >= p, it is a prefix of every other member that agrees with it
+    below p, so it is the smallest, and the greedy stops.  Otherwise every
+    such member has a vertex >= p, and adding p's dependency puts in p, the
+    least one possible, and leaves the other pivots out.  With the k
+    vertices of the member to place, that is at most n steps per word.  So
+    with A_d minimum words, when A_d * n exceeds the 2^n - 2^k subsets that
+    the quotient saves, None is returned and the full scan runs instead.
+    """
+    n, rows = hypergraph.num_vertices, hypergraph.vertex_rows
+    pivots = reduce(or_, (d & -d for d in dependencies))
+    keep = [v for v in range(n) if not pivots >> v & 1]
+    # The quotient's edges, read from the kept vertices' rows.
+    edges: list[list[int]] = [[] for _ in range(hypergraph.num_edges)]
+    for i, v in enumerate(keep):
+        for j in set_bits(rows[v]):
+            edges[j].append(i)
+    quotient = [tuple(edge) for edge in edges if edge]
+    k = len(keep)
+    t = _subset_bits(k, len(quotient))
+    best_w, minima = len(quotient) + 1, []
+    for h, w, positions, _ in _subset_minima(k, quotient, t):
+        if w < best_w:
+            best_w, minima = w, []
+        if w == best_w:
+            minima.append(((h ^ (h >> 1)) << t, positions))
+    if sum(positions.bit_count() for _, positions in minima) * n > (1 << n) - (1 << k):
+        return None
+    best_wit = None
+    for high, positions in minima:
+        for q in set_bits(positions):
+            member = 0
+            for i in set_bits(q ^ (q >> 1) | high):
+                member |= 1 << keep[i]
+            for d in dependencies:
+                if member < (d & -d):
+                    break
+                member ^= d
+            witness = set_bits(member)
+            if best_wit is None or witness < best_wit:
+                best_wit = witness
     return DistanceResult(best_w, True, best_wit)
 
 

@@ -190,9 +190,17 @@ def _check_pg() -> tuple[bool, str]:
         report.min_distance <= min_degree,
         f"PG(3,2) distance {report.min_distance} above the single-point weight {min_degree}",
     )
+    # PG(4,2): 31 points, so the full subset scan has 2^31 subsets; the
+    # subset engine scans the 2^26 cosets of its vertex dependencies.
+    large = analyze_hypergraph(projective_geometry(5), method="both")
+    check.equal(
+        (large.length, large.dimension, large.min_distance, large.distance_exact),
+        (155, 26, 2**4 - 1, True),
+        "PG(4,2) parameters from both engines",
+    )
     check.note(
         f"PG(2,2) is [7,4,3]; PG(3,2) is [35,{report.dimension},{report.min_distance}] "
-        f"with d >= min{{7,12}} = {bound}"
+        f"with d >= min{{7,12}} = {bound}; PG(4,2) is [155,26,15] from both engines"
     )
     return check.result()
 
@@ -255,6 +263,11 @@ def _check_block_circulant() -> tuple[bool, str]:
     for k, m in pairs:
         hg = circulant_hypergraph(block_row(k, m))
         d = eonv_distance_search(hg).value
+        check.equal(
+            codeword_distance_search(from_generator(incidence_matrix(hg))).value,
+            d,
+            f"(k={k}, m={m}): codeword engine d vs the subset engine's",
+        )
         bound = block_circulant_bound(k, m)
         check.ensure(d >= bound, f"(k={k}, m={m}): exact d={d} below the bound {bound}")
         if m == 1:
@@ -269,7 +282,7 @@ def _check_block_circulant() -> tuple[bool, str]:
             f"(k={k}, m=1): odd-edge counts {sorted(outside)} outside {sorted(allowed)}",
         )
     check.note(
-        f"exact d >= (k if m=1 else 2k) on {len(pairs)} (k,m) pairs; "
+        f"exact d >= (k if m=1 else 2k), the same from both engines, on {len(pairs)} (k,m) pairs; "
         "m=1 odd-edge counts all lie in {0, k, 2k} for k <= 8"
     )
     return check.result()

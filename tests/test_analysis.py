@@ -11,6 +11,7 @@ from hypercode import (
     BitMatrix,
     EngineDisagreement,
     EnumerationCapError,
+    Hypergraph,
     analyze_hypergraph,
     analyze_matrix,
     complete_3partite,
@@ -20,7 +21,7 @@ from hypercode import (
     is_self_orthogonal,
     parse_matrix,
 )
-from hypercode.analysis import CSV_COLUMNS
+from hypercode.analysis import CSV_COLUMNS, _nonzero_column_hypergraph
 
 
 def both_predicates(code):
@@ -123,6 +124,12 @@ class TestAnalyzeMatrix:
         report = analyze_matrix(matrix, method="both")
         assert report.length == 4
         assert report.min_distance == 1
+
+    @pytest.mark.parametrize("text", ["2 4\n1010\n0010\n", "3 5\n11010\n01101\n10111\n", "1 6\n011011\n"])
+    def test_subset_engine_rows_are_the_nonzero_columns(self, text):
+        # The cached vertex rows are the ones the hypergraph itself builds.
+        hypergraph = _nonzero_column_hypergraph(parse_matrix(text))
+        assert hypergraph.vertex_rows == Hypergraph(hypergraph.num_vertices, hypergraph.edges).vertex_rows
 
     def test_generic_matrix_engines_agree(self):
         matrix = parse_matrix("3 5\n11010\n01101\n10111\n")

@@ -15,14 +15,19 @@ the per-word Gray loop it replaced, with the bound lowered to 1, 2 and 3
 to spread small codes over many blocks.  In the same way the halving over
 the high rows is held, block by block, to the per-block class loop it
 replaced, and the counts of a code that holds the all-ones word, taken by
-halves, to the walk over its whole basis.
+halves, to the walk over its whole basis.  The subset search over the
+quotient by the vertex dependencies, one subset per coset, is held to the
+walk over all subsets, witness included, wherever the subset kernel is,
+and on its own inputs: repeated edges, identical vertex rows, a witness
+that is not the member of its coset that the route scans, and the rule
+that hands a search with many minimum words back to the full scan.
 """
 
 from __future__ import annotations
 
 import random
 from functools import reduce
-from itertools import chain
+from itertools import chain, combinations
 from operator import xor
 
 import pytest
@@ -44,9 +49,17 @@ from hypercode import (
     projective_geometry,
     random_hypergraph,
     random_uniform_hypergraph,
+    weight_distribution,
 )
-from hypercode.codes import _count_blocks, _count_walk, _subset_blocks, _subset_walk
-from hypercode.gf2core import set_bits
+from hypercode.codes import (
+    _count_blocks,
+    _count_walk,
+    _subset_blocks,
+    _subset_quotient,
+    _subset_walk,
+    _vertex_dependencies,
+)
+from hypercode.gf2core import rank, set_bits
 
 BLOCK = codes._BLOCK_BITS
 DEFAULT_SUBSET_BLOCK = codes._SUBSET_BLOCK_BITS
@@ -67,7 +80,29 @@ def assert_same_search(hg: Hypergraph, early_exit: int | None = None):
     kernel = _subset_blocks(hg, early_exit)
     assert kernel == _subset_walk(hg, early_exit)
     assert eonv_distance_search(hg, early_exit=early_exit) == kernel
+    if early_exit is None:
+        assert_same_quotient(hg, kernel)
     return kernel
+
+
+def assert_same_quotient(hg: Hypergraph, expected) -> bool:
+    """The quotient route against ``expected``, the full scan's result,
+    when the vertex rows are dependent; returns whether they are.
+
+    The dependencies must number n - rank.  The route must hand the input
+    back (None) exactly when A_d * n exceeds the 2^n - 2^k subsets it saves,
+    with A_d from the code's weight distribution.
+    """
+    n = hg.num_vertices
+    dependencies = _vertex_dependencies(hg.vertex_rows)
+    k = rank(incidence_matrix(hg))
+    assert len(dependencies) == n - k
+    if not dependencies:
+        return False
+    result = _subset_quotient(hg, dependencies)
+    a_d = weight_distribution(from_generator(incidence_matrix(hg)))[expected.value]
+    assert result == (None if a_d * n > (1 << n) - (1 << k) else expected)
+    return True
 
 
 def assert_same_row_counts(rows, n):
@@ -211,6 +246,20 @@ def minimizers(hg):
     return sorted(subset for subset, w in weights.items() if w == least)
 
 
+def spy_quotient(monkeypatch) -> list:
+    """Records each call of the quotient route as (hypergraph, result):
+    None when the route handed the search back to the full scan."""
+    calls = []
+
+    def spy(hg, dependencies):
+        calls.append((hg, real(hg, dependencies)))
+        return calls[-1][1]
+
+    real = codes._subset_quotient
+    monkeypatch.setattr(codes, "_subset_quotient", spy)
+    return calls
+
+
 class TestSubsetKernelAtEveryThreshold:
     """``_subset_blocks`` against ``_subset_walk``: the exact value and
     witness, and the early-exit stop at every threshold from 0 to m + 1.
@@ -219,10 +268,16 @@ class TestSubsetKernelAtEveryThreshold:
 
     def assert_every_threshold(self, monkeypatch, hg):
         expected = {e: _subset_walk(hg, e) for e in [None, *range(hg.num_edges + 2)]}
+        quotients = spy_quotient(monkeypatch)
         for bits in (1, 2, 3, DEFAULT_SUBSET_BLOCK):
             monkeypatch.setattr(codes, "_SUBSET_BLOCK_BITS", bits)
             for early_exit, result in expected.items():
                 assert _subset_blocks(hg, early_exit) == result, (bits, early_exit)
+            # At the bounds 1 to 3 the search spans several blocks (n > t),
+            # so it takes the quotient route when the rows are dependent.
+            assert eonv_distance_search(hg) == expected[None], bits
+        dependent = assert_same_quotient(hg, expected[None])
+        assert len(quotients) == 3 * dependent
         return expected[None]
 
     @pytest.mark.parametrize("k, m", [(2, 2), (4, 1), (6, 1), (3, 2), (2, 3)])
@@ -283,6 +338,136 @@ class TestSubsetKernelAtEveryThreshold:
         assert DEFAULT_SUBSET_BLOCK == 16
         assert _subset_walk(hg, 1).witness == (0, 5)
         assert assert_same_search(hg) == codes.DistanceResult(1, True, (0, 1, 16))
+
+
+def simplex_rows(k):
+    """Vertex rows of the simplex code: edge j holds the vertices at the
+    set bits of j + 1, so every nonzero word has weight 2^(k-1)."""
+    return [sum(1 << j for j in range((1 << k) - 1) if (j + 1) >> v & 1) for v in range(k)]
+
+
+class TestSubsetQuotient:
+    """The search over one subset per coset of the dependency space
+    (``codes._subset_quotient``) against the walk over all 2^n subsets:
+    the value, and the witness, which is the smallest minimizer over all
+    subsets and need not be the member of its coset that the route scans.
+    The subset bound is lowered so that the inputs span several blocks
+    (n > t), which opens the route."""
+
+    @pytest.fixture(autouse=True)
+    def quotients(self, monkeypatch):
+        return spy_quotient(monkeypatch)
+
+    @staticmethod
+    def search(monkeypatch, hg, bits=3):
+        monkeypatch.setattr(codes, "_SUBSET_BLOCK_BITS", bits)
+        result = eonv_distance_search(hg)
+        assert result == _subset_walk(hg, None), bits
+        return result
+
+    @given(hypergraphs(max_vertices=10, max_edges=8))
+    def test_dependencies_are_a_reduced_basis(self, hg):
+        # Each one meets every edge evenly, has its own lowest vertex (its
+        # pivot) that no other one holds, and they number n - rank.
+        rows = hg.vertex_rows
+        dependencies = _vertex_dependencies(rows)
+        assert len(dependencies) == hg.num_vertices - rank(incidence_matrix(hg))
+        pivots = [d & -d for d in dependencies]
+        assert pivots == sorted(set(pivots))
+        for d in dependencies:
+            assert reduce(xor, (rows[v] for v in set_bits(d))) == 0
+            assert sum(d & p != 0 for p in pivots) == 1
+
+    def test_edges_repeated_two_to_five_times(self, monkeypatch, quotients):
+        rng = random.Random(41)
+        for n in (7, 9, 11):
+            base = random_hypergraph(rng, n, n - 3).edges
+            edges = [edge for edge in base for _ in range(rng.randint(2, 5))]
+            rng.shuffle(edges)
+            for bits in (1, 2, 3):
+                self.search(monkeypatch, Hypergraph(n, tuple(edges)), bits)
+        assert len(quotients) == 9
+
+    def test_identical_vertex_rows_give_a_dependency_of_two(self, monkeypatch, quotients):
+        rng = random.Random(42)
+        for _ in range(5):
+            rows = [rng.getrandbits(14) for _ in range(8)]
+            rows[6] = rows[2]
+            hg = hypergraph_from_rows(rows)
+            assert _vertex_dependencies(hg.vertex_rows) == [1 << 2 | 1 << 6]
+            for bits in (1, 2, 3):
+                self.search(monkeypatch, hg, bits)
+        assert len(quotients) == 15
+
+    def test_smallest_minimizer_is_not_the_scanned_member(self, monkeypatch, quotients):
+        # Row 5 is rows 0 + 1, so {0, 1, 5} is the one dependency and
+        # vertex 0 its pivot.  The one word of weight 1 is row 1's: the
+        # route scans its coset's member (1,), and (0, 5) < (1,) is the
+        # witness.
+        rng = random.Random(43)
+        rows = [rng.getrandbits(40) for _ in range(7)]
+        rows[1] = 1 << 40
+        rows[5] = rows[0] ^ rows[1]
+        hg = hypergraph_from_rows(rows)
+        assert _vertex_dependencies(hg.vertex_rows) == [0b100011]
+        assert minimizers(hg) == [(0, 5), (1,)]
+        assert self.search(monkeypatch, hg) == codes.DistanceResult(1, True, (0, 5))
+        assert len(quotients) == 1
+
+    def test_random_inputs_like_the_engine_agreement_corpus(self, monkeypatch, quotients):
+        rng = random.Random(44)
+        for i in range(300):
+            if i % 3:
+                n = rng.randint(1, 12)
+                hg = random_hypergraph(rng, n, rng.randint(1, 18))
+            else:
+                n = rng.randint(5, 6)
+                candidates = [s for size in range(1, n + 1) for s in combinations(range(n), size)]
+                hg = Hypergraph(n, tuple(rng.sample(candidates, rng.randint(1, 20))))
+            self.search(monkeypatch, hg, rng.randint(1, 3))
+        assert sum(result is not None for _, result in quotients) > 80
+
+    def test_full_rank_and_early_exit_scans_keep_the_full_walk(self, monkeypatch, quotients):
+        rng = random.Random(45)
+        monkeypatch.setattr(codes, "_SUBSET_BLOCK_BITS", 1)
+        for n in (4, 7, 10):
+            rows = [1 << v | rng.getrandbits(12) << n for v in range(n)]
+            eonv_distance_search(hypergraph_from_rows(rows))
+        assert quotients == []
+        hg = hypergraph_from_rows([0b011, 0b110, 0b101, 0b1000])
+        for early_exit in range(4):
+            eonv_distance_search(hg, early_exit=early_exit)
+        assert quotients == []
+        eonv_distance_search(hg)
+        assert [route for route, _ in quotients] == [hg]
+
+    def test_many_minimum_words_fall_back_to_the_full_scan(self, monkeypatch, quotients):
+        # Simplex rows for k = 12, whose 4095 nonzero words all weigh 2048,
+        # and vertex 0's row again as vertex 12: 13 vertices over 4095
+        # edges span two blocks at the default bound (t = 11).  The witness
+        # step would take 4095 * 13 steps to save 2^13 - 2^12 subsets, so
+        # the route hands the search back, and the walk gives the result.
+        rows = simplex_rows(12)
+        hg = hypergraph_from_rows(rows + rows[:1])
+        walked = []
+        real = codes._subset_walk
+        monkeypatch.setattr(codes, "_subset_walk", lambda hg, e: walked.append(hg) or real(hg, e))
+        assert eonv_distance_search(hg) == codes.DistanceResult(2048, True, (0,))
+        assert quotients == [(hg, None)]
+        assert walked == [hg]
+
+    @pytest.mark.parametrize("copies, handed_back", [(3, True), (4, False)])
+    def test_fallback_rule_on_both_sides(self, monkeypatch, quotients, copies, handed_back):
+        # Simplex rows for k = 5 and vertex 0's row `copies` more times:
+        # A_d = 31 words, n = 5 + copies.  31 * 8 = 248 > 2^8 - 2^5, but
+        # 31 * 9 = 279 <= 2^9 - 2^5.
+        rows = simplex_rows(5)
+        hg = hypergraph_from_rows(rows + rows[:1] * copies)
+        dependencies = _vertex_dependencies(hg.vertex_rows)
+        assert len(dependencies) == copies
+        assert (_subset_quotient(hg, dependencies) is None) == handed_back
+        assert self.search(monkeypatch, hg) == codes.DistanceResult(16, True, (0,))
+        assert len(quotients) == 1
 
 
 def spread(columns):
