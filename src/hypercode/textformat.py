@@ -10,6 +10,7 @@ the only module that knows them.  Both share one line rule
 
 from __future__ import annotations
 
+import json
 import re
 
 from .gf2core import BitMatrix, parse_row
@@ -23,6 +24,7 @@ _NOT_TEXT = re.compile(r"[^\t\n -~]")
 _TOKEN_CLASSES = bytes(1 if c in b"0123456789" else 0 if c in b" \t\n" else 2 for c in range(256))
 _ZERO_LED_TOKEN = re.compile(rb"[ \t\n]0[0-9]")
 _TOKEN_RULE = "hypergraph tokens must be plain decimal integers, 0|[1-9][0-9]*"
+_BLANKS = re.compile(r"[ \t]+")
 
 
 def split_lines(text: str, rule: str) -> list[str]:
@@ -122,16 +124,16 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
     Lines are read by :func:`split_lines`: the text must be ASCII, lines
     split on ``\n`` (CRLF accepted) and tab is the only control character
-    allowed.  Every token must be a plain decimal integer,
-    ``0|[1-9][0-9]*``; ``int`` alone would also take ``01``, ``+1``, ``1_0``
-    and non-ASCII digits, and so let a matrix file such as ``2 2 / 01 / 01``
-    pass for a hypergraph.  The header's counts and the number of vertex
-    tokens on the edge lines, the incidences, must pass
-    :func:`hypercode.limits.check_size`; they are checked before anything
-    is built.
+    allowed.  Tokens are separated by any run of spaces or tabs, and every
+    token must be a plain decimal integer, ``0|[1-9][0-9]*``; ``int`` alone
+    would also take ``01``, ``+1``, ``1_0`` and non-ASCII digits, and so let
+    a matrix file such as ``2 2 / 01 / 01`` pass for a hypergraph.  The
+    header's counts and the number of vertex tokens on the edge lines, the
+    incidences, must pass :func:`hypercode.limits.check_size`; they are
+    checked before anything is built.
     """
-    lines = split_lines(text, _TOKEN_RULE)
-    lines = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+    raw = split_lines(text, _TOKEN_RULE)
+    lines = [line for line in map(str.strip, raw) if line and line[0] != "#"]
     if not lines:
         raise ValueError("empty hypergraph file")
     shape = "hypergraph header must be '<vertices> <edges>'"
@@ -140,19 +142,39 @@ def parse_hypergraph(text: str) -> Hypergraph:
     body = lines[1:]
     if len(body) != num_edges:
         raise ValueError(f"expected {num_edges} edge lines, found {len(body)}")
-    edges = [list(map(int, line.split())) for line in body]
+    # One json.loads decodes every edge line.  It must run after the token
+    # rule of _read_header: 0|[1-9][0-9]* is exactly JSON's integer grammar,
+    # so -1, 1.5, 1e3, true and a comma inside a line, which JSON would
+    # take, never reach it.  The lines are stripped, so blanks only
+    # separate tokens, and each run of them becomes one comma.
+    joined = "],[".join(body)
+    if "\t" in joined or "  " in joined:
+        joined = _BLANKS.sub(",", joined)
+    else:
+        joined = joined.replace(" ", ",")
+    try:
+        edges = tuple(map(tuple, json.loads(f"[[{joined}]]"))) if body else ()
+    except ValueError:
+        # Like int, the decoder refuses a token over the interpreter's digit
+        # limit; such a token has more digits than the vertex count.
+        width = len(str(num_vertices))
+        numbers = [i for i, line in enumerate(raw, 1) if line.strip()[:1] not in ("", "#")]
+        number = next(n for n, line in zip(numbers[1:], body) if max(map(len, line.split())) > width)
+        raise ValueError(
+            f"a vertex on line {number} is out of range for {num_vertices} vertices"
+        ) from None
     # Hypergraph sorts every edge, so an edge out of order is one it changed;
     # only then, or when it raises, is each edge checked, so that the first
     # edge out of order is still the error reported.
     try:
-        hypergraph = Hypergraph(num_vertices, tuple(edges))
+        hypergraph = Hypergraph(num_vertices, edges)
     except ValueError as exc:
         error = exc
     else:
-        if list(map(list, hypergraph.edges)) == edges:
+        if hypergraph.edges == edges:
             return hypergraph
     for line, vertices in zip(body, edges):
-        if vertices != sorted(vertices):
+        if list(vertices) != sorted(vertices):
             raise ValueError(f"edge vertices must be ascending: {line!r}")
     raise error
 

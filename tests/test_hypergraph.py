@@ -579,6 +579,13 @@ class TestHypergraphTextFormat:
             "3\x1f1\n0 1\n",  # unit separator between header tokens
             "3 1\n0 1\r",  # a carriage return not followed by a line feed
             "# a comment\x0b\n3 1\n0 1\n",
+            # Tokens JSON would take, refused before the edge lines are decoded.
+            "3 1\n0 1,2\n",
+            "3 1\n1.5\n",
+            "3 1\n1e3\n",
+            "3 1\n-1\n",
+            "3 1\ntrue\n",
+            "3 1\n[0]\n",
         ],
     )
     def test_tokens_must_be_plain_decimal_integers(self, text):
@@ -595,6 +602,19 @@ class TestHypergraphTextFormat:
             ("3 2\n0 3\n2 1\n", "edge vertices must be ascending: '2 1'"),
             ("3 2\n1 1 2\n2 1 1\n", "edge vertices must be ascending: '2 1 1'"),
             ("3 2\n1 1\n0 5\n", "edge (1, 1) repeats a vertex"),
+            # A token over int's digit limit (4300 by default) is found when
+            # the edge lines are decoded, before any edge is checked; its line
+            # is counted in the file, comments and blank lines included.
+            pytest.param(
+                "3 1\n0 " + "1" * 5000 + "\n",
+                "a vertex on line 2 is out of range for 3 vertices",
+                id="vertex-over-digit-limit",
+            ),
+            pytest.param(
+                "# c\n\n3 3\n1 0\n0 1 2\n\n# 7\n" + "9" * 5000 + "\n",
+                "a vertex on line 8 is out of range for 3 vertices",
+                id="vertex-over-digit-limit-after-comments",
+            ),
         ],
     )
     def test_edge_errors(self, text, message):
@@ -605,6 +625,21 @@ class TestHypergraphTextFormat:
     def test_multi_digit_and_zero_tokens_parse(self):
         text = "12 2\n0 10 11\n\t9  10\n"
         assert parse_hypergraph(text) == Hypergraph(12, ((0, 10, 11), (9, 10)))
+
+    @given(hypergraphs(max_vertices=12, max_edges=8, min_edges=0), st.data())
+    def test_any_blanks_line_ends_and_comments_parse_like_the_written_text(self, hg, data):
+        blanks = st.text(" \t", min_size=1, max_size=3)
+        lines = []
+        for tokens in [(hg.num_vertices, hg.num_edges), *hg.edges]:
+            if data.draw(st.booleans()):
+                lines.append(data.draw(st.sampled_from(["", "# 1 2", "\t# x,1.5"])))
+            text = str(tokens[0]) + "".join(data.draw(blanks) + str(t) for t in tokens[1:])
+            if data.draw(st.booleans()):
+                text = data.draw(blanks) + text + data.draw(blanks)
+            lines.append(text)
+        end = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = end.join(lines) + end
+        assert parse_hypergraph(text) == parse_hypergraph(format_hypergraph(hg)) == hg
 
     def test_crlf_is_accepted(self):
         text = "# comment\r\n3 2\r\n0 1\r\n\r\n1 2\r\n"
