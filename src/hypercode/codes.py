@@ -38,8 +38,7 @@ there are any the kernel scans one subset per coset, the 2^k subsets that
 avoid one pivot vertex per dependency, keeping every position at the least
 weight.  A greedy over the dependencies turns each minimum word's scanned
 subset into the smallest member of its coset, the witness of the full
-scan; when the minimum words times n exceed the 2^n - 2^k subsets saved,
-the full scan runs instead.  The cap still counts 2^n - 1 subsets.
+scan.  The cap still counts 2^n - 1 subsets.
 The weight counts read a weight as a sum over the generator's columns
 (MacWilliams & Sloane, ch. 5): the coordinates fall into classes by their
 pattern over the high rows, and a block complements a whole class or none
@@ -204,13 +203,12 @@ def eonv_distance_search(
     scans one subset per coset of L, 2^k in all (:func:`_subset_quotient`):
     the subsets that avoid one pivot vertex per dependency.  The witness
     is each minimum word's smallest coset member, reached by a greedy over
-    the dependencies in about n steps per word.  With A_d minimum words,
-    when A_d * n exceeds the 2^n - 2^k subsets saved, the full scan runs
-    instead.  Every other scan, and an early exit always, runs over all
-    2^n subsets: in bit-sliced blocks (:func:`_subset_blocks`) when it has
-    more than 8 subsets per edge, and otherwise one subset per step, which
-    costs less there.  Every route gives the same value and witness.  The
-    cap counts the 2^n - 1 subsets of the full scan, whichever route runs.
+    the dependencies in at most n steps per word.  Every other scan, and an
+    early exit always, runs over all 2^n subsets: in bit-sliced blocks
+    (:func:`_subset_blocks`) when it has more than 8 subsets per edge, and
+    otherwise one subset per step, which costs less there.  Every route
+    gives the same value and witness.  The cap counts the 2^n - 1 subsets
+    of the full scan, whichever route runs.
     """
     rows = hypergraph.vertex_rows
     if not any(rows):
@@ -220,9 +218,7 @@ def eonv_distance_search(
     if early_exit is None and n > _subset_bits(n, m):
         dependencies = _vertex_dependencies(rows)
         if dependencies:
-            result = _subset_quotient(hypergraph, dependencies)
-            if result is not None:
-                return result
+            return _subset_quotient(hypergraph, dependencies)
     if 1 << n <= _WALK_WORDS_PER_COLUMN * m:
         return _subset_walk(hypergraph, early_exit)
     return _subset_blocks(hypergraph, early_exit)
@@ -439,9 +435,8 @@ def _vertex_dependencies(rows: tuple[int, ...]) -> list[int]:
     return found[::-1]
 
 
-def _subset_quotient(hypergraph: Hypergraph, dependencies: list[int]) -> DistanceResult | None:
-    """The exact search over one subset per coset of the dependency space,
-    or None when the full scan costs less.
+def _subset_quotient(hypergraph: Hypergraph, dependencies: list[int]) -> DistanceResult:
+    """The exact search over one subset per coset of the dependency space.
 
     ``dependencies`` is the basis of :func:`_vertex_dependencies`.  Each
     coset S + L has exactly one member that avoids the pivots, so the
@@ -458,9 +453,7 @@ def _subset_quotient(hypergraph: Hypergraph, dependencies: list[int]) -> Distanc
     below p, so it is the smallest, and the greedy stops.  Otherwise every
     such member has a vertex >= p, and adding p's dependency puts in p, the
     least one possible, and leaves the other pivots out.  With the k
-    vertices of the member to place, that is at most n steps per word.  So
-    with A_d minimum words, when A_d * n exceeds the 2^n - 2^k subsets that
-    the quotient saves, None is returned and the full scan runs instead.
+    vertices of the member to place, that is at most n steps per word.
     """
     n, rows = hypergraph.num_vertices, hypergraph.vertex_rows
     pivots = reduce(or_, (d & -d for d in dependencies))
@@ -479,8 +472,6 @@ def _subset_quotient(hypergraph: Hypergraph, dependencies: list[int]) -> Distanc
             best_w, minima = w, []
         if w == best_w:
             minima.append(((h ^ (h >> 1)) << t, positions))
-    if sum(positions.bit_count() for _, positions in minima) * n > (1 << n) - (1 << k):
-        return None
     best_wit = None
     for high, positions in minima:
         for q in set_bits(positions):
@@ -635,12 +626,8 @@ def _weight_groups(rows: tuple[int, ...], n: int) -> Iterator[list[tuple[int, in
                 x = (a & b) | (u & x)
                 j += 1
         del columns
-        carry = 0
-        for j in range(top):
-            a, b = planes[j], waiting[j]
-            u = a ^ b
-            planes[j] = u ^ carry
-            carry = (a & b) | (u & carry)
+        # S <= size < 2^top, so no carry leaves the top level.
+        planes = _add_planes(planes, waiting)
         sums[gamma] = (planes, _complement_sum(planes, size, full) if gamma else None)
     stack = [(sums, k - t, 0)]  # (classes, high rows left to merge, reversed)
     while stack:
@@ -754,17 +741,10 @@ def _held_planes(classes: dict[int, int], high: int) -> int:
 
 
 def _complement_sum(planes: list[int], size: int, full: int) -> list[int]:
-    # Bit planes of size - S from those of S <= size: size + ~S + 1,
-    # rippled level by level, with the carry out of the top level dropped.
-    out = []
-    carry = full
-    for j, plane in enumerate(planes):
-        a = plane ^ full
-        c = full if size >> j & 1 else 0
-        u = a ^ c
-        out.append(u ^ carry)
-        carry = (a & c) | (u & carry)
-    return out
+    # Bit planes of size - S from those of S <= size: ~S + (size + 1), with
+    # the carry out of the top level dropped.
+    ones = [full if (size + 1) >> j & 1 else 0 for j in range((size + 1).bit_length())]
+    return _add_planes([plane ^ full for plane in planes], ones)[: len(planes)]
 
 
 @cache

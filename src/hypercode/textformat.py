@@ -51,7 +51,7 @@ def split_lines(text: str, rule: str) -> list[str]:
     return lines
 
 
-def _read_header(lines: list[str], token_lines: int, shape: str, rule: str) -> tuple[int, int, int]:
+def _read_header(lines: list[str], token_lines: int, header: str, fields: str, rule: str) -> tuple[int, int, int]:
     # The two counts of the '<a> <b>' header, lines[0], and the number of
     # tokens on lines 1 to ``token_lines`` - 1.  Every token of the first
     # ``token_lines`` lines, the header's at least, must pass the one
@@ -59,16 +59,21 @@ def _read_header(lines: list[str], token_lines: int, shape: str, rule: str) -> t
     # 1_0 and non-ASCII digits.  C-level passes stand in for a
     # token-by-token match: nothing but digits and blanks, and no zero that
     # starts a longer token; a token starts wherever a digit follows a
-    # blank.  ``shape`` leads the error for another header token count,
-    # ``rule`` is the error for a token that breaks the rule.
+    # blank.  ``header`` names the header in the errors, ``fields`` are its
+    # two counts, and ``rule`` is the error for a token that breaks the rule.
     tokens = lines[0].split()
     if len(tokens) != 2:
-        raise ValueError(f"{shape}, got {lines[0]!r}")
+        raise ValueError(f"{header} must be {fields}, got {lines[0]!r}")
     data = ("\n" + "\n".join(lines[:token_lines])).encode("ascii")
     classes = data.translate(_TOKEN_CLASSES)
     if 2 in classes or _ZERO_LED_TOKEN.search(data):
         raise ValueError(rule)
-    return int(tokens[0]), int(tokens[1]), classes.count(b"\0\1") - 2
+    try:
+        return int(tokens[0]), int(tokens[1]), classes.count(b"\0\1") - 2
+    except ValueError:
+        # Past the token rule, only a count over int's digit limit fails.
+        token = max(tokens, key=len)
+        raise ValueError(f"{header} count {token[:32]}... of {len(token)} digits is too large") from None
 
 
 def format_matrix(matrix: BitMatrix) -> str:
@@ -94,7 +99,7 @@ def parse_matrix(text: str) -> BitMatrix:
     if not lines:
         raise ValueError("empty matrix file")
     rule = f"matrix header must be two plain decimal integers, 0|[1-9][0-9]*, got {lines[0]!r}"
-    num_rows, num_cols, _ = _read_header(lines, 1, "matrix header must be '<rows> <cols>'", rule)
+    num_rows, num_cols, _ = _read_header(lines, 1, "matrix header", "'<rows> <cols>'", rule)
     data = lines[1 : 1 + num_rows]
     if len(data) < num_rows:
         raise ValueError(f"expected {num_rows} row lines, found {len(data)}")
@@ -136,8 +141,9 @@ def parse_hypergraph(text: str) -> Hypergraph:
     lines = [line for line in map(str.strip, raw) if line and line[0] != "#"]
     if not lines:
         raise ValueError("empty hypergraph file")
-    shape = "hypergraph header must be '<vertices> <edges>'"
-    num_vertices, num_edges, incidences = _read_header(lines, len(lines), shape, _TOKEN_RULE)
+    num_vertices, num_edges, incidences = _read_header(
+        lines, len(lines), "hypergraph header", "'<vertices> <edges>'", _TOKEN_RULE
+    )
     check_size(num_vertices, num_edges, incidences)
     body = lines[1:]
     if len(body) != num_edges:

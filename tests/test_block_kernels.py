@@ -19,8 +19,8 @@ halves, to the walk over its whole basis.  The subset search over the
 quotient by the vertex dependencies, one subset per coset, is held to the
 walk over all subsets, witness included, wherever the subset kernel is,
 and on its own inputs: repeated edges, identical vertex rows, a witness
-that is not the member of its coset that the route scans, and the rule
-that hands a search with many minimum words back to the full scan.
+that is not the member of its coset that the route scans, and codes whose
+every nonzero word is a minimum word.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from hypercode import (
     projective_geometry,
     random_hypergraph,
     random_uniform_hypergraph,
-    weight_distribution,
 )
 from hypercode.codes import (
     _count_blocks,
@@ -89,19 +88,14 @@ def assert_same_quotient(hg: Hypergraph, expected) -> bool:
     """The quotient route against ``expected``, the full scan's result,
     when the vertex rows are dependent; returns whether they are.
 
-    The dependencies must number n - rank.  The route must hand the input
-    back (None) exactly when A_d * n exceeds the 2^n - 2^k subsets it saves,
-    with A_d from the code's weight distribution.
+    The dependencies must number n - rank, and the route must give the
+    full scan's value and witness.
     """
-    n = hg.num_vertices
     dependencies = _vertex_dependencies(hg.vertex_rows)
-    k = rank(incidence_matrix(hg))
-    assert len(dependencies) == n - k
+    assert len(dependencies) == hg.num_vertices - rank(incidence_matrix(hg))
     if not dependencies:
         return False
-    result = _subset_quotient(hg, dependencies)
-    a_d = weight_distribution(from_generator(incidence_matrix(hg)))[expected.value]
-    assert result == (None if a_d * n > (1 << n) - (1 << k) else expected)
+    assert _subset_quotient(hg, dependencies) == expected
     return True
 
 
@@ -247,8 +241,7 @@ def minimizers(hg):
 
 
 def spy_quotient(monkeypatch) -> list:
-    """Records each call of the quotient route as (hypergraph, result):
-    None when the route handed the search back to the full scan."""
+    """Records each call of the quotient route as (hypergraph, result)."""
     calls = []
 
     def spy(hg, dependencies):
@@ -425,7 +418,7 @@ class TestSubsetQuotient:
                 candidates = [s for size in range(1, n + 1) for s in combinations(range(n), size)]
                 hg = Hypergraph(n, tuple(rng.sample(candidates, rng.randint(1, 20))))
             self.search(monkeypatch, hg, rng.randint(1, 3))
-        assert sum(result is not None for _, result in quotients) > 80
+        assert len(quotients) > 80
 
     def test_full_rank_and_early_exit_scans_keep_the_full_walk(self, monkeypatch, quotients):
         rng = random.Random(45)
@@ -441,33 +434,19 @@ class TestSubsetQuotient:
         eonv_distance_search(hg)
         assert [route for route, _ in quotients] == [hg]
 
-    def test_many_minimum_words_fall_back_to_the_full_scan(self, monkeypatch, quotients):
-        # Simplex rows for k = 12, whose 4095 nonzero words all weigh 2048,
-        # and vertex 0's row again as vertex 12: 13 vertices over 4095
-        # edges span two blocks at the default bound (t = 11).  The witness
-        # step would take 4095 * 13 steps to save 2^13 - 2^12 subsets, so
-        # the route hands the search back, and the walk gives the result.
-        rows = simplex_rows(12)
-        hg = hypergraph_from_rows(rows + rows[:1])
-        walked = []
-        real = codes._subset_walk
-        monkeypatch.setattr(codes, "_subset_walk", lambda hg, e: walked.append(hg) or real(hg, e))
-        assert eonv_distance_search(hg) == codes.DistanceResult(2048, True, (0,))
-        assert quotients == [(hg, None)]
-        assert walked == [hg]
-
-    @pytest.mark.parametrize("copies, handed_back", [(3, True), (4, False)])
-    def test_fallback_rule_on_both_sides(self, monkeypatch, quotients, copies, handed_back):
-        # Simplex rows for k = 5 and vertex 0's row `copies` more times:
-        # A_d = 31 words, n = 5 + copies.  31 * 8 = 248 > 2^8 - 2^5, but
-        # 31 * 9 = 279 <= 2^9 - 2^5.
-        rows = simplex_rows(5)
+    @pytest.mark.parametrize("k, copies", [(12, 1), (5, 3), (5, 4)])
+    def test_every_word_of_minimum_weight(self, monkeypatch, quotients, k, copies):
+        # Simplex rows, whose 2^k - 1 nonzero words all weigh 2^(k-1), and
+        # vertex 0's row `copies` more times: every word is a minimum word,
+        # and each takes the greedy to its smallest coset member.  k = 12
+        # over 4095 edges spans two blocks at the default bound (t = 11);
+        # k = 5 is searched with the bound lowered to 3.
+        rows = simplex_rows(k)
         hg = hypergraph_from_rows(rows + rows[:1] * copies)
-        dependencies = _vertex_dependencies(hg.vertex_rows)
-        assert len(dependencies) == copies
-        assert (_subset_quotient(hg, dependencies) is None) == handed_back
-        assert self.search(monkeypatch, hg) == codes.DistanceResult(16, True, (0,))
-        assert len(quotients) == 1
+        assert len(_vertex_dependencies(hg.vertex_rows)) == copies
+        result = self.search(monkeypatch, hg, DEFAULT_SUBSET_BLOCK if k == 12 else 3)
+        assert result == codes.DistanceResult(1 << (k - 1), True, (0,))
+        assert quotients == [(hg, result)]
 
 
 def spread(columns):

@@ -501,6 +501,24 @@ class TestAnalyze:
             f"of {MAX_CELLS} incidence matrix cells\n"
         )
 
+    @pytest.mark.parametrize("fmt", ["auto", "hypergraph", "matrix"])
+    @pytest.mark.parametrize("header", ["9" * 5000 + " 1", "1 " + "9" * 5000])
+    def test_header_count_over_the_digit_limit_exits_2(self, tmp_path, capsys, fmt, header):
+        # int() refuses more than 4300 digits; the count is named, cut, on
+        # one error line.
+        path = tmp_path / "huge.txt"
+        path.write_text(header + "\n0\n")
+        code, out, err = run_cli(capsys, "analyze", str(path), "--format", fmt)
+        assert (code, out) == (2, "")
+        count = "9" * 32 + "... of 5000 digits is too large"
+        expected = f"{fmt} header count {count}"
+        if fmt == "auto":
+            expected = (
+                f"not a hypergraph (hypergraph header count {count}) "
+                f"and not a matrix (matrix header count {count})"
+            )
+        assert err == f"error: cannot parse {path}: {expected}\n"
+
     def test_negative_early_exit_exits_2(self, capsys, fano_file):
         code, out, err = run_cli(capsys, "analyze", str(fano_file), "--early-exit", "-1")
         assert (code, out) == (2, "")
