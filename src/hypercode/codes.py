@@ -24,7 +24,9 @@ in the weight counts and t <= 16 in the subset search; each coordinate
 one big-int operation acts on every word of the block.  A
 carry-save vertical counter sums the columns into bit planes of the
 weights, from which a few more operations read the block's answer: the
-weight histogram, or the least nonzero weight with the words that reach it.
+count of each weight, split plane by plane from the top and read at the
+lowest nonzero plane by popcounts, or the least nonzero weight with the
+words that reach it.
 The subset search moves from block to block by a Gray walk over the high
 vertices, complementing the columns of the edges at the vertex it toggles.
 Over several blocks it sums the copies of an edge once, adding one column
@@ -45,18 +47,23 @@ pattern over the high rows, and a block complements a whole class or none
 of it.  So each class is summed once, into the bit planes of S and of
 |class| - S, and the blocks' sums over the classes are a Walsh-Hadamard
 transform (ch. 14), taken by halving over the K high rows: about K * 2^K
-class additions for the 2^K blocks.  A code that holds the all-ones word,
-as every hypergraph whose edges all have odd size gives, has
-A_w = A_{n-w}, and its blocks count only the half spanned by all basis
-rows but the last.  The columns, or the sums that the kernel holds at
-once, take at most 2^23 bits (1 MB), built on each call; the truth tables
-they start from are built on first use.  A scan of at most 8 words per
-column walks one word per Gray step instead, one XOR and one popcount per
-word, which costs less than building the columns; the tests hold each
-kernel to its walk.  The count kernel lists each block's words, and its
-blocks, in the order of the Gray walk over the code's own words, which
-meets an odd block's positions downwards, so that an early-exit search
-reads it too and stops at the walk's first weight within the threshold.
+class additions for the 2^K blocks.  A coordinate's column over the low
+rows is the XOR of three lookups in Four Russians tables (Arlazarov et
+al., 1970), one per third of the low rows, instead of one XOR per row it
+has.  A code that holds the all-ones word, as every hypergraph whose
+edges all have odd size gives, has A_w = A_{n-w}, and its blocks count
+only the half spanned by all basis rows but the last.  The columns, or
+the sums that the kernel holds at once, take at most 2^23 bits (1 MB),
+built on each call; the truth tables they start from, and for each t the
+count kernel's 2^c-entry table for each third of its low rows (c <= 5;
+160 KB at t = 14), are built on first use and kept.  A scan of at most 8
+words per column walks one word per Gray step instead, one XOR and one
+popcount per word, which costs less than building the columns; the tests
+hold each kernel to its walk.  The count kernel lists each block's words,
+and its blocks, in the order of the Gray walk over the code's own words,
+which meets an odd block's positions downwards, so that an early-exit
+search reads the same blocks' planes and stops at the walk's first weight
+within the threshold.
 
 Each self-duality fact has one implementation.  A code builds its Gram
 matrix at most once, beside its basis, and :func:`is_self_dual` adds
@@ -71,7 +78,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 from operator import or_, xor
 from typing import Iterator, Sequence
 
@@ -159,10 +166,13 @@ def codeword_distance_search(
 
     Without ``early_exit`` the value is the least nonzero weight of the
     code's weight counts, the list :func:`weight_distribution` reads, scanned
-    once per code.  With it, the blocks of :func:`_weight_groups` are read
-    in the order of the Gray walk over all 2^k messages, and the search
-    stops at the walk's first weight <= early_exit, flagged as an upper
-    bound.  Neither route shares code with the subset engine, so the two
+    once per code.  With it, the blocks' bit planes from
+    :func:`_weight_planes` are read in the order of the Gray walk over all
+    2^k messages: each block's positions with 0 < weight <= early_exit are
+    found by comparing the planes with the bound from the top, and the
+    search stops at the walk's first of them, flagged as an upper bound.
+    A block without one gives its least nonzero weight, read from the top
+    plane down.  Neither route shares code with the subset engine, so the two
     distance routes stay independently checkable.
     """
     if code.dimension == 0:
@@ -172,14 +182,37 @@ def codeword_distance_search(
         return DistanceResult(next(w for w in range(1, len(counts)) if counts[w]), True)
     check_enum_cap("codeword search", code.dimension)
     best = code.length + 1  # above every weight
-    for h, groups in enumerate(_weight_groups(code.basis.rows, code.length)):
-        # The walk meets the positions of block h upwards when h is even and
-        # downwards when it is odd, so the first stop is the lowest or the
-        # highest candidate; only the zero word has weight 0.
-        stops = [(s.bit_length() if h & 1 else -(s & -s), w) for w, s in groups if 0 < w <= early_exit]
-        if stops:
-            return DistanceResult(max(stops)[1], False)
-        best = min([best] + [w for w, _ in groups if w])
+    _, blocks = _weight_planes(code.basis.rows, code.length)
+    for h, planes in enumerate(blocks):
+        # Only the zero word has weight 0.  Positions with weight <= bound,
+        # compared plane by plane from the top: above holds those found
+        # larger, equal those that match the bound so far.
+        nonzero = reduce(or_, planes, 0)
+        bound = min(early_exit, (1 << len(planes)) - 1)
+        above, equal = 0, nonzero
+        for j in reversed(range(len(planes))):
+            if bound >> j & 1:
+                equal &= planes[j]
+            else:
+                above |= equal & planes[j]
+                equal &= ~planes[j]
+        hits = nonzero & ~above
+        if hits:
+            # The walk meets the positions of block h upwards when h is even
+            # and downwards when it is odd: the first stop is the lowest or
+            # the highest hit.
+            q = hits.bit_length() - 1 if h & 1 else (hits & -hits).bit_length() - 1
+            return DistanceResult(sum((plane >> q & 1) << j for j, plane in enumerate(planes)), False)
+        # The block's least nonzero weight, read from the top plane down.
+        cand, w = nonzero, 0
+        for j in reversed(range(len(planes))):
+            one = cand & planes[j]
+            if one == cand:
+                w |= 1 << j
+            else:
+                cand ^= one
+        if cand:
+            best = min(best, w)
     return DistanceResult(best, True)
 
 
@@ -549,24 +582,64 @@ def _count_walk(rows: tuple[int, ...], n: int) -> list[int]:
 
 
 def _count_blocks(rows: tuple[int, ...], n: int) -> list[int]:
-    """The counts of :func:`_count_walk`, summed over :func:`_weight_groups`."""
+    """The counts of :func:`_count_walk`, read from :func:`_weight_planes`.
+
+    Each block's positions are split by weight only over the planes above
+    its lowest nonzero plane; that plane is read by popcounts, so no group
+    of the last level is kept, and a group that it does not split costs
+    one popcount.
+    """
+    t, blocks = _weight_planes(rows, n)
+    full = (1 << (1 << t)) - 1
     counts = [0] * (n + 1)
-    for w, s in chain.from_iterable(_weight_groups(rows, n)):
-        counts[w] += s.bit_count()
+    for planes in blocks:
+        low = 0
+        while low < len(planes) and not planes[low]:
+            low += 1
+        if low == len(planes):  # every word of the block has weight 0
+            counts[0] += 1 << t
+            continue
+        groups = [(0, full)]  # (weight bits read so far, positions with them)
+        for j in range(len(planes) - 1, low, -1):
+            plane = planes[j]
+            if plane:
+                split = []
+                for w, s in groups:
+                    one = s & plane
+                    if one:
+                        split.append((w | 1 << j, one))
+                    if one != s:
+                        split.append((w, s ^ one))
+                groups = split
+        bit, plane = 1 << low, planes[low]
+        for w, s in groups:
+            one = s & plane
+            if not one:
+                counts[w] += s.bit_count()
+            elif one == s:
+                counts[w | bit] += s.bit_count()
+            else:
+                c = one.bit_count()
+                counts[w | bit] += c
+                counts[w] += s.bit_count() - c
     return counts
 
 
-def _weight_groups(rows: tuple[int, ...], n: int) -> Iterator[list[tuple[int, int]]]:
-    """The 2^k codewords grouped by weight, block by block in walk order.
+def _weight_planes(rows: tuple[int, ...], n: int) -> tuple[int, Iterator[list[int]]]:
+    """The block size t, and the bit planes of the 2^k codewords' weights
+    block by block in walk order: plane j holds bit j of every word's weight.
 
     Block h holds the 2^t words whose high rows (those >= t) combine to
     gray(h) = h ^ (h >> 1), bit q for the word whose low rows combine to
     gray(q); step h * 2^t + q of the Gray walk over all messages reaches
-    position q when h is even and 2^t - 1 - q when h is odd.  The
-    coordinates fall into classes by their pattern gamma over the high rows,
+    position q when h is even and 2^t - 1 - q when h is odd.  Each
+    coordinate's k-bit pattern over the rows is read once.  The coordinates
+    fall into classes by their pattern gamma over the high rows,
     complemented together by the parity of gray(h) & gamma, so a class adds
     to each word the sum S of its columns over the low rows or |gamma| - S,
-    both built once as bit planes by a carry-save vertical counter.
+    both built once as bit planes by a carry-save vertical counter.  A
+    column is the XOR of three entries of :func:`_chunk_tables`, looked up
+    by the coordinate's pattern over each third of the low rows.
 
     The block sums are a Walsh-Hadamard transform over the classes, taken
     by halving (:func:`_halve`): high row b merges the classes gamma and
@@ -574,45 +647,39 @@ def _weight_groups(rows: tuple[int, ...], n: int) -> Iterator[list[tuple[int, in
     high rows cost about K * 2^K class additions, not one per class and
     block (up to 4^K).
     The halves are visited depth first from the top row, the bit-1 half in
-    reverse, as the reflected Gray code orders them, and each block's
-    weights split plane by plane into its (weight, positions) groups.  The
-    class of gamma = 0 is never complemented, and is the only one if k <= t.
+    reverse, as the reflected Gray code orders them.  The class of
+    gamma = 0 is never complemented, and is the only one if k <= t.
     """
     k = len(rows)
     t = min(k, _BLOCK_BITS)
+    # Bit i of coordinate p's pattern is row i's bit p; format lists the
+    # coordinates from n - 1 down.
+    patterns = [int("".join(bits), 2) for bits in zip(*[format(row, f"0{n}b") for row in reversed(rows)])]
+    patterns.reverse()
+    classes = {0: patterns}  # high pattern -> low patterns of its coordinates
     while True:
-        classes = {0: (1 << n) - 1}  # high pattern -> mask of its coordinates
         if k > t:
-            high = [0] * n
-            for i, row in enumerate(rows[t:]):
-                bit = 1 << i
-                while row:
-                    p = row.bit_length() - 1
-                    high[p] |= bit
-                    row ^= 1 << p
             classes = {}
-            for p, gamma in enumerate(high):
-                classes[gamma] = classes.get(gamma, 0) | 1 << p
-        if not t or _held_planes(classes, k - t) << t <= 1 << _TABLE_BITS:
+            for pattern in patterns:
+                classes.setdefault(pattern >> t, []).append(pattern & ((1 << t) - 1))
+        sizes = {gamma: len(lows) for gamma, lows in classes.items()}
+        if not t or _held_planes(sizes, k - t) << t <= 1 << _TABLE_BITS:
             break
         t -= 1
     full = (1 << (1 << t)) - 1
+    first, second, third = _chunk_tables(t)
+    chunk = len(first).bit_length() - 1
+    mask = (1 << chunk) - 1
     sums = {}  # gamma -> (planes of S, planes of |gamma| - S or None if gamma = 0)
-    for gamma, mask in classes.items():
-        columns = [0] * n
-        for row, table in zip(rows, _message_tables(t)):
-            row &= mask
-            while row:
-                p = row.bit_length() - 1
-                columns[p] ^= table
-                row ^= 1 << p
-        size = mask.bit_count()
+    for gamma, lows in classes.items():
+        columns = [first[p & mask] ^ second[p >> chunk & mask] ^ third[p >> 2 * chunk] for p in lows if p]
+        size = len(lows)
         top = size.bit_length()
         # Level j keeps a sum plane and at most one plane waiting for a
         # partner; a full adder of both and a new plane carries the majority.
         planes = [0] * top
         waiting = [0] * top
-        for x in filter(None, columns):
+        for x in columns:
             j = 0
             while x:
                 b = waiting[j]
@@ -629,7 +696,12 @@ def _weight_groups(rows: tuple[int, ...], n: int) -> Iterator[list[tuple[int, in
         # S <= size < 2^top, so no carry leaves the top level.
         planes = _add_planes(planes, waiting)
         sums[gamma] = (planes, _complement_sum(planes, size, full) if gamma else None)
-    stack = [(sums, k - t, 0)]  # (classes, high rows left to merge, reversed)
+    return t, _halvings(sums, k - t)
+
+
+def _halvings(sums: dict, high: int) -> Iterator[list[int]]:
+    # The blocks' planes from the class sums over ``high`` high rows.
+    stack = [(sums, high, 0)]  # (classes, high rows left to merge, reversed)
     while stack:
         state, level, reverse = stack.pop()
         if level:
@@ -637,20 +709,7 @@ def _weight_groups(rows: tuple[int, ...], n: int) -> Iterator[list[tuple[int, in
             stack.append((halves[1 - reverse], level - 1, 1))
             stack.append((halves[reverse], level - 1, 0))
             continue
-        planes = state[0][0]
-        groups = [(0, full)]  # (weight bits read so far, positions with them)
-        for j in reversed(range(len(planes))):
-            plane = planes[j]
-            if plane:
-                split = []
-                for w, s in groups:
-                    one = s & plane
-                    if one:
-                        split.append((w | 1 << j, one))
-                    if one != s:
-                        split.append((w, s ^ one))
-                groups = split
-        yield groups
+        yield state[0][0]
 
 
 def _halve(state: dict, bit: int) -> tuple[dict, dict]:
@@ -700,23 +759,23 @@ def _add_planes(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _held_planes(classes: dict[int, int], high: int) -> int:
-    """The most planes of 2^t bits that :func:`_weight_groups` holds at once.
+def _held_planes(sizes: dict[int, int], high: int) -> int:
+    """The most planes of 2^t bits that :func:`_weight_planes` holds at once.
 
-    ``classes`` maps each high pattern gamma to the mask of its coordinates,
-    over ``high`` high rows.  A class's sums take |gamma|.bit_length()
-    planes each, two sums unless gamma = 0.  While the class sums are built,
-    the columns of one class are held with the sums made so far.  In the
-    halving, every state of one level has the same classes, so the deepest
-    point of the first descent holds the most: the two halves just built;
-    the waiting second half of every level above, with the sums it made;
-    and the sums that a popped state made and passed on unchanged.  The one
-    pair being added is left out.
+    ``sizes`` maps each high pattern gamma, over ``high`` high rows, to
+    |gamma|, the number of its coordinates, in the order the classes are
+    built.  A class's sums take |gamma|.bit_length() planes each, two sums
+    unless gamma = 0.  While the class sums are built, the columns of one
+    class are held with the sums made so far.  In the halving, every state
+    of one level has the same classes, so the deepest point of the first
+    descent holds the most: the two halves just built; the waiting second
+    half of every level above, with the sums it made; and the sums that a
+    popped state made and passed on unchanged.  The one pair being added
+    is left out.
     """
     peak = kept = 0
     state = {}  # gamma -> (size, whether this level made its sums)
-    for gamma, mask in classes.items():
-        size = mask.bit_count()
+    for gamma, size in sizes.items():
         peak = max(peak, kept + size)
         kept += size.bit_length() << (gamma > 0)
         state[gamma] = (size, True)
@@ -754,6 +813,25 @@ def _message_tables(t: int) -> tuple[int, ...]:
     full = (1 << (1 << t)) - 1
     bit = [full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(t + 1)]
     return tuple(bit[i] ^ bit[i + 1] for i in range(t))
+
+
+@cache
+def _chunk_tables(t: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    # Four Russians tables (Arlazarov et al., 1970) of _message_tables(t):
+    # the low rows fall into three chunks of c = ceil(t / 3) rows, at most
+    # 5 for t <= 15, the last one with what is left, and entry v of a
+    # chunk's table is the XOR of its rows' entries for the set bits of v.
+    # A column then takes three lookups.  At t = 14 the 80 entries take
+    # 160 KB.
+    rows = _message_tables(t)
+    c = -(-t // 3)
+    tables = []
+    for start in (0, c, 2 * c):
+        table = [0]
+        for row in rows[start : start + c]:
+            table += [entry ^ row for entry in table]
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 def _macwilliams(dual_counts: list[int], n: int, k_dual: int) -> list[int]:

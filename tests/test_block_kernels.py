@@ -12,10 +12,13 @@ lowered to 1, 2 and 3 and at its default, on inputs with ties across
 blocks, repeated edges and repeated vertex rows.  The codeword early exit
 reads the count kernel's blocks whatever the code's size, so it is held to
 the per-word Gray loop it replaced, with the bound lowered to 1, 2 and 3
-to spread small codes over many blocks.  In the same way the halving over
-the high rows is held, block by block, to the per-block class loop it
-replaced, and the counts of a code that holds the all-ones word, taken by
-halves, to the walk over its whole basis.  The subset search over the
+to spread small codes over many blocks, and to a plain walk over all the
+words at every threshold, with the bound at 2, 3 and 4.  In the same way
+the halving over the high rows is held, block by block and position by
+position, to the per-block class loop it replaced and to the words
+themselves, the Four Russians tables the columns are read from to the
+message tables, and the counts of a code that holds the all-ones word,
+taken by halves, to the walk over its whole basis.  The subset search over the
 quotient by the vertex dependencies, one subset per coset, is held to the
 walk over all subsets, witness included, wherever the subset kernel is,
 and on its own inputs: repeated edges, identical vertex rows, a witness
@@ -614,6 +617,50 @@ class TestCountEarlyExit:
                     odd_stops += step >> bits & 1
         assert odd_stops > 0
 
+    @pytest.mark.parametrize("all_ones", [False, True])
+    @pytest.mark.parametrize("bits", [2, 3, 4])
+    def test_planes_against_a_plain_walk(self, monkeypatch, bits, all_ones):
+        # The weights of all 2^k words in walk order, step i reaching the
+        # message gray(i); at every threshold the search must stop at the
+        # first step with 0 < weight <= threshold, or be exact.  The codes
+        # are built reduced, row i with pivot i and its other bits above k:
+        # dense low rows, and high rows that mostly lie near a low row, so
+        # that many thresholds stop past block 0, some in odd blocks that
+        # hold hits of another weight later in the walk.  The walk meets
+        # such a block's highest position first.
+        monkeypatch.setattr(codes, "_BLOCK_BITS", bits)
+        rng = random.Random(140 + 10 * all_ones + bits)
+        odd_stops = 0
+        for _ in range(30):
+            k, rest = rng.randint(bits + 1, 9), rng.randint(8, 14)
+            n = k + rest
+            rows = [1 << i | (rng.getrandbits(rest) | rng.getrandbits(rest)) << k for i in range(bits)]
+            for i in range(bits, k):
+                near = rows[rng.randrange(bits)] >> k if rng.random() < 0.7 else 0
+                rows.append(1 << i | (near ^ 1 << rng.randrange(rest) ^ 1 << rng.randrange(rest)) << k)
+            if all_ones:
+                rows[-1] = (1 << n) - 1 ^ reduce(xor, rows[:-1])
+            elif reduce(xor, rows) == (1 << n) - 1:
+                rows[0] ^= 1 << k
+            rows = tuple(rows)
+            code = from_generator(BitMatrix(k, n, rows))
+            assert code.basis.rows == rows
+            assert (reduce(xor, rows) == (1 << n) - 1) == all_ones
+            weights = [0]
+            for i in range(1, 1 << k):
+                weights.append(weights[-1] ^ rows[(i & -i).bit_length() - 1])
+            weights = [word.bit_count() for word in weights]
+            for threshold in range(n + 1):
+                hits = [i for i, w in enumerate(weights) if 0 < w <= threshold]
+                if not hits:
+                    expected = codes.DistanceResult(min(weights[1:]), True)
+                else:
+                    expected = codes.DistanceResult(weights[hits[0]], False)
+                    block = hits[0] >> bits
+                    odd_stops += block & 1 and len({weights[i] for i in hits if i >> bits == block}) > 1
+                assert codeword_distance_search(code, early_exit=threshold) == expected, threshold
+        assert odd_stops > 0
+
     def test_early_exit_in_an_odd_block_takes_its_highest_position(self, monkeypatch):
         # Basis rows r0, r1 in the low block bits and r2 high, so block 1
         # holds r2 plus the low words.  Block 0 has no weight <= 4; block 1
@@ -640,6 +687,17 @@ class TestCountEarlyExit:
             assert codeword_distance_search(code, early_exit=12) == codes.DistanceResult(first, False)
             assert_same_early_exits(code)
 
+    def test_blocks_of_one_word(self, monkeypatch):
+        # A budget of 2 bits takes t to 0: each block holds one word, and
+        # block 0 holds only the zero word, whose planes are all zero.
+        monkeypatch.setattr(codes, "_BLOCK_BITS", 2)
+        monkeypatch.setattr(codes, "_TABLE_BITS", 1)
+        rng = random.Random(43)
+        for k, n in ((3, 10), (5, 12), (6, 16)):
+            code = from_generator(BitMatrix(k, n, tuple(rng.getrandbits(n) for _ in range(k))))
+            assert codes._weight_planes(code.basis.rows, n)[0] == 0
+            assert_same_early_exits(code)
+
     def test_budget_lowered_t_gives_the_same_result(self, monkeypatch):
         # 40 columns of 2^8 bits exceed 2^12 bits, so t drops below k = 8.
         # Rows 0..6 are heavy and row 7 has weight 2, so some thresholds
@@ -649,21 +707,23 @@ class TestCountEarlyExit:
         rows = tuple(1 << i | rng.getrandbits(32) << 8 for i in range(7)) + (1 << 7 | 1 << 8,)
         code = from_generator(BitMatrix(8, 40, rows))
         assert code.basis.rows == rows
-        blocks = sum(1 for _ in codes._weight_groups(code.basis.rows, code.length))
-        assert blocks > 1
+        t, blocks = codes._weight_planes(code.basis.rows, code.length)
+        blocks = sum(1 for _ in blocks)
+        assert blocks == 1 << (8 - t) > 1
         steps = assert_same_early_exits(code)
         assert any(step is not None and step >= (1 << 8) // blocks for step in steps)
 
 
-def per_block_groups(rows, n, t):
-    """The count kernel's blocks as each block once summed them on its own.
+def per_block_weights(rows, n, t):
+    """The count kernel's blocks as each block once summed them on its own,
+    as the weight at each of the block's 2^t positions.
 
     The coordinates fall into classes by their pattern gamma over the rows
     >= t; each class's sum S of its columns over the low rows, and
     |gamma| - S, are built as bit planes, and block h adds, for every class,
     S or |gamma| - S by the parity of gray(h) & gamma into a carry-save
-    counter before splitting the positions plane by plane.  The halving must
-    give the same groups in the same order, block by block.
+    counter, whose planes are read position by position.  The halving must
+    give the same weights in the same order, block by block.
     """
     k = len(rows)
     full = (1 << (1 << t)) - 1
@@ -691,20 +751,23 @@ def per_block_groups(rows, n, t):
             if (g & gamma).bit_count() & 1:
                 x = x_bar
             carry_save(planes, waiting, x, j)
-        planes = resolve_planes(planes, waiting)
-        groups = [(0, full)]
-        for j in reversed(range(levels)):
-            plane = planes[j]
-            if plane:
-                split = []
-                for w, s in groups:
-                    one = s & plane
-                    if one:
-                        split.append((w | 1 << j, one))
-                    if one != s:
-                        split.append((w, s ^ one))
-                groups = split
-        yield groups
+        yield position_weights(resolve_planes(planes, waiting), t)
+
+
+def position_weights(planes, t):
+    """The weight at each of a block's 2^t positions, read from its planes."""
+    return [sum((plane >> q & 1) << j for j, plane in enumerate(planes)) for q in range(1 << t)]
+
+
+def message_weights(rows, t):
+    """Each block's weights word by word: position q of block h holds the
+    word whose high rows combine to gray(h) and low rows to gray(q)."""
+    for h in range(1 << (len(rows) - t)):
+        weights = []
+        for q in range(1 << t):
+            message = (h ^ (h >> 1)) << t | q ^ (q >> 1)
+            weights.append(reduce(xor, (row for i, row in enumerate(rows) if message >> i & 1), 0).bit_count())
+        yield weights
 
 
 def carry_save(planes, waiting, x, j):
@@ -743,23 +806,25 @@ def resolve(columns, levels):
 
 
 def assert_same_blocks(rows, n):
-    """The kernel's blocks against :func:`per_block_groups` at the kernel's t."""
-    blocks = list(codes._weight_groups(rows, n))
-    t = len(rows) - (len(blocks).bit_length() - 1)
+    """The kernel's blocks against :func:`per_block_weights` at the kernel's
+    t, and against the words themselves; returns t."""
+    t, blocks = codes._weight_planes(rows, n)
+    blocks = [position_weights(planes, t) for planes in blocks]
     assert len(blocks) == 1 << (len(rows) - t)
-    assert blocks == list(per_block_groups(rows, n, t))
+    assert blocks == list(per_block_weights(rows, n, t))
+    assert blocks == list(message_weights(rows, t))
     counts = [0] * (n + 1)
-    for w, s in chain.from_iterable(blocks):
-        counts[w] += s.bit_count()
-    assert counts == _count_walk(rows, n)
+    for w in chain.from_iterable(blocks):
+        counts[w] += 1
+    assert counts == _count_blocks(rows, n) == _count_walk(rows, n)
     return t
 
 
 class TestHalving:
     """Block h of the count kernel comes from the halving over the high
-    rows; it must hold the groups, in order, that adding every class's sum
-    to the block gives.  ``_BLOCK_BITS`` is lowered so that small codes have
-    several high rows."""
+    rows; it must hold the weights, position by position, that adding every
+    class's sum to the block gives.  ``_BLOCK_BITS`` is lowered so that
+    small codes have several high rows."""
 
     @pytest.mark.parametrize("bits", [1, 2, 3])
     def test_random_codes(self, monkeypatch, bits):
@@ -827,7 +892,77 @@ class TestHalving:
         rng = random.Random(91)
         for n in (512, 64):
             rows = tuple(rng.getrandbits(n) for _ in range(19))
-            assert sum(1 for _ in codes._weight_groups(rows, n)) == 1 << (19 - BLOCK)
+            t, blocks = codes._weight_planes(rows, n)
+            assert t == BLOCK
+            assert sum(1 for _ in blocks) == 1 << (19 - BLOCK)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_every_coordinate_doubled(self, monkeypatch, bits):
+        # Every weight is even, so plane 0 is zero in every block and the
+        # counts are read at the plane above it.
+        monkeypatch.setattr(codes, "_BLOCK_BITS", bits)
+        rng = random.Random(110 + bits)
+        for _ in range(5):
+            k = rng.randint(bits + 1, 8)
+            columns = [rng.getrandbits(k) for _ in range(rng.randint(1, 8))]
+            rows = spread([c for c in columns for _ in range(2)] + [1 << (k - 1)] * 2)
+            assert bits == assert_same_blocks(rows, 2 * len(columns) + 2)
+            t, blocks = codes._weight_planes(rows, 2 * len(columns) + 2)
+            assert all(planes[0] == 0 for planes in blocks)
+
+    def test_one_class(self, monkeypatch):
+        # k <= t: one block, whose only class is the one of gamma = 0.
+        monkeypatch.setattr(codes, "_BLOCK_BITS", 6)
+        rng = random.Random(120)
+        for k in range(1, 7):
+            n = rng.randint(1, 20)
+            assert assert_same_blocks(tuple(rng.getrandbits(n) for _ in range(k)), n) == k
+
+    def test_odd_t_from_the_budget(self, monkeypatch):
+        # Six rows and the block bound at 6: budgets of 2^7 to 2^9 bits
+        # lower t to 5 or 3 for some of these widths, where the three chunks
+        # of the low rows hold 2, 2 and 1 rows, or 1 each.
+        monkeypatch.setattr(codes, "_BLOCK_BITS", 6)
+        rng = random.Random(121)
+        seen = set()
+        for n in range(4, 20):
+            rows = tuple(rng.getrandbits(n) for _ in range(6))
+            for table_bits in (9, 8, 7):
+                monkeypatch.setattr(codes, "_TABLE_BITS", table_bits)
+                seen.add(assert_same_blocks(rows, n))
+        assert {5, 3} <= seen
+
+    def test_odd_t_at_the_default_bounds(self):
+        # 600 columns of 2^14 bits exceed 2^23 bits, so the budget rule
+        # takes t = 13: chunks of 5, 5 and 3 rows, and two blocks.
+        rng = random.Random(28)
+        assert assert_same_blocks(tuple(rng.getrandbits(600) for _ in range(BLOCK)), 600) == 13
+
+
+def test_chunk_tables_are_xors_of_the_message_tables():
+    """Entry v of a chunk's table is the XOR of the message tables of the
+    chunk's rows at the set bits of v; the three chunks take ceil(t / 3)
+    rows each, at most 5, the last one what is left, so that three lookups
+    give any low pattern's column."""
+    rng = random.Random(130)
+    for t in range(15):
+        rows = codes._message_tables(t)
+        tables = codes._chunk_tables(t)
+        c = -(-t // 3)
+        assert c <= 5 and len(tables) == 3
+        starts = (0, c, 2 * c)
+        for start, table in zip(starts, tables):
+            size = len(rows[start : start + c])
+            assert len(table) == 1 << size
+            for v, entry in enumerate(table):
+                assert entry == reduce(xor, (rows[start + i] for i in range(size) if v >> i & 1), 0)
+        for _ in range(20):
+            p = rng.getrandbits(t)
+            column = reduce(xor, (row for i, row in enumerate(rows) if p >> i & 1), 0)
+            mask = (1 << c) - 1
+            assert tables[0][p & mask] ^ tables[1][p >> c & mask] ^ tables[2][p >> 2 * c] == column
+    # 32 + 32 + 16 entries of 2^14 bits: 160 KB at the block bound.
+    assert sum(map(len, codes._chunk_tables(BLOCK))) << BLOCK == 160 * 8 * 1024
 
 
 def counted_dimensions(monkeypatch):
