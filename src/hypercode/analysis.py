@@ -21,9 +21,7 @@ from .codes import (
     is_self_orthogonal,
     weight_distribution,
 )
-from .gf2core import BitMatrix, set_bits
-# The benchmark's trace (perfbench/tracing.py) wraps from_incidence_matrix
-# under this module's name, so it is imported here though not called.
+from .gf2core import BitMatrix
 from .hypergraph import Hypergraph, from_incidence_matrix, incidence_matrix
 
 METHODS = ("codeword", "eonv", "both")
@@ -100,23 +98,6 @@ class AnalysisReport:
         writer.writeheader()
         writer.writerow({key: cell(value) for key, value in self.to_json_dict().items()})
         return buf.getvalue()
-
-
-def _nonzero_column_hypergraph(matrix: BitMatrix) -> Hypergraph:
-    # Zero columns contribute nothing to any codeword weight, so the subset
-    # engine may run on the hypergraph of the nonzero columns alone, each
-    # column an edge.  Its vertex rows, cached here, are the matrix rows
-    # without those columns: the rows themselves when there are none, else
-    # one more transpose, linear in the cells.  The hypergraph's own build
-    # of them walks every incidence into a row as wide as its edge index.
-    columns = tuple(c for c in matrix.transpose().rows if c)
-    hypergraph = Hypergraph(matrix.num_rows, tuple(map(set_bits, columns)))
-    if len(columns) == matrix.num_cols:
-        rows = matrix.rows
-    else:
-        rows = BitMatrix(len(columns), matrix.num_rows, columns).transpose().rows
-    hypergraph.__dict__["vertex_rows"] = rows
-    return hypergraph
 
 
 def _analyze(
@@ -197,14 +178,15 @@ def analyze_matrix(
 ) -> AnalysisReport:
     """Analyze the binary code generated by an arbitrary matrix.
 
-    The subset engine treats the rows as vertices of the hypergraph whose
-    incidence matrix this is; zero columns are dropped for that engine only,
-    which leaves every codeword weight unchanged.
+    The subset engine runs on :func:`hypercode.hypergraph.from_incidence_matrix`:
+    the rows are its vertices and the nonzero columns its edges.  Zero
+    columns are left out for that engine only, which leaves every codeword
+    weight unchanged.
     """
     code = from_generator(matrix)
     eonv_input = None
     if method != "codeword" and code.dimension > 0:
-        eonv_input = _nonzero_column_hypergraph(matrix)
+        eonv_input = from_incidence_matrix(matrix)
     return _analyze(
         code,
         eonv_input,

@@ -83,7 +83,7 @@ from operator import or_, xor
 from typing import Iterator, Sequence
 
 from .gf2core import BitMatrix, gram, nullspace_basis, rref, set_bits
-from .hypergraph import Edge, Hypergraph, is_connected
+from .hypergraph import Edge, Hypergraph, from_incidence_matrix, is_connected
 from .limits import check_enum_cap
 
 # The columns of a block kernel, 2^t bits per coordinate (or edge), or the
@@ -474,9 +474,10 @@ def _subset_quotient(hypergraph: Hypergraph, dependencies: list[int]) -> Distanc
     ``dependencies`` is the basis of :func:`_vertex_dependencies`.  Each
     coset S + L has exactly one member that avoids the pivots, so the
     kernel (:func:`_subset_minima`) runs over the subsets of the other k
-    vertices, on the hypergraph with the pivots deleted and the edges left
-    empty dropped, and keeps every position at the least weight: each is
-    one minimum word.
+    vertices, on the hypergraph with the pivots deleted: the
+    :func:`hypercode.hypergraph.from_incidence_matrix` of the other rows,
+    which leaves out the edges left empty.  It keeps every position at the
+    least weight: each is one minimum word.
 
     The witness is the lexicographically smallest minimizer over all 2^n
     subsets, the smallest member of a minimum word's coset, which need not
@@ -491,13 +492,9 @@ def _subset_quotient(hypergraph: Hypergraph, dependencies: list[int]) -> Distanc
     n, rows = hypergraph.num_vertices, hypergraph.vertex_rows
     pivots = reduce(or_, (d & -d for d in dependencies))
     keep = [v for v in range(n) if not pivots >> v & 1]
-    # The quotient's edges, read from the kept vertices' rows.
-    edges: list[list[int]] = [[] for _ in range(hypergraph.num_edges)]
-    for i, v in enumerate(keep):
-        for j in set_bits(rows[v]):
-            edges[j].append(i)
-    quotient = [tuple(edge) for edge in edges if edge]
     k = len(keep)
+    kept = BitMatrix(k, hypergraph.num_edges, tuple(rows[v] for v in keep))
+    quotient = from_incidence_matrix(kept).edges
     t = _subset_bits(k, len(quotient))
     best_w, minima = len(quotient) + 1, []
     for h, w, positions, _ in _subset_minima(k, quotient, t):
@@ -652,10 +649,8 @@ def _weight_planes(rows: tuple[int, ...], n: int) -> tuple[int, Iterator[list[in
     """
     k = len(rows)
     t = min(k, _BLOCK_BITS)
-    # Bit i of coordinate p's pattern is row i's bit p; format lists the
-    # coordinates from n - 1 down.
-    patterns = [int("".join(bits), 2) for bits in zip(*[format(row, f"0{n}b") for row in reversed(rows)])]
-    patterns.reverse()
+    # Bit i of coordinate p's pattern is row i's bit p.
+    patterns = BitMatrix(k, n, rows).transpose().rows
     classes = {0: patterns}  # high pattern -> low patterns of its coordinates
     while True:
         if k > t:

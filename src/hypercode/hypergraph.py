@@ -26,6 +26,8 @@ from .limits import check_size
 
 Edge = tuple[int, ...]
 
+_ROW_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class Hypergraph:
@@ -65,12 +67,21 @@ class Hypergraph:
 
     @cached_property
     def vertex_rows(self) -> tuple[int, ...]:
-        """Incidence matrix rows as packed ints (bit j = membership in edge j)."""
+        """Incidence matrix rows as packed ints (bit j = membership in edge j).
+
+        Setting bit j copies a row as wide as j bits, so the bits are set in
+        chunks of _ROW_CHUNK edges and each chunk is shifted into the rows
+        once: a row is copied once per chunk, not once per incidence.
+        """
         rows = [0] * self.num_vertices
-        for j, edge in enumerate(self.edges):
-            bit = 1 << j
-            for v in edge:
-                rows[v] |= bit
+        for base in range(0, self.num_edges, _ROW_CHUNK):
+            part = [0] * self.num_vertices if base else rows
+            for j, edge in enumerate(self.edges[base : base + _ROW_CHUNK]):
+                bit = 1 << j
+                for v in edge:
+                    part[v] |= bit
+            if base:
+                rows = [r | bits << base for r, bits in zip(rows, part)]
         return tuple(rows)
 
     @cached_property
@@ -85,15 +96,14 @@ def incidence_matrix(hypergraph: Hypergraph) -> BitMatrix:
 
 
 def from_incidence_matrix(matrix: BitMatrix) -> Hypergraph:
-    """Reconstruct the hypergraph whose incidence matrix is ``matrix``.
+    """The hypergraph of the nonzero columns of ``matrix``, in column order.
 
-    Every column must be nonzero, since a column is an edge and edges are
-    nonempty.
+    Row i is vertex i and each nonzero column an edge.  A zero column would
+    be an empty edge; leaving it out changes no weight of the code the
+    matrix generates, and ``from_incidence_matrix(incidence_matrix(hg)) == hg``.
     """
     columns = matrix.transpose().rows
-    if 0 in columns:
-        raise ValueError(f"column {columns.index(0)} is empty and cannot be an edge")
-    return Hypergraph(matrix.num_rows, tuple(set_bits(c) for c in columns))
+    return Hypergraph(matrix.num_rows, tuple(set_bits(c) for c in columns if c))
 
 
 def _subset_mask(hypergraph: Hypergraph, subset: Iterable[int]) -> int:

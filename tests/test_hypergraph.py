@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hypercode.textformat as textformat
-from conftest import hypergraphs, hypergraphs_with_subset, random_connected_graph
+from conftest import bit_matrices, hypergraphs, hypergraphs_with_subset, random_connected_graph
 from hypercode import (
     BitMatrix,
     DistanceResult,
@@ -109,6 +109,18 @@ class TestHypergraphType:
         with pytest.raises(IndexError):
             hg.degree(3)
 
+    @pytest.mark.parametrize("m", [0, 4095, 4096, 4097, 8193])
+    def test_vertex_rows_across_edge_chunks(self, m):
+        # Six vertices, so each recurs in every chunk of edges the rows
+        # are built in; the reference sets one bit per incidence.
+        rng = random.Random(m)
+        hg = random_hypergraph(rng, 6, m)
+        reference = [0] * 6
+        for j, edge in enumerate(hg.edges):
+            for v in edge:
+                reference[v] += 1 << j
+        assert hg.vertex_rows == tuple(reference)
+
 
 class TestIncidenceMatrix:
     def test_single_edge_is_all_ones_column(self):
@@ -143,9 +155,20 @@ class TestIncidenceMatrix:
     def test_round_trip_through_matrix(self, hg):
         assert from_incidence_matrix(incidence_matrix(hg)) == hg
 
-    def test_empty_column_rejected(self):
-        with pytest.raises(ValueError):
-            from_incidence_matrix(BitMatrix.from_strings(["10", "10"]))
+    def test_zero_columns_are_left_out(self):
+        matrix = BitMatrix.from_strings(["0100", "0101"])
+        assert from_incidence_matrix(matrix) == Hypergraph(2, ((0, 1), (1,)))
+
+    @given(bit_matrices(min_rows=1, min_cols=1), st.data())
+    def test_edges_are_the_nonzero_columns(self, matrix, data):
+        zeroed = data.draw(st.integers(1, (1 << matrix.num_cols) - 1))
+        matrix = BitMatrix(matrix.num_rows, matrix.num_cols, tuple(r & ~zeroed for r in matrix.rows))
+        hg = from_incidence_matrix(matrix)
+        assert hg.edges == tuple(set_bits(c) for c in matrix.transpose().rows if c)
+        lines = matrix.to_strings()
+        nonzero = [j for j in range(matrix.num_cols) if any(line[j] == "1" for line in lines)]
+        expected = BitMatrix.from_strings(["".join(line[j] for j in nonzero) for line in lines])
+        assert incidence_matrix(hg) == expected
 
 
 class TestEonv:
