@@ -35,12 +35,12 @@ ties the best weight, its pass for the lexicographically smallest witness
 stops once the block's witness is known to be the larger.
 Without an early exit, a subset search that spans several blocks (n > t)
 first finds the vertex dependencies, the subsets D with eonv(D) empty, by
-an elimination of its own.  They form a space of dimension n - k, and when
-there are any the kernel scans one subset per coset, the 2^k subsets that
-avoid one pivot vertex per dependency, keeping every position at the least
-weight.  A greedy over the dependencies turns each minimum word's scanned
-subset into the smallest member of its coset, the witness of the full
-scan.  The cap still counts 2^n - 1 subsets.
+an elimination of its own.  They form a space of dimension n - k, and the
+kernel scans one subset per coset, the 2^k subsets that avoid one pivot
+vertex per dependency (all 2^n if there is none), on the hypergraph's edges
+cut to those vertices.  A greedy over the dependencies turns each minimum
+word's scanned subset into the smallest member of its coset, the witness of
+the full scan.  The cap still counts 2^n - 1 subsets.
 The weight counts read a weight as a sum over the generator's columns
 (MacWilliams & Sloane, ch. 5): the coordinates fall into classes by their
 pattern over the high rows, and a block complements a whole class or none
@@ -83,7 +83,7 @@ from operator import or_, xor
 from typing import Iterator, Sequence
 
 from .gf2core import BitMatrix, gram, nullspace_basis, rref, set_bits
-from .hypergraph import Edge, Hypergraph, from_incidence_matrix, is_connected
+from .hypergraph import Edge, Hypergraph, is_connected
 from .limits import check_enum_cap
 
 # The columns of a block kernel, 2^t bits per coordinate (or edge), or the
@@ -231,12 +231,9 @@ def eonv_distance_search(
     eonv is linear, so the subsets D with eonv(D) empty, the dependencies,
     form a space L of dimension n - k, and the full scan meets each word
     2^(n-k) times.  Without ``early_exit``, a scan that spans several
-    kernel blocks (n > t, with t from :func:`_subset_bits`) first looks for
-    dependencies (:func:`_vertex_dependencies`).  If there are any, it
-    scans one subset per coset of L, 2^k in all (:func:`_subset_quotient`):
-    the subsets that avoid one pivot vertex per dependency.  The witness
-    is each minimum word's smallest coset member, reached by a greedy over
-    the dependencies in at most n steps per word.  Every other scan, and an
+    kernel blocks (n > t, with t from :func:`_subset_bits`) scans one
+    subset per coset of L (:func:`_subset_quotient`), 2^k in all, which
+    are all 2^n when there is no dependency.  A scan of one block, and an
     early exit always, runs over all 2^n subsets: in bit-sliced blocks
     (:func:`_subset_blocks`) when it has more than 8 subsets per edge, and
     otherwise one subset per step, which costs less there.  Every route
@@ -249,9 +246,7 @@ def eonv_distance_search(
     n, m = hypergraph.num_vertices, hypergraph.num_edges
     check_enum_cap("subset search", n)
     if early_exit is None and n > _subset_bits(n, m):
-        dependencies = _vertex_dependencies(rows)
-        if dependencies:
-            return _subset_quotient(hypergraph, dependencies)
+        return _subset_quotient(hypergraph, _vertex_dependencies(rows))
     if 1 << n <= _WALK_WORDS_PER_COLUMN * m:
         return _subset_walk(hypergraph, early_exit)
     return _subset_blocks(hypergraph, early_exit)
@@ -291,7 +286,7 @@ def _subset_bits(n: int, m: int) -> int:
 
 def _subset_blocks(hypergraph: Hypergraph, early_exit: int | None) -> DistanceResult:
     """The subset search over the blocks of :func:`_subset_minima`, with the
-    result of :func:`_subset_walk`.
+    result of :func:`_subset_walk`: one-block exact scans and early exits.
 
     Within a block a greedy pass over the low vertices finds the
     lexicographically smallest minimizer: it keeps the candidates that
@@ -471,12 +466,12 @@ def _vertex_dependencies(rows: tuple[int, ...]) -> list[int]:
 def _subset_quotient(hypergraph: Hypergraph, dependencies: list[int]) -> DistanceResult:
     """The exact search over one subset per coset of the dependency space.
 
-    ``dependencies`` is the basis of :func:`_vertex_dependencies`.  Each
-    coset S + L has exactly one member that avoids the pivots, so the
-    kernel (:func:`_subset_minima`) runs over the subsets of the other k
-    vertices, on the hypergraph with the pivots deleted: the
-    :func:`hypercode.hypergraph.from_incidence_matrix` of the other rows,
-    which leaves out the edges left empty.  It keeps every position at the
+    ``dependencies`` is the basis of :func:`_vertex_dependencies`, empty for
+    independent rows.  Each coset S + L has exactly one member that avoids
+    the pivots, so the kernel (:func:`_subset_minima`) runs over the subsets
+    of the other k vertices, on the hypergraph's edges with the pivots
+    deleted and the kept vertices renumbered in order; as a pivot's row is a
+    sum of kept rows, no edge is left empty.  It keeps every position at the
     least weight: each is one minimum word.
 
     The witness is the lexicographically smallest minimizer over all 2^n
@@ -489,14 +484,13 @@ def _subset_quotient(hypergraph: Hypergraph, dependencies: list[int]) -> Distanc
     least one possible, and leaves the other pivots out.  With the k
     vertices of the member to place, that is at most n steps per word.
     """
-    n, rows = hypergraph.num_vertices, hypergraph.vertex_rows
-    pivots = reduce(or_, (d & -d for d in dependencies))
-    keep = [v for v in range(n) if not pivots >> v & 1]
-    k = len(keep)
-    kept = BitMatrix(k, hypergraph.num_edges, tuple(rows[v] for v in keep))
-    quotient = from_incidence_matrix(kept).edges
-    t = _subset_bits(k, len(quotient))
-    best_w, minima = len(quotient) + 1, []
+    pivots = reduce(or_, (d & -d for d in dependencies), 0)
+    keep = [v for v in range(hypergraph.num_vertices) if not pivots >> v & 1]
+    index = {v: i for i, v in enumerate(keep)}
+    quotient = [tuple(index[v] for v in edge if v in index) for edge in hypergraph.edges]
+    k, m = len(keep), len(quotient)
+    t = _subset_bits(k, m)
+    best_w, minima = m + 1, []
     for h, w, positions, _ in _subset_minima(k, quotient, t):
         if w < best_w:
             best_w, minima = w, []

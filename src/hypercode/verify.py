@@ -230,6 +230,14 @@ def _engine_corpus() -> Iterator[Hypergraph]:
         n = rng.randint(1, 12)
         m = rng.randint(1, 18)
         yield random_hypergraph(rng, n, m)
+    # 17-20 vertices span several subset-kernel blocks, so the subset engine
+    # scans the quotient: with no dependency, or with the zero rows of 1-3
+    # isolated vertices (every fifth input) and other dependencies.
+    for i in range(200):
+        n, isolated = rng.randint(17, 20), 0 if i % 5 else rng.randint(1, 3)
+        edges = random_hypergraph(rng, n - isolated, rng.randint(n, 2 * n), max_edge_size=4).edges
+        repeats = () if i % 4 else tuple(rng.choices(edges, k=rng.randint(1, 4)))
+        yield Hypergraph(n, edges + repeats)
 
 
 def _check_engine_agreement() -> tuple[bool, str]:

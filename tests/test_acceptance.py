@@ -7,12 +7,14 @@ exceeded.  ``hypercode verify`` runs the same criteria from the CLI.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 
 import pytest
 
 from hypercode.cli import main
+import hypercode.codes as codes
 import hypercode.verify as verify
 from hypercode.verify import CRITERIA, run_criterion
 
@@ -49,6 +51,19 @@ def test_eonv_support_reads_eonv(monkeypatch):
     passed, detail = verify._check_eonv_support()
     assert not passed
     assert "eonv of the complemented edges" in detail
+
+
+def test_engine_agreement_reaches_the_quotient(monkeypatch):
+    real = codes._subset_quotient
+
+    def one_too_high(hypergraph, dependencies):
+        result = real(hypergraph, dependencies)
+        return dataclasses.replace(result, value=result.value + 1)
+
+    monkeypatch.setattr(codes, "_subset_quotient", one_too_high)
+    passed, detail = verify._check_engine_agreement()
+    assert not passed
+    assert "engines disagree" in detail
 
 
 def test_cyclic_dimension_reads_the_circulant_generator(monkeypatch):

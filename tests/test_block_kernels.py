@@ -21,9 +21,11 @@ message tables, and the counts of a code that holds the all-ones word,
 taken by halves, to the walk over its whole basis.  The subset search over the
 quotient by the vertex dependencies, one subset per coset, is held to the
 walk over all subsets, witness included, wherever the subset kernel is,
-and on its own inputs: repeated edges, identical vertex rows, a witness
-that is not the member of its coset that the route scans, and codes whose
-every nonzero word is a minimum word.
+with dependencies or none, and on its own inputs: repeated edges,
+identical vertex rows, a witness that is not the member of its coset that
+the route scans, and codes whose every nonzero word is a minimum word.
+Its edges, cut from the hypergraph's, are held to the columns of the
+kept vertex rows.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import random
 from functools import reduce
 from itertools import chain, combinations
-from operator import xor
+from operator import or_, xor
 
 import pytest
 from hypothesis import given
@@ -48,6 +50,7 @@ from hypercode import (
     complete_3partite,
     eonv_distance_search,
     from_generator,
+    from_incidence_matrix,
     incidence_matrix,
     projective_geometry,
     random_hypergraph,
@@ -87,19 +90,16 @@ def assert_same_search(hg: Hypergraph, early_exit: int | None = None):
     return kernel
 
 
-def assert_same_quotient(hg: Hypergraph, expected) -> bool:
+def assert_same_quotient(hg: Hypergraph, expected):
     """The quotient route against ``expected``, the full scan's result,
-    when the vertex rows are dependent; returns whether they are.
+    whether the vertex rows are dependent or not.
 
     The dependencies must number n - rank, and the route must give the
     full scan's value and witness.
     """
     dependencies = _vertex_dependencies(hg.vertex_rows)
     assert len(dependencies) == hg.num_vertices - rank(incidence_matrix(hg))
-    if not dependencies:
-        return False
     assert _subset_quotient(hg, dependencies) == expected
-    return True
 
 
 def assert_same_row_counts(rows, n):
@@ -244,12 +244,13 @@ def minimizers(hg):
 
 
 def spy_quotient(monkeypatch) -> list:
-    """Records each call of the quotient route as (hypergraph, result)."""
+    """Records each call of the quotient route as (hypergraph,
+    dependencies, result)."""
     calls = []
 
     def spy(hg, dependencies):
-        calls.append((hg, real(hg, dependencies)))
-        return calls[-1][1]
+        calls.append((hg, dependencies, real(hg, dependencies)))
+        return calls[-1][2]
 
     real = codes._subset_quotient
     monkeypatch.setattr(codes, "_subset_quotient", spy)
@@ -270,10 +271,10 @@ class TestSubsetKernelAtEveryThreshold:
             for early_exit, result in expected.items():
                 assert _subset_blocks(hg, early_exit) == result, (bits, early_exit)
             # At the bounds 1 to 3 the search spans several blocks (n > t),
-            # so it takes the quotient route when the rows are dependent.
+            # so it takes the quotient route, with dependencies or none.
             assert eonv_distance_search(hg) == expected[None], bits
-        dependent = assert_same_quotient(hg, expected[None])
-        assert len(quotients) == 3 * dependent
+        assert_same_quotient(hg, expected[None])
+        assert len(quotients) == 3
         return expected[None]
 
     @pytest.mark.parametrize("k, m", [(2, 2), (4, 1), (6, 1), (3, 2), (2, 3)])
@@ -423,19 +424,53 @@ class TestSubsetQuotient:
             self.search(monkeypatch, hg, rng.randint(1, 3))
         assert len(quotients) > 80
 
-    def test_full_rank_and_early_exit_scans_keep_the_full_walk(self, monkeypatch, quotients):
+    def test_full_rank_takes_the_quotient_early_exits_never(self, monkeypatch, quotients):
+        # Over several blocks, a full-rank scan is the quotient with no
+        # dependency, which keeps every vertex; an early exit, full rank
+        # or not, always walks all 2^n subsets.
         rng = random.Random(45)
         monkeypatch.setattr(codes, "_SUBSET_BLOCK_BITS", 1)
-        for n in (4, 7, 10):
-            rows = [1 << v | rng.getrandbits(12) << n for v in range(n)]
-            eonv_distance_search(hypergraph_from_rows(rows))
+        full_rank = [hypergraph_from_rows([1 << v | rng.getrandbits(12) << n for v in range(n)]) for n in (4, 7, 10)]
+        dependent = hypergraph_from_rows([0b011, 0b110, 0b101, 0b1000])
+        for hg in [*full_rank, dependent]:
+            for early_exit in range(4):
+                assert eonv_distance_search(hg, early_exit=early_exit) == _subset_walk(hg, early_exit)
         assert quotients == []
-        hg = hypergraph_from_rows([0b011, 0b110, 0b101, 0b1000])
-        for early_exit in range(4):
-            eonv_distance_search(hg, early_exit=early_exit)
-        assert quotients == []
-        eonv_distance_search(hg)
-        assert [route for route, _ in quotients] == [hg]
+        for hg in full_rank:
+            assert eonv_distance_search(hg) == _subset_walk(hg, None)
+        assert [(route, dependencies) for route, dependencies, _ in quotients] == [(hg, []) for hg in full_rank]
+        quotients.clear()
+        eonv_distance_search(dependent)
+        assert [(route, dependencies) for route, dependencies, _ in quotients] == [(dependent, [0b111])]
+
+    @given(hypergraphs(max_vertices=9, max_edges=12), st.data())
+    def test_quotient_edges_are_the_kept_rows_columns(self, hg, data):
+        # The oracle is from_incidence_matrix of the kept rows: the edges of
+        # their nonzero columns.  Appended copies of edges, and copies of
+        # vertex rows, which give dependencies, put repeated edges in the
+        # input and in the quotient.
+        copies = data.draw(st.lists(st.sampled_from(hg.edges), max_size=4))
+        twins = data.draw(st.lists(st.integers(0, hg.num_vertices - 1), max_size=3))
+        rows = [*Hypergraph(hg.num_vertices, hg.edges + tuple(copies)).vertex_rows]
+        hg = hypergraph_from_rows(rows + [rows[v] for v in twins])
+        dependencies = _vertex_dependencies(hg.vertex_rows)
+        pivots = reduce(or_, (d & -d for d in dependencies), 0)
+        kept = tuple(row for v, row in enumerate(hg.vertex_rows) if not pivots >> v & 1)
+        oracle = from_incidence_matrix(BitMatrix(len(kept), hg.num_edges, kept)).edges
+        seen = []
+        real = codes._subset_minima
+
+        def spy(k, edges, t):
+            seen.append((k, list(edges)))
+            return real(k, edges, t)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codes, "_subset_minima", spy)
+            result = _subset_quotient(hg, dependencies)
+        assert seen == [(len(kept), list(oracle))]
+        # No edge is left empty: a pivot's row is a sum of kept rows.
+        assert len(oracle) == hg.num_edges
+        assert result == _subset_walk(hg, None)
 
     @pytest.mark.parametrize("k, copies", [(12, 1), (5, 3), (5, 4)])
     def test_every_word_of_minimum_weight(self, monkeypatch, quotients, k, copies):
@@ -449,7 +484,7 @@ class TestSubsetQuotient:
         assert len(_vertex_dependencies(hg.vertex_rows)) == copies
         result = self.search(monkeypatch, hg, DEFAULT_SUBSET_BLOCK if k == 12 else 3)
         assert result == codes.DistanceResult(1 << (k - 1), True, (0,))
-        assert quotients == [(hg, result)]
+        assert [(route, found) for route, _, found in quotients] == [(hg, result)]
 
 
 def spread(columns):
