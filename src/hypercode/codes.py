@@ -14,8 +14,18 @@ The exact codeword distance is the least nonzero weight of the weight
 distribution: both read one list of counts by weight, scanned once per code.
 When 2^(n-k) + n^2 < 2^k it comes from the 2^(n-k) words of C⊥ by the exact
 MacWilliams identity (MacWilliams & Sloane, *The Theory of Error-Correcting
-Codes*, ch. 5); the n^2 term stands for the second elimination and the
-transform.  The cap counts the nonzero words of the side that is scanned.
+Codes*, ch. 5), 2^(n-k) A_j = sum_i B_i K_j(i), and the n^2 term stands for
+the transform.  C⊥ is counted over the null-space rows that the generator's
+one reduction gives, with no second elimination.  The Krawtchouk sums come
+from one of two transforms, picked by n and the number D of nonzero weights
+of C⊥, both known before either runs.  When n^2 < 2048 (D - 4), the sums
+are the coefficients of sum_i B_i (1 - X)^i (1 + X)^(n-i), packed into one
+integer at X = 2^b (Kronecker substitution) and summed by Horner's rule,
+each factor one shift and one addition, and read back lane by lane.
+Otherwise the three-term recurrence of K_j(i) runs in integers, n + 1 steps
+per dual weight, which costs less for few weights or long codes, where the
+packed integers grow to n^2 bits.  The cap counts the nonzero words of the
+side that is scanned.
 
 The weight counts and the subset search are bit-sliced block kernels.  A
 block is 2^t words that share their high rows (or vertices), with t <= 14
@@ -111,7 +121,8 @@ class LinearCode:
     # ``rref`` and ``gram`` are looked up in this module at call time, so the
     # benchmark's trace spans on ``codes.rref`` and ``codes.gram`` record them.
     # The generator keeps its reduction (see ``gf2core.rref``), which
-    # ``dual`` reads again instead of reducing the basis.
+    # ``dual`` and the weight counts' null-space rows read again instead of
+    # reducing the basis.
     @cached_property
     def basis(self) -> BitMatrix:
         reduced, pivots = rref(self.generator)
@@ -123,11 +134,14 @@ class LinearCode:
 
     @cached_property
     def _weights(self) -> list[int]:
-        # Counts of the 2^k codewords, indexed by weight, from the cheaper side.
+        # Counts of the 2^k codewords, indexed by weight, from the cheaper
+        # side.  The dual's side counts the null-space rows as they are: they
+        # are independent, so no second elimination is needed.
+        n = self.length
         if not _dual_is_cheaper(self):
-            return _weight_counts(self)
-        other = dual(self)
-        return _macwilliams(_weight_counts(other), self.length, other.dimension)
+            return _weight_counts(self.basis.rows, n)
+        rows = nullspace_basis(self.generator).rows
+        return _macwilliams(_weight_counts(rows, n), n, len(rows))
 
     @property
     def length(self) -> int:
@@ -471,7 +485,8 @@ def _subset_quotient(hypergraph: Hypergraph, dependencies: list[int]) -> Distanc
     the pivots, so the kernel (:func:`_subset_minima`) runs over the subsets
     of the other k vertices, on the hypergraph's edges with the pivots
     deleted and the kept vertices renumbered in order; as a pivot's row is a
-    sum of kept rows, no edge is left empty.  It keeps every position at the
+    sum of kept rows, no edge is left empty.  With no dependency it runs on
+    the hypergraph's own edges, nothing cut.  It keeps every position at the
     least weight: each is one minimum word.
 
     The witness is the lexicographically smallest minimizer over all 2^n
@@ -484,10 +499,13 @@ def _subset_quotient(hypergraph: Hypergraph, dependencies: list[int]) -> Distanc
     least one possible, and leaves the other pivots out.  With the k
     vertices of the member to place, that is at most n steps per word.
     """
-    pivots = reduce(or_, (d & -d for d in dependencies), 0)
-    keep = [v for v in range(hypergraph.num_vertices) if not pivots >> v & 1]
-    index = {v: i for i, v in enumerate(keep)}
-    quotient = [tuple(index[v] for v in edge if v in index) for edge in hypergraph.edges]
+    keep: Sequence[int] = range(hypergraph.num_vertices)
+    quotient: Sequence[Edge] = hypergraph.edges  # no dependency: every vertex is kept
+    if dependencies:
+        pivots = reduce(or_, (d & -d for d in dependencies), 0)
+        keep = [v for v in keep if not pivots >> v & 1]
+        index = {v: i for i, v in enumerate(keep)}
+        quotient = [tuple(index[v] for v in edge if v in index) for edge in quotient]
     k, m = len(keep), len(quotient)
     t = _subset_bits(k, m)
     best_w, minima = m + 1, []
@@ -522,8 +540,8 @@ def _gray_tables(t: int) -> tuple[int, ...]:
 
 
 def _dual_is_cheaper(code: LinearCode) -> bool:
-    # The dual's words plus the transform and its elimination, against C's
-    # words; n - k >= k fails it before any power of two is built.
+    # The dual's words plus the transform, against C's words; n - k >= k
+    # fails it before any power of two is built.
     n, k = code.length, code.dimension
     return n - k < k and (1 << (n - k)) + n * n < (1 << k)
 
@@ -536,23 +554,24 @@ def _capped_weights(code: LinearCode, search: str) -> list[int]:
     return code._weights
 
 
-def _weight_counts(code: LinearCode) -> list[int]:
-    """Counts of the 2^k codewords by weight 0..n.
+def _weight_counts(rows: tuple[int, ...], n: int) -> list[int]:
+    """Counts by weight 0..n of the 2^k words spanned by ``rows``, a basis
+    of a code of length n in which each row owns a coordinate: a bit that
+    no other row has.  The RREF basis owns its pivots, and the null-space
+    rows of :func:`~hypercode.gf2core.nullspace_basis` their free columns.
 
     A code of at most 8 codewords per coordinate is walked one codeword per
     step, which costs less than building columns; a larger one is counted
-    in bit-sliced blocks (:func:`_count_blocks`).  Each pivot bit of the
-    RREF basis sits in one row, so a code holds the all-ones word exactly
-    when the XOR of its rows is that word, as it does for every hypergraph
-    whose edges all have odd size.  The code is then C' + {0, all-ones}, C'
-    spanned by all rows but the last, and the blocks count only C':
-    A_w = A'_w + A'_{n-w}.
+    in bit-sliced blocks (:func:`_count_blocks`).  A word holds a row
+    exactly when it has that row's own coordinate, so the all-ones word,
+    which has them all, is in the code exactly when it is the XOR of all
+    the rows, as it is for every hypergraph whose edges all have odd size.
+    The code is then C' + {0, all-ones}, C' spanned by all rows but the
+    last, and the blocks count only C': A_w = A'_w + A'_{n-w}.
     """
-    rows = code.basis.rows
     if not rows:
         # Not a list as long as the code, whose width no row uses.
         return [1]
-    n = code.length
     if 1 << len(rows) <= _WALK_WORDS_PER_COLUMN * n:
         return _count_walk(rows, n)
     if reduce(xor, rows) != (1 << n) - 1:
@@ -826,11 +845,40 @@ def _chunk_tables(t: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, 
 def _macwilliams(dual_counts: list[int], n: int, k_dual: int) -> list[int]:
     """Weight counts of C from those of its dual, of dimension ``k_dual``.
 
-    A_j = 2^-k_dual * sum_i B_i K_j(i), with the Krawtchouk values K_j(i)
-    from the recurrence (j+1) K_{j+1} = (n-2i) K_j - (n-j+1) K_{j-1},
-    K_0 = 1, in integers.  Raises ValueError when a sum is negative or not
-    divisible by 2^k_dual, which no weight distribution of a dual code gives.
+    A_j = 2^-k_dual * sum_i B_i K_j(i), with the Krawtchouk values K_j(i),
+    the coefficients of X^j in (1 - X)^i (1 + X)^(n - i).  The sums come
+    from :func:`_packed_sums` when :func:`_packed_is_cheaper` says so, and
+    otherwise from :func:`_krawtchouk_sums`.  Raises ValueError when a sum
+    is negative or not divisible by 2^k_dual, which no weight distribution
+    of a dual code gives.
     """
+    weights = len(dual_counts) - dual_counts.count(0)
+    if _packed_is_cheaper(n, weights):
+        sums = _packed_sums(dual_counts, n)
+    else:
+        sums = _krawtchouk_sums(dual_counts, n)
+    size = 1 << k_dual
+    for j, total in enumerate(sums):
+        if total < 0 or total % size:
+            raise ValueError(f"MacWilliams sum {total} for weight {j} is not a count times {size}")
+    return [total >> k_dual for total in sums]
+
+
+def _packed_is_cheaper(n: int, weights: int) -> bool:
+    # The recurrence takes n + 1 steps per nonzero dual weight; the packed
+    # sums take about 3 big-integer steps per weight up to the largest,
+    # on integers that grow to n^2 bits, and a read of n + 1 lanes.  Timed
+    # against each other (scripts/bench_macwilliams.py), the packed sums
+    # cost less from about 5 weights at n <= 64, 20 at n = 256 and 45 at
+    # n = 512, and more on every dual tried at n >= 1023.  The rule stays
+    # inside that region: 5 weights up to n = 45, 37 at n = 256, 133 at
+    # n = 512.
+    return n * n < 2048 * (weights - 4)
+
+
+def _krawtchouk_sums(dual_counts: list[int], n: int) -> list[int]:
+    # sum_i B_i K_j(i), with K_j(i) from the recurrence
+    # (j+1) K_{j+1} = (n-2i) K_j - (n-j+1) K_{j-1}, K_0 = 1, in integers.
     sums = [0] * (n + 1)
     for i, b in enumerate(dual_counts):
         if b:
@@ -839,11 +887,38 @@ def _macwilliams(dual_counts: list[int], n: int, k_dual: int) -> list[int]:
                 sums[j] += b * current
                 following = ((n - 2 * i) * current - (n - j + 1) * previous) // (j + 1)
                 previous, current = current, following
-    size = 1 << k_dual
-    for j, total in enumerate(sums):
-        if total < 0 or total % size:
-            raise ValueError(f"MacWilliams sum {total} for weight {j} is not a count times {size}")
-    return [total >> k_dual for total in sums]
+    return sums
+
+
+def _packed_sums(dual_counts: list[int], n: int) -> list[int]:
+    """The sums of :func:`_krawtchouk_sums`, the coefficients of
+    P(X) = sum_i B_i (1 - X)^i (1 + X)^(n - i), by Kronecker substitution.
+
+    P is evaluated as one integer at X = 2^b, b a whole number of bytes
+    wide enough that every coefficient, |c_j| <= (sum_i B_i) C(n, j), fits
+    in a signed lane of b bits.  With hi the largest weight of the dual,
+    P = (1 + X)^(n - hi) Q, and Horner's rule sums the homogeneous Q from
+    weight hi down: each step adds B_i times the power of 1 + X, then
+    multiplies the sum by 1 - X, a shift and a subtraction, and the power
+    by 1 + X, a shift and an addition.  Adding 2^(b-1) to every lane makes
+    its digit non-negative, and one ``to_bytes`` reads them all.
+    """
+    lane = (sum(dual_counts).bit_length() + n + 8) // 8
+    b = 8 * lane
+    hi = len(dual_counts) - 1
+    while hi and not dual_counts[hi]:
+        hi -= 1
+    value, power = 0, 1  # power: (1 + X)^(hi - i) at weight i
+    for count in dual_counts[hi:0:-1]:
+        if count:
+            value += count * power
+        value -= value << b
+        power += power << b
+    value = (value + dual_counts[0] * power) * (1 + (1 << b)) ** (n - hi)
+    size, half = lane * (n + 1), 1 << (b - 1)
+    halves = int.from_bytes((bytes(lane - 1) + b"\x80") * (n + 1), "little")  # half in every lane
+    data = (value + halves).to_bytes(size, "little")
+    return [int.from_bytes(data[s : s + lane], "little") - half for s in range(0, size, lane)]
 
 
 def weight_distribution(code: LinearCode) -> dict[int, int]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from hypercode import (
     DistanceResult,
     EnumerationCapError,
     Hypergraph,
+    circulant_hypergraph,
     codeword_distance_search,
     complete_3partite,
     dual,
@@ -33,7 +35,7 @@ from hypercode import (
     structural_self_orthogonality,
     weight_distribution,
 )
-from hypercode.codes import _dual_is_cheaper, _macwilliams, _weight_counts
+from hypercode.codes import _dual_is_cheaper, _krawtchouk_sums, _macwilliams, _packed_sums, _weight_counts
 
 FANO_CODE = from_generator(incidence_matrix(fano_circulant()))
 
@@ -198,15 +200,21 @@ class TestWeightDistribution:
 
 class TestMacWilliams:
     """The direct scan and the transformed scan of the dual must agree on
-    every code, whichever of the two the side rule picks."""
+    every code, whichever of the two the side rule picks and through either
+    transform of the dual's counts."""
 
     @staticmethod
     def assert_routes_agree(code):
-        direct = _weight_counts(code)
+        n = code.length
+        direct = _weight_counts(code.basis.rows, n)
         assert direct[0] == 1
         assert sum(direct) == 1 << code.dimension
-        other = dual(code)
-        transformed = _macwilliams(_weight_counts(other), code.length, other.dimension)
+        rows = nullspace_basis(code.generator).rows
+        dual_counts = _weight_counts(rows, n)
+        scaled = {w: c << len(rows) for w, c in nonzero_counts(direct).items()}
+        for transform in (_packed_sums, _krawtchouk_sums):
+            assert nonzero_counts(transform(dual_counts, n)) == scaled
+        transformed = _macwilliams(dual_counts, n, len(rows))
         assert nonzero_counts(transformed) == nonzero_counts(direct)
         assert code._weights == direct
 
@@ -223,16 +231,72 @@ class TestMacWilliams:
                 checked += 1
         assert checked > 1000
 
-    def test_count_off_by_one_raises(self):
-        counts = _weight_counts(dual(FANO_CODE))
-        assert _macwilliams(counts, 7, 3) == _weight_counts(FANO_CODE)
+    @given(st.lists(st.integers(0, 1 << 40), min_size=1, max_size=40), st.integers(0, 30))
+    def test_transforms_agree_on_any_counts(self, counts, extra):
+        # Counts of no code at all: both give sum_i B_i K_j(i) exactly.
+        n = len(counts) - 1 + extra
+        assert _packed_sums(counts, n) == _krawtchouk_sums(counts, n)
+
+    def test_count_off_by_one_raises(self, monkeypatch):
+        # Either transform raises the same error, at the same first weight.
+        counts = _weight_counts(dual(FANO_CODE).basis.rows, 7)
+
+        def transform(dual_counts, packed):
+            monkeypatch.setattr(codes, "_packed_is_cheaper", lambda n, weights: packed)
+            return _macwilliams(dual_counts, 7, 3)
+
+        for packed in (True, False):
+            assert transform(counts, packed) == _weight_counts(FANO_CODE.basis.rows, 7)
         for weight in range(8):
             for delta in (1, -1):
                 if counts[weight] + delta >= 0:
                     wrong = list(counts)
                     wrong[weight] += delta
-                    with pytest.raises(ValueError, match="MacWilliams"):
-                        _macwilliams(wrong, 7, 3)
+                    messages = []
+                    for packed in (True, False):
+                        with pytest.raises(ValueError, match="MacWilliams") as raised:
+                            transform(wrong, packed)
+                        messages.append(str(raised.value))
+                    assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize(
+        "n, units, packed",
+        [(20, 3, False), (20, 4, True), (64, 5, False), (64, 6, True)],
+    )
+    def test_transform_rule_boundary(self, monkeypatch, n, units, packed):
+        # The code of the words that vanish on the first ``units``
+        # coordinates has A_w = C(n - units, w), and its dual, spanned by
+        # those unit vectors, has the units + 1 weights 0..units: one pair
+        # of inputs on either side of the rule at each length.
+        assert codes._packed_is_cheaper(n, units + 1) == packed
+        ran = []
+        for name in ("_packed_sums", "_krawtchouk_sums"):
+            transform = getattr(codes, name)
+            monkeypatch.setattr(codes, name, lambda c, n, name=name, f=transform: ran.append(name) or f(c, n))
+        code = from_generator(BitMatrix(n - units, n, tuple(1 << v for v in range(units, n))))
+        assert _dual_is_cheaper(code)
+        assert weight_distribution(code) == {w: comb(n - units, w) for w in range(n - units + 1)}
+        assert ran == ["_packed_sums" if packed else "_krawtchouk_sums"]
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_even_weight_code_from_its_dual(self, n):
+        # The [n, n-1] even-weight code, whose dual is {0, all-ones}: two
+        # weights, past the rule at every length, and A_w = C(n, w) for
+        # every even w.  The packed sums, not picked here, must agree.
+        code = from_generator(BitMatrix(n - 1, n, tuple(3 << v for v in range(n - 1))))
+        assert _dual_is_cheaper(code) and not codes._packed_is_cheaper(n, 2)
+        assert weight_distribution(code) == {w: comb(n, w) for w in range(0, n + 1, 2)}
+        two = [1] + [0] * (n - 1) + [1]
+        assert _packed_sums(two, n) == [2 * comb(n, w) if w % 2 == 0 else 0 for w in range(n + 1)]
+
+    def test_hamming_15_11_from_its_dual(self):
+        # The simplex dual [15,4] has the two weights 0 and 8.
+        code = from_generator(incidence_matrix(circulant_hypergraph("110010000000000")))
+        assert (code.length, code.dimension) == (15, 11)
+        assert _dual_is_cheaper(code) and not codes._packed_is_cheaper(15, 2)
+        assert weight_distribution(code) == {
+            0: 1, 3: 35, 4: 105, 5: 168, 6: 280, 7: 435, 8: 435, 9: 280, 10: 168, 11: 105, 12: 35, 15: 1,
+        }
 
     def test_side_rule(self):
         # 2^(n-k) + n^2 against 2^k.
@@ -282,11 +346,11 @@ class TestOneScanPerCode:
         scan = codes._weight_counts
         scanned = []
 
-        def scan_once(code):
+        def scan_once(rows, n):
             if scanned:
                 raise AssertionError("a second weight-count scan of the same code")
-            scanned.append(code)
-            return scan(code)
+            scanned.append(rows)
+            return scan(rows, n)
 
         monkeypatch.setattr(codes, "_weight_counts", scan_once)
         code = from_generator(generator)
