@@ -20,8 +20,10 @@ The script imports ``hypercode`` from ``src/`` beside it and records:
 - ``many_small_routes``: on the ``many-small`` items that take the dual
   route, grouped by length, the parent's dual route (a second reduction and
   the recurrence), this dual route and the direct count of the code itself;
-- ``quotient``: ``eonv_distance_search`` on ``exhaustive``'s full-rank
-  ``random_hypergraph(n=19,m=30)`` at both commits, in-process timeit;
+- ``quotient``: on ``exhaustive``'s full-rank ``random_hypergraph(n=19,m=30)``
+  at both commits, the result, ``eonv_distance_search`` and the
+  ``_subset_quotient`` call alone (in-process timeit), and the parent's
+  renumbering cut timed alone;
 - ``cycle_2048``: ``hypercode analyze --method codeword --weights`` of the
   cycle C_2048 at both commits, whole command;
 - ``pairs``: alternated ``perfbench/run.py --trace 0`` runs of both commits,
