@@ -40,17 +40,18 @@ words that reach it.
 The subset search moves from block to block by a Gray walk over the high
 vertices, complementing the columns of the edges at the vertex it toggles.
 Over several blocks it sums the copies of an edge once, adding one column
-at the level of each set bit of their number.  In a block that only
-ties the best weight, its pass for the lexicographically smallest witness
-stops once the block's witness is known to be the larger.
-Without an early exit, a subset search that spans several blocks (n > t)
-first finds the vertex dependencies, the subsets D with eonv(D) empty, by
-an elimination of its own.  They form a space of dimension n - k, and the
-kernel scans one subset per coset, the 2^k subsets that avoid one pivot
-vertex per dependency (all 2^n if there is none), on the hypergraph's edges
-cut to those vertices.  A greedy over the dependencies turns each minimum
-word's scanned subset into the smallest member of its coset, the witness of
-the full scan.  The cap still counts 2^n - 1 subsets.
+at the level of each set bit of their number.
+A subset search that spans several blocks (n > t) first finds the vertex
+dependencies, the subsets D with eonv(D) empty, by an elimination of its
+own.  They form a space of dimension n - k, and the kernel scans one
+subset per coset, the 2^k subsets that avoid one pivot vertex per
+dependency (all 2^n if there is none), on the hypergraph's edges cut to
+those vertices.  A greedy over the dependencies turns each minimum word's
+scanned subset into the smallest member of its coset, the witness of the
+full scan.  Its early exit stops after the first block whose least weight
+is within the threshold.  A search of one block scans all 2^n subsets, and
+its early exit stops at the Gray walk's first subset within it.  The cap
+counts 2^n - 1 subsets on every route.
 The weight counts read a weight as a sum over the generator's columns
 (MacWilliams & Sloane, ch. 5): the coordinates fall into classes by their
 pattern over the high rows, and a block complements a whole class or none
@@ -235,32 +236,29 @@ def eonv_distance_search(
 ) -> DistanceResult:
     """Minimum distance of the incidence code by vertex-subset enumeration.
 
-    Minimizes |eonv(S)| over the nonempty subsets S with eonv(S) nonempty,
-    in the order of a Gray walk over the subsets: step i reaches the subset
-    gray(i) = i ^ (i >> 1), one vertex away from the last.  The witness is
-    the lexicographically smallest minimizer.  With ``early_exit`` the scan
-    stops at the first subset of the walk with weight <= early_exit, and the
-    result is an upper bound (``exact`` is False).
-
-    eonv is linear, so the subsets D with eonv(D) empty, the dependencies,
-    form a space L of dimension n - k, and the full scan meets each word
-    2^(n-k) times.  Without ``early_exit``, a scan that spans several
-    kernel blocks (n > t, with t from :func:`_subset_bits`) scans one
-    subset per coset of L (:func:`_subset_quotient`), 2^k in all, which
-    are all 2^n when there is no dependency.  A scan of one block, and an
-    early exit always, runs over all 2^n subsets: in bit-sliced blocks
-    (:func:`_subset_blocks`) when it has more than 8 subsets per edge, and
-    otherwise one subset per step, which costs less there.  Every route
-    gives the same value and witness.  The cap counts the 2^n - 1 subsets
-    of the full scan, whichever route runs.
+    Minimizes |eonv(S)| over the nonempty subsets S with eonv(S) nonempty;
+    the witness is the lexicographically smallest minimizer.  eonv is
+    linear, so the subsets D with eonv(D) empty, the dependencies, form a
+    space L of dimension n - k.  A search that spans several kernel blocks
+    (n > t, with t from :func:`_subset_bits`) scans one subset per coset of
+    L (:func:`_subset_quotient`), 2^k in all, all 2^n when there is no
+    dependency; its early exit stops after the first block whose least
+    weight is <= early_exit.  A search of one block scans all 2^n subsets,
+    bit-sliced (:func:`_subset_blocks`) when it has more than 8 subsets per
+    edge and otherwise one per step of a Gray walk, step i reaching
+    gray(i) = i ^ (i >> 1); its early exit stops at the walk's first
+    subset with weight <= early_exit.  A stopped search gives an upper
+    bound (``exact`` is False); otherwise every route gives the same value
+    and witness.  The cap counts the 2^n - 1 subsets of the full scan,
+    whichever route runs.
     """
     rows = hypergraph.vertex_rows
     if not any(rows):
         raise ValueError("the incidence matrix is zero; there is no nonzero codeword")
     n, m = hypergraph.num_vertices, hypergraph.num_edges
     check_enum_cap("subset search", n)
-    if early_exit is None and n > _subset_bits(n, m):
-        return _subset_quotient(hypergraph, _vertex_dependencies(rows))
+    if n > _subset_bits(n, m):
+        return _subset_quotient(hypergraph, _vertex_dependencies(rows), early_exit)
     if 1 << n <= _WALK_WORDS_PER_COLUMN * m:
         return _subset_walk(hypergraph, early_exit)
     return _subset_blocks(hypergraph, early_exit)
@@ -299,71 +297,46 @@ def _subset_bits(n: int, m: int) -> int:
 
 
 def _subset_blocks(hypergraph: Hypergraph, early_exit: int | None) -> DistanceResult:
-    """The subset search over the blocks of :func:`_subset_minima`, with the
-    result of :func:`_subset_walk`: one-block exact scans and early exits.
+    """The subset search of one kernel block (n <= t) by
+    :func:`_subset_minima`, with the result of :func:`_subset_walk`.
 
-    Within a block a greedy pass over the low vertices finds the
-    lexicographically smallest minimizer: it keeps the candidates that
-    contain each vertex whenever any do, and in the block without high
-    vertices it first stops when the subset of the vertices chosen so far
-    is still a candidate.  In a block that only ties the best weight, each
-    vertex kept is compared with the best witness's element at its index,
-    and the pass stops once the block's witness is the larger: a kept
-    vertex above that element, or one more vertex after all of the best
-    witness's elements.  The walk over all vertices visits the positions
-    of a block upwards after an even number of high steps and downwards
-    after an odd one, so an early exit takes the lowest or the highest
-    position with 0 < weight <= early_exit.
+    An early exit takes the lowest position with 0 < weight <= early_exit,
+    the walk's first.  Otherwise a greedy pass over the vertices finds the
+    lexicographically smallest minimizer: it stops when the subset of the
+    vertices chosen so far is a candidate, and otherwise keeps the
+    candidates that contain the next vertex whenever any do.
     """
     n, m = hypergraph.num_vertices, hypergraph.num_edges
-    t = _subset_bits(n, m)
-    member = _gray_tables(t)
-    full = (1 << (1 << t)) - 1
-    # A nonzero row exists, so its singleton subset sets a real minimum.
-    best_w = m + 1
-    best_wit: tuple[int, ...] = ()
-    for h, w, cand, planes in _subset_minima(n, hypergraph.edges, t):
-        if w > best_w:
+    member = _gray_tables(n)
+    # A nonzero row exists, so the block has a nonzero weight.
+    _, w, cand, planes = next(_subset_minima(n, hypergraph.edges, n))
+    if early_exit is not None and w <= early_exit:
+        # Positions with weight <= bound, compared plane by plane from the
+        # top; no weight exceeds m < 2^len(planes).
+        bound = min(early_exit, m)
+        above, equal = 0, (1 << (1 << n)) - 1
+        for j in reversed(range(len(planes))):
+            if bound >> j & 1:
+                equal &= planes[j]
+            else:
+                above |= equal & planes[j]
+                equal &= ~planes[j]
+        hits = reduce(or_, planes) & ~above
+        q = (hits & -hits).bit_length() - 1
+        w = sum((plane >> q & 1) << j for j, plane in enumerate(planes))
+        return DistanceResult(w, False, set_bits(q ^ (q >> 1)))
+    at = v = 0  # at: position of the subset of the vertices chosen so far
+    while cand & (cand - 1):
+        if cand >> at & 1:
+            cand = 1 << at
             continue
-        high = (h ^ (h >> 1)) << t
-        if early_exit is not None and w <= early_exit:
-            # Positions with weight <= bound, compared plane by plane from
-            # the top; no weight exceeds m < 2^len(planes).
-            bound = min(early_exit, m)
-            above, equal = 0, full
-            for j in reversed(range(len(planes))):
-                if bound >> j & 1:
-                    equal &= planes[j]
-                else:
-                    above |= equal & planes[j]
-                    equal &= ~planes[j]
-            hits = reduce(or_, planes) & ~above
-            q = hits.bit_length() - 1 if h & 1 else (hits & -hits).bit_length() - 1
-            w = sum((plane >> q & 1) << j for j, plane in enumerate(planes))
-            return DistanceResult(w, False, set_bits(q ^ (q >> 1) | high))
-        at = v = 0  # at: position of the subset of the low vertices chosen so far
-        # Elements of best_wit that the vertices kept so far match, while
-        # the block ties: -1 once it has no tie or has a smaller vertex.
-        matched = 0 if w == best_w else -1
-        while cand & (cand - 1):
-            if not high and cand >> at & 1:
-                cand = 1 << at
-                continue
-            has = cand & member[v]
-            if has:
-                if matched >= 0:
-                    if matched == len(best_wit) or v > best_wit[matched]:
-                        break  # the block's witness is the larger
-                    matched = matched + 1 if v == best_wit[matched] else -1
-                cand = has
-                at ^= (2 << v) - 1
-            v += 1
-        else:  # the pass was not stopped
-            q = cand.bit_length() - 1
-            witness = set_bits(q ^ (q >> 1) | high)
-            if w < best_w or witness < best_wit:
-                best_w, best_wit = w, witness
-    return DistanceResult(best_w, True, best_wit)
+        has = cand & member[v]
+        if has:
+            cand = has
+            at ^= (2 << v) - 1
+        v += 1
+    q = cand.bit_length() - 1
+    return DistanceResult(w, True, set_bits(q ^ (q >> 1)))
 
 
 def _subset_minima(n: int, edges: Sequence[Edge], t: int) -> Iterator[tuple[int, int, int, list[int]]]:
@@ -477,8 +450,10 @@ def _vertex_dependencies(rows: tuple[int, ...]) -> list[int]:
     return found[::-1]
 
 
-def _subset_quotient(hypergraph: Hypergraph, dependencies: list[int]) -> DistanceResult:
-    """The exact search over one subset per coset of the dependency space.
+def _subset_quotient(
+    hypergraph: Hypergraph, dependencies: list[int], early_exit: int | None = None
+) -> DistanceResult:
+    """The search over one subset per coset of the dependency space.
 
     ``dependencies`` is the basis of :func:`_vertex_dependencies`, empty for
     independent rows.  Each coset S + L has exactly one member that avoids
@@ -498,6 +473,11 @@ def _subset_quotient(hypergraph: Hypergraph, dependencies: list[int]) -> Distanc
     such member has a vertex >= p, and adding p's dependency puts in p, the
     least one possible, and leaves the other pivots out.  With the k
     vertices of the member to place, that is at most n steps per word.
+
+    With ``early_exit`` the scan stops after the first block whose least
+    weight is <= early_exit.  The result is that weight, flagged inexact,
+    and the greedy's witness over that block's minimum words.  When no
+    block meets the threshold, the result is the exact one.
     """
     keep: Sequence[int] = range(hypergraph.num_vertices)
     quotient: Sequence[Edge] = hypergraph.edges  # no dependency: every vertex is kept
@@ -508,12 +488,17 @@ def _subset_quotient(hypergraph: Hypergraph, dependencies: list[int]) -> Distanc
         quotient = [tuple(index[v] for v in edge if v in index) for edge in quotient]
     k, m = len(keep), len(quotient)
     t = _subset_bits(k, m)
-    best_w, minima = m + 1, []
+    best_w, minima, exact = m + 1, [], True
     for h, w, positions, _ in _subset_minima(k, quotient, t):
         if w < best_w:
             best_w, minima = w, []
         if w == best_w:
             minima.append(((h ^ (h >> 1)) << t, positions))
+        if early_exit is not None and w <= early_exit:
+            # Every earlier block was above the threshold, so this block's
+            # minimum words are the only ones kept.
+            exact = False
+            break
     best_wit = None
     for high, positions in minima:
         for q in set_bits(positions):
@@ -527,7 +512,7 @@ def _subset_quotient(hypergraph: Hypergraph, dependencies: list[int]) -> Distanc
             witness = set_bits(member)
             if best_wit is None or witness < best_wit:
                 best_wit = witness
-    return DistanceResult(best_w, True, best_wit)
+    return DistanceResult(best_w, exact, best_wit)
 
 
 @cache

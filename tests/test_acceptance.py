@@ -56,8 +56,8 @@ def test_eonv_support_reads_eonv(monkeypatch):
 def test_engine_agreement_reaches_the_quotient(monkeypatch):
     real = codes._subset_quotient
 
-    def one_too_high(hypergraph, dependencies):
-        result = real(hypergraph, dependencies)
+    def one_too_high(hypergraph, dependencies, early_exit=None):
+        result = real(hypergraph, dependencies, early_exit)
         return dataclasses.replace(result, value=result.value + 1)
 
     monkeypatch.setattr(codes, "_subset_quotient", one_too_high)

@@ -4,28 +4,31 @@ Both exhaustive engines walk a small scan one word per step and count a
 larger one in blocks of 2^t words, t at most ``codes._BLOCK_BITS`` for the
 weight counts and ``codes._SUBSET_BLOCK_BITS`` for the subset search.  Here
 each kernel is called directly and must return exactly what the walk
-returns, witness and early-exit stop included.  The inputs are sized so
-that one block, or several with odd ones among them, covers the scan: the
-subset tests sized for a bound of 14 lower the subset bound to 14, and the
-subset kernel is also held to the walk at every threshold, with its bound
-lowered to 1, 2 and 3 and at its default, on inputs with ties across
-blocks, repeated edges and repeated vertex rows.  The codeword early exit
-reads the count kernel's blocks whatever the code's size, so it is held to
-the per-word Gray loop it replaced, with the bound lowered to 1, 2 and 3
-to spread small codes over many blocks, and to a plain walk over all the
-words at every threshold, with the bound at 2, 3 and 4.  In the same way
-the halving over the high rows is held, block by block and position by
-position, to the per-block class loop it replaced and to the words
-themselves, the Four Russians tables the columns are read from to the
-message tables, and the counts of a code that holds the all-ones word,
-taken by halves, to the walk over its whole basis.  The subset search over the
-quotient by the vertex dependencies, one subset per coset, is held to the
-walk over all subsets, witness included, wherever the subset kernel is,
-with dependencies or none, and on its own inputs: repeated edges,
-identical vertex rows, a witness that is not the member of its coset that
-the route scans, and codes whose every nonzero word is a minimum word.
-Its edges, cut from the hypergraph's, are held to the columns of the
-kept vertex rows.
+returns, witness and early-exit stop included.  The subset kernel scans
+one block (n <= t) directly, held to the walk at every threshold; a search
+over several blocks (n > t) takes the quotient by the vertex dependencies,
+one subset per coset, early exits included.  Its exact result is held to
+the walk over all subsets, witness included, and its early exit to a
+brute-force oracle of its rule: the first block, in Gray order of the kept
+high vertices, whose least weight is within the threshold, and the
+smallest subset whose row sum is one of that block's minimum words.  The
+inputs span several blocks with the subset bound lowered to 14, or to 1, 2
+and 3, with ties across blocks, odd blocks, repeated edges and repeated
+vertex rows, and one spy holds an early exit to the subsets the exact
+search scans.  The codeword early exit reads the count kernel's blocks
+whatever the code's size, so it is held to the per-word Gray loop it
+replaced, with the bound lowered to 1, 2 and 3 to spread small codes over
+many blocks, and to a plain walk over all the words at every threshold,
+with the bound at 2, 3 and 4.  In the same way the halving over the high
+rows is held, block by block and position by position, to the per-block
+class loop it replaced and to the words themselves, the Four Russians
+tables the columns are read from to the message tables, and the counts of
+a code that holds the all-ones word, taken by halves, to the walk over its
+whole basis.  The quotient is also held to the walk on its own inputs:
+repeated edges, identical vertex rows, a witness that is not the member of
+its coset that the route scans, and codes whose every nonzero word is a
+minimum word.  Its edges, cut from the hypergraph's, are held to the
+columns of the kept vertex rows.
 """
 
 from __future__ import annotations
@@ -71,17 +74,9 @@ DEFAULT_SUBSET_BLOCK = codes._SUBSET_BLOCK_BITS
 SUBSET_BLOCK = 14  # the subset bound that TestSubsetBlocks sizes its inputs against
 
 
-def gray_index(subset: tuple[int, ...]) -> int:
-    """Position of ``subset`` in the Gray walk over all vertices."""
-    mask = sum(1 << v for v in subset)
-    index = 0
-    while mask:
-        index ^= mask
-        mask >>= 1
-    return index
-
-
 def assert_same_search(hg: Hypergraph, early_exit: int | None = None):
+    """One block (n <= t): the kernel, the walk and the engine agree."""
+    assert hg.num_vertices <= codes._subset_bits(hg.num_vertices, hg.num_edges)
     kernel = _subset_blocks(hg, early_exit)
     assert kernel == _subset_walk(hg, early_exit)
     assert eonv_distance_search(hg, early_exit=early_exit) == kernel
@@ -100,6 +95,50 @@ def assert_same_quotient(hg: Hypergraph, expected):
     dependencies = _vertex_dependencies(hg.vertex_rows)
     assert len(dependencies) == hg.num_vertices - rank(incidence_matrix(hg))
     assert _subset_quotient(hg, dependencies) == expected
+
+
+def quotient_early_exit(hg: Hypergraph, early_exit: int):
+    """The early exit over several blocks by brute force: the first block,
+    h, whose least weight is <= early_exit, and the result, or None and
+    the walk's exact result when no block meets it.
+
+    A vertex is kept when its row is not a sum of higher rows, and the
+    blocks are the subsets of the kept vertices in Gray order of the kept
+    high vertices (those from index t on), each block's words the row sums
+    of its 2^t subsets.  The witness is the smallest of all 2^n subsets
+    whose row sum is one of the meeting block's minimum words.
+    """
+    rows, n, m = hg.vertex_rows, hg.num_vertices, hg.num_edges
+    ranks = [rank(BitMatrix(n - v, m, rows[v:])) for v in range(n)] + [0]
+    kept = [v for v in range(n) if ranks[v] > ranks[v + 1]]
+    t = codes._subset_bits(len(kept), m)
+    low, high = kept[:t], kept[t:]
+    low_sums = [reduce(xor, (rows[low[i]] for i in set_bits(mask)), 0) for mask in range(1 << t)]
+    for h in range(1 << len(high)):
+        base = reduce(xor, (rows[high[i]] for i in set_bits(h ^ (h >> 1))), 0)
+        words = {base ^ s for s in low_sums} - {0}
+        least = min((word.bit_count() for word in words), default=m + 1)
+        if least <= early_exit:
+            minimum = {word for word in words if word.bit_count() == least}
+            sums = [0]
+            for mask in range(1, 1 << n):
+                sums.append(sums[mask & (mask - 1)] ^ rows[(mask & -mask).bit_length() - 1])
+            witness = min(set_bits(mask) for mask, word in enumerate(sums) if word in minimum)
+            return h, codes.DistanceResult(least, False, witness)
+    return None, _subset_walk(hg, None)
+
+
+def assert_same_blocks_search(hg: Hypergraph, early_exit: int | None = None):
+    """Several blocks (n > t): the engine takes the quotient, and gives the
+    walk's result without an early exit and the oracle's with one."""
+    assert hg.num_vertices > codes._subset_bits(hg.num_vertices, hg.num_edges)
+    result = eonv_distance_search(hg, early_exit=early_exit)
+    if early_exit is None:
+        assert result == _subset_walk(hg, None)
+        assert_same_quotient(hg, result)
+    else:
+        assert result == quotient_early_exit(hg, early_exit)[1], early_exit
+    return result
 
 
 def assert_same_row_counts(rows, n):
@@ -144,6 +183,10 @@ class TestSingleBlock:
 
 
 class TestSubsetBlocks:
+    """Inputs over several blocks at the subset bound 14: the engine takes
+    the quotient, held to the walk when exact and to
+    :func:`quotient_early_exit` at each early exit."""
+
     @pytest.fixture(autouse=True)
     def subset_bound(self, monkeypatch):
         monkeypatch.setattr(codes, "_SUBSET_BLOCK_BITS", SUBSET_BLOCK)
@@ -153,7 +196,7 @@ class TestSubsetBlocks:
         for n in (15, 16, 17):
             hg = random_hypergraph(rng, n, rng.randint(10, 24))
             assert n > SUBSET_BLOCK
-            assert_same_search(hg)
+            assert_same_blocks_search(hg)
 
     def test_early_exit_first_met_in_an_odd_block(self):
         rng = random.Random(5)
@@ -161,31 +204,33 @@ class TestSubsetBlocks:
         for n in (15, 16):
             for _ in range(3):
                 hg = random_hypergraph(rng, n, rng.randint(14, 22), max_edge_size=n // 2)
-                exact = assert_same_search(hg)
+                exact = assert_same_blocks_search(hg)
                 for threshold in range(exact.value, hg.num_edges + 1):
-                    result = assert_same_search(hg, threshold)
-                    odd_exits += (gray_index(result.witness) >> SUBSET_BLOCK) & 1
+                    block, expected = quotient_early_exit(hg, threshold)
+                    assert eonv_distance_search(hg, early_exit=threshold) == expected
+                    odd_exits += block & 1
         assert odd_exits > 0
 
-    def test_early_exit_in_an_odd_block_takes_its_highest_position(self):
+    def test_early_exit_in_an_odd_block_takes_its_smallest_minimizer(self):
         # Vertex 0 has 6 private edges, vertices 1..13 four each, and vertex
         # 14 lies in 3 of vertex 0's edges.  No subset of 0..13 has weight
-        # <= 3; in the second block, which the walk visits downwards, {14}
-        # and {0, 14} both have weight 3, and {0, 14} comes first.
+        # <= 3; in the second block {14} and {0, 14} both have weight 3,
+        # and the stop takes the smaller, {0, 14}.
         edges = [(0, 14)] * 3 + [(0,)] * 3
         edges += [(v,) for v in range(1, 14) for _ in range(4)]
         hg = Hypergraph(15, tuple(edges))
-        assert assert_same_search(hg, 3) == codes.DistanceResult(3, False, (0, 14))
+        assert quotient_early_exit(hg, 3)[0] == 1
+        assert assert_same_blocks_search(hg, 3) == codes.DistanceResult(3, False, (0, 14))
 
     def test_minimum_ties_across_blocks(self):
         # 131072 subsets of block_circulant(9,1)'s 18 vertices reach d = 9.
         hg = circulant_hypergraph(block_row(9, 1))
-        assert assert_same_search(hg).value == 9
-        assert_same_search(hg, 9)
+        assert assert_same_blocks_search(hg).value == 9
+        assert_same_blocks_search(hg, 9)
 
     def test_zero_weight_subsets_in_block_zero_and_later(self):
         # Vertices 0..13 lie in no edge: the whole first block has weight zero.
-        assert_same_search(Hypergraph(15, ((14,), (14,))))
+        assert_same_blocks_search(Hypergraph(15, ((14,), (14,))))
         # Vertex 1 repeats vertex 0's edges and vertex 15 repeats vertex
         # 14's: {0, 1} has weight zero in the first block, {14, 15} in a later one.
         rng = random.Random(6)
@@ -198,9 +243,9 @@ class TestSubsetBlocks:
         hg = Hypergraph(16, tuple(edges))
         rows = hg.vertex_rows
         assert rows[0] == rows[1] != 0 and rows[14] == rows[15] != 0
-        exact = assert_same_search(hg)
+        exact = assert_same_blocks_search(hg)
         for early_exit in range(exact.value + 3):
-            assert_same_search(hg, early_exit)
+            assert_same_blocks_search(hg, early_exit)
 
     def test_edges_without_low_vertices(self):
         # Edges on high vertices only give all-zero columns in every block.
@@ -208,9 +253,9 @@ class TestSubsetBlocks:
         edges = [tuple(sorted(rng.sample(range(15, 17), rng.randint(1, 2)))) for _ in range(6)]
         edges += [tuple(sorted(rng.sample(range(17), 4))) for _ in range(8)]
         hg = Hypergraph(17, tuple(edges))
-        assert_same_search(hg)
+        assert_same_blocks_search(hg)
         for early_exit in range(0, 5):
-            assert_same_search(hg, early_exit)
+            assert_same_blocks_search(hg, early_exit)
 
 
 def hypergraph_from_rows(rows) -> Hypergraph:
@@ -245,12 +290,12 @@ def minimizers(hg):
 
 def spy_quotient(monkeypatch) -> list:
     """Records each call of the quotient route as (hypergraph,
-    dependencies, result)."""
+    dependencies, early_exit, result)."""
     calls = []
 
-    def spy(hg, dependencies):
-        calls.append((hg, dependencies, real(hg, dependencies)))
-        return calls[-1][2]
+    def spy(hg, dependencies, early_exit=None):
+        calls.append((hg, dependencies, early_exit, real(hg, dependencies, early_exit)))
+        return calls[-1][3]
 
     real = codes._subset_quotient
     monkeypatch.setattr(codes, "_subset_quotient", spy)
@@ -258,23 +303,26 @@ def spy_quotient(monkeypatch) -> list:
 
 
 class TestSubsetKernelAtEveryThreshold:
-    """``_subset_blocks`` against ``_subset_walk``: the exact value and
-    witness, and the early-exit stop at every threshold from 0 to m + 1.
-    The subset bound is lowered to 1, 2 and 3, which spreads each input
-    over many blocks, and kept at its default, which fits it in one."""
+    """Every threshold from 0 to m + 1, and none.  At the default subset
+    bound each input fits in one block, and ``_subset_blocks`` is held to
+    ``_subset_walk``: the exact value and witness, and the early-exit stop.
+    The bound lowered to 1, 2 and 3 spreads each input over many blocks, so
+    the engine takes the quotient, held to the walk when exact and to
+    :func:`quotient_early_exit` at each early exit."""
 
     def assert_every_threshold(self, monkeypatch, hg):
-        expected = {e: _subset_walk(hg, e) for e in [None, *range(hg.num_edges + 2)]}
+        thresholds = [None, *range(hg.num_edges + 2)]
+        expected = {e: _subset_walk(hg, e) for e in thresholds}
+        monkeypatch.setattr(codes, "_SUBSET_BLOCK_BITS", DEFAULT_SUBSET_BLOCK)
+        for early_exit, result in expected.items():
+            assert _subset_blocks(hg, early_exit) == result, early_exit
+            assert eonv_distance_search(hg, early_exit=early_exit) == result, early_exit
         quotients = spy_quotient(monkeypatch)
-        for bits in (1, 2, 3, DEFAULT_SUBSET_BLOCK):
+        for bits in (1, 2, 3):
             monkeypatch.setattr(codes, "_SUBSET_BLOCK_BITS", bits)
-            for early_exit, result in expected.items():
-                assert _subset_blocks(hg, early_exit) == result, (bits, early_exit)
-            # At the bounds 1 to 3 the search spans several blocks (n > t),
-            # so it takes the quotient route, with dependencies or none.
-            assert eonv_distance_search(hg) == expected[None], bits
-        assert_same_quotient(hg, expected[None])
-        assert len(quotients) == 3
+            for early_exit in thresholds:
+                assert_same_blocks_search(hg, early_exit)
+        assert len(quotients) == 3 * len(thresholds)
         return expected[None]
 
     @pytest.mark.parametrize("k, m", [(2, 2), (4, 1), (6, 1), (3, 2), (2, 3)])
@@ -310,8 +358,8 @@ class TestSubsetKernelAtEveryThreshold:
 
     def test_smallest_minimizer_in_a_block_after_the_first_tie(self, monkeypatch):
         # The walk meets {0, 5} first.  At the bound 3, {0, 1, 6} and
-        # {0, 1, 2, 6} tie it in one later block, whose witness pass matches
-        # 0, is ahead at 1 < 5, and then keeps 2 as a third vertex.
+        # {0, 1, 2, 6} tie it in one later block, and the smallest of the
+        # three is the witness.
         ties = [((0, 5), 5), ((0, 1, 6), 6), ((0, 1, 2, 6), 2)]
         hg = hypergraph_from_rows(tie_rows(random.Random(34), 8, ties))
         assert minimizers(hg) == [(0, 1, 2, 6), (0, 1, 6), (0, 5)]
@@ -320,8 +368,8 @@ class TestSubsetKernelAtEveryThreshold:
 
     def test_shorter_prefix_in_block_zero_wins(self, monkeypatch):
         # {0} has weight 1 in the first block.  At the bound 3, {0, 1, 5}
-        # and {0, 2, 5} tie it in one later block, whose witness pass
-        # matches 0 and then keeps one more vertex, so the block loses.
+        # and {0, 2, 5} tie it in one later block; {0} is a prefix of both,
+        # so the first block's witness stands.
         ties = [((0,), 0), ((0, 1, 5), 5), ((0, 2, 5), 2)]
         hg = hypergraph_from_rows(tie_rows(random.Random(35), 7, ties))
         assert minimizers(hg) == [(0,), (0, 1, 5), (0, 2, 5)]
@@ -334,7 +382,8 @@ class TestSubsetKernelAtEveryThreshold:
         hg = hypergraph_from_rows(tie_rows(random.Random(36), 17, ties))
         assert DEFAULT_SUBSET_BLOCK == 16
         assert _subset_walk(hg, 1).witness == (0, 5)
-        assert assert_same_search(hg) == codes.DistanceResult(1, True, (0, 1, 16))
+        assert assert_same_blocks_search(hg) == codes.DistanceResult(1, True, (0, 1, 16))
+        assert assert_same_blocks_search(hg, 1) == codes.DistanceResult(1, False, (0, 5))
 
 
 def simplex_rows(k):
@@ -424,24 +473,20 @@ class TestSubsetQuotient:
             self.search(monkeypatch, hg, rng.randint(1, 3))
         assert len(quotients) > 80
 
-    def test_full_rank_takes_the_quotient_early_exits_never(self, monkeypatch, quotients):
-        # Over several blocks, a full-rank scan is the quotient with no
-        # dependency, which keeps every vertex; an early exit, full rank
-        # or not, always walks all 2^n subsets.
+    def test_full_rank_and_early_exits_take_the_quotient(self, monkeypatch, quotients):
+        # Over several blocks every search takes the quotient, early exits
+        # included: a full-rank one with no dependency, which keeps every
+        # vertex, and a dependent one with its dependency.
         rng = random.Random(45)
         monkeypatch.setattr(codes, "_SUBSET_BLOCK_BITS", 1)
         full_rank = [hypergraph_from_rows([1 << v | rng.getrandbits(12) << n for v in range(n)]) for n in (4, 7, 10)]
         dependent = hypergraph_from_rows([0b011, 0b110, 0b101, 0b1000])
-        for hg in [*full_rank, dependent]:
-            for early_exit in range(4):
-                assert eonv_distance_search(hg, early_exit=early_exit) == _subset_walk(hg, early_exit)
-        assert quotients == []
-        for hg in full_rank:
-            assert eonv_distance_search(hg) == _subset_walk(hg, None)
-        assert [(route, dependencies) for route, dependencies, _ in quotients] == [(hg, []) for hg in full_rank]
-        quotients.clear()
-        eonv_distance_search(dependent)
-        assert [(route, dependencies) for route, dependencies, _ in quotients] == [(dependent, [0b111])]
+        routes = []
+        for hg, dependencies in [*((hg, []) for hg in full_rank), (dependent, [0b111])]:
+            for early_exit in (None, *range(4)):
+                assert_same_blocks_search(hg, early_exit)
+                routes.append((hg, dependencies, early_exit))
+        assert [call[:3] for call in quotients] == routes
 
     @given(hypergraphs(max_vertices=9, max_edges=12), st.data())
     def test_quotient_edges_are_the_kept_rows_columns(self, hg, data):
@@ -484,7 +529,25 @@ class TestSubsetQuotient:
         assert len(_vertex_dependencies(hg.vertex_rows)) == copies
         result = self.search(monkeypatch, hg, DEFAULT_SUBSET_BLOCK if k == 12 else 3)
         assert result == codes.DistanceResult(1 << (k - 1), True, (0,))
-        assert [(route, found) for route, _, found in quotients] == [(hg, result)]
+        assert [(route, found) for route, _, _, found in quotients] == [(hg, result)]
+
+
+def test_early_exit_reads_no_more_subsets_than_the_exact_search(monkeypatch):
+    # block_circulant(2,6) has 24 vertices and rank 7.  Its early exit
+    # at 3, below d = 4, scans the 2^7 cosets as the exact search does,
+    # not the 2^24 subsets, and gives the exact result.
+    hg = circulant_hypergraph(block_row(2, 6))
+    scanned = []
+    real = codes._subset_minima
+
+    def spy(k, edges, t):
+        scanned.append(k)
+        return real(k, edges, t)
+
+    monkeypatch.setattr(codes, "_subset_minima", spy)
+    exact = eonv_distance_search(hg)
+    assert eonv_distance_search(hg, early_exit=3) == exact == codes.DistanceResult(4, True, (0, 1))
+    assert (hg.num_vertices, scanned) == (24, [7, 7])
 
 
 def spread(columns):
