@@ -24,8 +24,21 @@ integer at X = 2^b (Kronecker substitution) and summed by Horner's rule,
 each factor one shift and one addition, and read back lane by lane.
 Otherwise the three-term recurrence of K_j(i) runs in integers, n + 1 steps
 per dual weight, which costs less for few weights or long codes, where the
-packed integers grow to n^2 bits.  The cap counts the nonzero words of the
-side that is scanned.
+packed integers grow to n^2 bits.
+
+A third exact side walks the twin classes of the generator's r rows.  Rows
+are twins when exchanging them maps the multiset of the columns to itself
+(for an incidence matrix, vertices whose exchange maps the edge multiset to
+itself); every permutation within a class then does, so a word's weight
+depends only on its count vector a, the a_i rows it takes from class c_i,
+and A_w = 2^-(r-k) sum prod_i C(|c_i|, a_i) over the vectors of weight w,
+one row XOR and one popcount per vector.  One rule picks it: when the side
+chosen above spans several count-kernel blocks (over 2^14 words), the
+classes are detected, and the walk runs when its prod_i (|c_i| + 1)
+vectors, at 64 kernel words each, cost less than that side's words.
+``complete_3partite(n)``, three classes of n, takes (n + 1)^3 vectors
+instead of 2^(3n-2) words.  The cap counts the nonzero words of the side
+that the rule weighs, whichever route then runs.
 
 The weight counts and the subset search are bit-sliced block kernels.  A
 block is 2^t words that share their high rows (or vertices), with t <= 14
@@ -89,11 +102,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, compress
+from math import prod
 from operator import or_, xor
 from typing import Iterator, Sequence
 
-from .gf2core import BitMatrix, gram, nullspace_basis, rref, set_bits
+from .gf2core import BitMatrix, _columns, gram, nullspace_basis, rref, set_bits
 from .hypergraph import Edge, Hypergraph, is_connected
 from .limits import check_enum_cap
 
@@ -106,6 +120,12 @@ _TABLE_BITS = 23
 _BLOCK_BITS = 14
 _SUBSET_BLOCK_BITS = 16
 _WALK_WORDS_PER_COLUMN = 8
+# The twin walk's time per count vector, in count-kernel words: timed on
+# one core, 33-140 on codes of length 64-343 (complete_3partite(6)-(9),
+# random [64,16] and [64,18]), 5-20 on lengths 512-2048, where each kernel
+# word costs more.
+_TWIN_VECTOR_COST = 64
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # '0'/'1' text to false/true bytes
 
 
 @dataclass(frozen=True)
@@ -135,11 +155,25 @@ class LinearCode:
 
     @cached_property
     def _weights(self) -> list[int]:
-        # Counts of the 2^k codewords, indexed by weight, from the cheaper
-        # side.  The dual's side counts the null-space rows as they are: they
-        # are independent, so no second elimination is needed.
-        n = self.length
-        if not _dual_is_cheaper(self):
+        """Counts of the 2^k codewords, indexed by weight, from one of three
+        exact sides.
+
+        :func:`_dual_is_cheaper` picks the code's words or its dual's.
+        When that side has more than 2^_BLOCK_BITS words, the twin walk over
+        the generator's rows (:func:`_twin_walk`) replaces it if
+        :func:`_twin_classes` finds it cheaper; detection runs only then,
+        after the callers' cap check.  The dual's side counts the
+        null-space rows as they are: they are independent, so no second
+        elimination is needed.
+        """
+        n, k = self.length, self.dimension
+        dual = _dual_is_cheaper(self)
+        side = n - k if dual else k
+        if side > _BLOCK_BITS:
+            classes = _twin_classes(self.generator.rows, n, 1 << side)
+            if classes is not None:
+                return _twin_walk(self.generator.rows, classes, n, k)
+        if not dual:
             return _weight_counts(self.basis.rows, n)
         rows = nullspace_basis(self.generator).rows
         return _macwilliams(_weight_counts(rows, n), n, len(rows))
@@ -180,10 +214,11 @@ def codeword_distance_search(
     """Minimum nonzero codeword weight by exhaustive message-space enumeration.
 
     Without ``early_exit`` the value is the least nonzero weight of the
-    code's weight counts, the list :func:`weight_distribution` reads, scanned
-    once per code.  With it, the blocks' bit planes from
-    :func:`_weight_planes` are read in the order of the Gray walk over all
-    2^k messages: each block's positions with 0 < weight <= early_exit are
+    code's weight counts, the list :func:`weight_distribution` reads, made
+    once per code from the side that ``LinearCode._weights`` picks: the
+    code's words, its dual's, or the twin walk.  With it, the blocks' bit
+    planes from :func:`_weight_planes` are read in the order of the Gray
+    walk over all 2^k messages: each block's positions with 0 < weight <= early_exit are
     found by comparing the planes with the bound from the top, and the
     search stops at the walk's first of them, flagged as an upper bound.
     A block without one gives its least nonzero weight, read from the top
@@ -539,6 +574,137 @@ def _capped_weights(code: LinearCode, search: str) -> list[int]:
     return code._weights
 
 
+def _twin_classes(rows: tuple[int, ...], n: int, words: int | None = None) -> list[list[int]] | None:
+    """Classes of twin rows, as lists of row indices, every row in one.
+
+    Rows u and v are twins when exchanging them maps the multiset of the
+    columns' patterns over the rows to itself; every permutation within a
+    class then does, so a word's weight depends only on how many rows it
+    takes from each class.  Equal rows are twins, and a row u with a copy
+    has no other twin: if exchanging u and v permutes the columns, the
+    permutation fixes the copy, so it fixes row u too, which the exchange
+    turns into row v.  The other rows are grouped by a key that twins
+    share, their weight and then the sorted overlaps with the distinct
+    rows.  A candidate must overlap every row as its class's first row
+    does, the two exchanged, and is then verified exactly: the exchange
+    must map the patterns of the columns where the two rows differ to
+    themselves (the others keep theirs).  Twinness is transitive, a
+    transposition conjugated by another being one, so testing against the
+    first row finds every class; a twin missed would cost speed only.
+
+    With ``words``, the words of the side the count kernel would scan, this
+    is the rule: None unless the walk's vectors, prod(|c| + 1), times
+    ``_TWIN_VECTOR_COST`` are below ``words``.  Each stage stops as soon as
+    a lower bound on the vectors breaks it: the rows without copies, by
+    weight alone, before any overlap is taken; and by key before any column
+    is built.  The overlaps are not taken when the distinct rows number d
+    with d^2 > ``words``.
+    """
+    copies: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        copies.setdefault(row, []).append(i)
+    classes = [members for members in copies.values() if len(members) > 1]
+    by_weight: dict[int, list[int]] = {}
+    for row, members in copies.items():
+        if len(members) == 1:
+            by_weight.setdefault(row.bit_count(), []).append(members[0])
+
+    def too_many(groups) -> bool:
+        # Whether the walk, with the classes so far and ``groups``, loses.
+        if words is None:
+            return False
+        return prod(len(c) + 1 for c in chain(classes, groups)) * _TWIN_VECTOR_COST >= words
+
+    if too_many(by_weight.values()) or (words is not None and len(copies) ** 2 > words):
+        return None
+    distinct = {row: p for p, row in enumerate(copies)}
+    overlaps: dict[int, list[int]] = {}  # row index -> overlaps with the distinct rows
+    keys: dict[tuple[int, ...], list[int]] = {}
+    for weight, members in by_weight.items():
+        for i in members:
+            key = (weight,)
+            if len(members) > 1:
+                overlaps[i] = [(rows[i] & row).bit_count() for row in distinct]
+                key += tuple(sorted(overlaps[i]))
+            keys.setdefault(key, []).append(i)
+    if too_many(keys.values()):
+        return None
+    columns = _columns(rows, n) if overlaps else ()
+
+    def twins(u: int, v: int) -> bool:
+        # Exchanged, u's overlaps must be v's: twins overlap every other
+        # row alike.  Then the exact test, on the columns where they differ.
+        mine = overlaps[u][:]
+        pu, pv = distinct[rows[u]], distinct[rows[v]]
+        mine[pu], mine[pv] = mine[pv], mine[pu]
+        if mine != overlaps[v]:
+            return False
+        flags = format(rows[u] ^ rows[v], f"0{n}b")[::-1].encode().translate(_BIT_BYTES)
+        moved = list(compress(columns, flags))
+        swap = 1 << u | 1 << v
+        return sorted(moved) == sorted([p ^ swap for p in moved])
+
+    for members in keys.values():
+        while members:
+            first, rest = members[0], []
+            found = [first]
+            for u in members[1:]:
+                (found if twins(first, u) else rest).append(u)
+            classes.append(found)
+            members = rest
+    return None if too_many(()) else classes
+
+
+def _twin_walk(rows: tuple[int, ...], classes: list[list[int]], n: int, k: int) -> list[int]:
+    """Counts by weight 0..n of the code of rank ``k`` spanned by ``rows``,
+    from the twin ``classes`` of :func:`_twin_classes`.
+
+    A word's weight depends only on its count vector a, a_i rows taken from
+    class c_i, so the walk visits one word per vector, the XOR of the first
+    a_i rows of each class, with the multiplicity prod C(|c_i|, a_i).  The
+    vectors come in reflected mixed-radix Gray order (Knuth's loopless
+    Algorithm H, *TAOCP* 7.2.1.1): one a_i moves by one per step, one row
+    XOR and one popcount, and the multiplicity is updated by an exact
+    integer ratio.  The r rows give every word 2^(r - k) times, so the sums
+    are divided by that; raises ValueError when a sum is not divisible,
+    which no true twin classes give.
+    """
+    members = [[rows[i] for i in c] for c in classes]
+    sizes = [len(c) for c in classes]
+    m = len(classes)
+    digits, up = [0] * m, [True] * m
+    focus = list(range(m + 1))
+    sums = [0] * (n + 1)
+    sums[0] = 1  # the zero vector
+    word, mult = 0, 1
+    while True:
+        j = focus[0]
+        focus[0] = 0
+        if j == m:
+            break
+        a, s = digits[j], sizes[j]
+        if up[j]:
+            word ^= members[j][a]
+            mult = mult * (s - a) // (a + 1)
+            a += 1
+        else:
+            a -= 1
+            word ^= members[j][a]
+            mult = mult * (a + 1) // (s - a)
+        digits[j] = a
+        sums[word.bit_count()] += mult
+        if a == 0 or a == s:
+            up[j] = not up[j]
+            focus[j] = focus[j + 1]
+            focus[j + 1] = j + 1
+    extra = len(rows) - k
+    size = 1 << extra
+    for w, total in enumerate(sums):
+        if total % size:
+            raise ValueError(f"twin-walk sum {total} for weight {w} is not a count times {size}")
+    return [total >> extra for total in sums]
+
+
 def _weight_counts(rows: tuple[int, ...], n: int) -> list[int]:
     """Counts by weight 0..n of the 2^k words spanned by ``rows``, a basis
     of a code of length n in which each row owns a coordinate: a bit that
@@ -648,7 +814,7 @@ def _weight_planes(rows: tuple[int, ...], n: int) -> tuple[int, Iterator[list[in
     k = len(rows)
     t = min(k, _BLOCK_BITS)
     # Bit i of coordinate p's pattern is row i's bit p.
-    patterns = BitMatrix(k, n, rows).transpose().rows
+    patterns = _columns(rows, n)
     classes = {0: patterns}  # high pattern -> low patterns of its coordinates
     while True:
         if k > t:
@@ -910,7 +1076,10 @@ def weight_distribution(code: LinearCode) -> dict[int, int]:
     """Weight counts over all 2^k codewords (the zero word included).
 
     They come from the code's one list of counts, shared with
-    :func:`codeword_distance_search`; the cap counts the scanned side's nonzero words.
+    :func:`codeword_distance_search`: the code's words, its dual's, or the
+    twin walk, as ``LinearCode._weights`` picks.  The cap counts the
+    nonzero words of the side that its rule weighs, the code's or the
+    dual's, whichever route then runs.
     """
     counts = _capped_weights(code, "weight distribution")
     return {w: c for w, c in enumerate(counts) if c}

@@ -46,6 +46,20 @@ def format_row(bits: int, length: int) -> str:
     return format(bits, f"0{length}b")[::-1] if length else ""
 
 
+def _columns(rows: Sequence[int], num_cols: int) -> tuple[int, ...]:
+    """The ``num_cols`` columns of packed rows, packed: bit i of column j is
+    bit j of row i.  The one transposition, in time linear in the cells.
+
+    Column j is read as the string of bit j of every row, last row first,
+    so ``int(..., 2)`` puts row i at bit i; walking each row's set bits
+    would cost one big-int step, as wide as the row, per bit.
+    """
+    if not (rows and num_cols):
+        return (0,) * num_cols
+    lines = [format(r, f"0{num_cols}b") for r in reversed(rows)]
+    return tuple([int("".join(col), 2) for col in zip(*lines)][::-1])
+
+
 @dataclass(frozen=True)
 class BitMatrix:
     """Dense binary matrix; each row packed as an integer (bit ``j`` = column ``j``).
@@ -78,17 +92,8 @@ class BitMatrix:
         return cls(len(rows), len(lines[0]) if lines else 0, rows)
 
     def transpose(self) -> "BitMatrix":
-        """The matrix with rows and columns exchanged, in time linear in its cells.
-
-        Column j is read as the string of bit j of every row, last row
-        first, so ``int(..., 2)`` puts row i at bit i; walking each row's
-        set bits would cost one big-int step, as wide as the row, per bit.
-        """
-        if not (self.num_rows and self.num_cols):
-            return BitMatrix(self.num_cols, self.num_rows, (0,) * self.num_cols)
-        lines = [format(r, f"0{self.num_cols}b") for r in reversed(self.rows)]
-        cols = [int("".join(col), 2) for col in zip(*lines)]
-        return BitMatrix(self.num_cols, self.num_rows, tuple(reversed(cols)))
+        """The matrix with rows and columns exchanged, in time linear in its cells."""
+        return BitMatrix(self.num_cols, self.num_rows, _columns(self.rows, self.num_cols))
 
     @property
     def is_zero(self) -> bool:

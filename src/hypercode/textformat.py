@@ -2,8 +2,9 @@
 
 Every 0/1 matrix with nonzero columns is the incidence matrix of a
 hypergraph, so one object has two texts: edges as vertex indices, or rows
-as '0'/'1' strings (read by :func:`hypercode.gf2core.parse_row`).  This is
-the only module that knows them.  Both share one line rule
+as '0'/'1' strings, string index = coordinate, as
+:func:`hypercode.gf2core.parse_row` reads them.  This is the only module
+that knows them.  Both share one line rule
 (:func:`split_lines`), one decimal-token rule ``0|[1-9][0-9]*`` and one
 ``<a> <b>`` header reader; :func:`parse_text` reads a named or detected format.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 
-from .gf2core import BitMatrix, parse_row
+from .gf2core import BitMatrix
 from .hypergraph import Hypergraph
 from .limits import check_size
 
@@ -106,11 +107,14 @@ def parse_matrix(text: str) -> BitMatrix:
     for extra in lines[1 + num_rows :]:
         if extra.strip():
             raise ValueError(f"unexpected trailing content: {extra!r}")
-    rows = [line.strip() for line in data]
-    for i, row in enumerate(rows):
+    rows = []
+    for i, line in enumerate(data):
+        row = line.strip()
         if len(row) != num_cols or not set(row) <= {"0", "1"}:
             raise ValueError(f"row {i} must be {num_cols} characters of '0'/'1', got {row!r}")
-    return BitMatrix(num_rows, num_cols, tuple(map(parse_row, rows)))
+        # Checked above, so read as parse_row reads: string index = coordinate.
+        rows.append(int(row[::-1], 2) if row else 0)
+    return BitMatrix(num_rows, num_cols, tuple(rows))
 
 
 def format_hypergraph(hypergraph: Hypergraph) -> str:

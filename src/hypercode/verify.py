@@ -13,7 +13,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
+from math import comb
 from typing import Callable, Iterator
 
 from .analysis import analyze_hypergraph
@@ -165,7 +166,22 @@ def _check_f_count() -> tuple[bool, str]:
             check.equal(best, n * n, f"n={n}: minimum of the odd-edge count")
         if check.failures:
             break
-    check.note("lattice minimum equals n^2 for n = 1..50")
+    # The whole weight distribution by part counts: the 3n vertex rows have
+    # rank 3n - 2, so each word is the odd-edge set of 4 subsets, and
+    # 4 A_w sums C(n,k1) C(n,k2) C(n,k3) over f(n,k1,k2,k3) = w.
+    for n in range(6, 10):
+        if check.failures:
+            break
+        sums: dict[int, int] = {}
+        for k1, k2, k3 in product(range(n + 1), repeat=3):
+            w = f_count(n, k1, k2, k3)
+            sums[w] = sums.get(w, 0) + comb(n, k1) * comb(n, k2) * comb(n, k3)
+        counts = weight_distribution(from_generator(incidence_matrix(complete_3partite(n))))
+        check.equal({w: 4 * c for w, c in counts.items()}, sums, f"n={n}: 4 x weight distribution")
+    check.note(
+        "lattice minimum equals n^2 for n = 1..50; "
+        "weight distributions equal the f_count sums for n = 6..9"
+    )
     return check.result()
 
 
