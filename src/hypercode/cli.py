@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--early-exit",
         type=int,
         metavar="T",
-        help="stop once a weight <= T is found; the result is then an upper bound",
+        help="stop after the first block with a weight <= T; the result is then an upper bound",
     )
     analyze.add_argument("--csv", action="store_true", help="emit one flat CSV row instead of JSON")
 

@@ -61,10 +61,8 @@ subset per coset, the 2^k subsets that avoid one pivot vertex per
 dependency (all 2^n if there is none), on the hypergraph's edges cut to
 those vertices.  A greedy over the dependencies turns each minimum word's
 scanned subset into the smallest member of its coset, the witness of the
-full scan.  Its early exit stops after the first block whose least weight
-is within the threshold.  A search of one block scans all 2^n subsets, and
-its early exit stops at the Gray walk's first subset within it.  The cap
-counts 2^n - 1 subsets on every route.
+full scan.  A search of one block scans all 2^n subsets.  The cap counts
+2^n - 1 subsets on every route.
 The weight counts read a weight as a sum over the generator's columns
 (MacWilliams & Sloane, ch. 5): the coordinates fall into classes by their
 pattern over the high rows, and a block complements a whole class or none
@@ -83,11 +81,16 @@ count kernel's 2^c-entry table for each third of its low rows (c <= 5;
 160 KB at t = 14), are built on first use and kept.  A scan of at most 8
 words per column walks one word per Gray step instead, one XOR and one
 popcount per word, which costs less than building the columns; the tests
-hold each kernel to its walk.  The count kernel lists each block's words,
-and its blocks, in the order of the Gray walk over the code's own words,
-which meets an odd block's positions downwards, so that an early-exit
-search reads the same blocks' planes and stops at the walk's first weight
-within the threshold.
+hold each kernel to its walk.
+
+Both engines stop early by one rule.  With a threshold T, a search stops
+after the first block, in its scan order, whose least nonzero weight is
+<= T, and reports that weight flagged inexact; the subset engine's witness
+is then the smallest subset whose eonv is one of that block's minimum
+words.  A route that scans one block or none (a per-word walk, a subset
+scan of one block, the dual side, the twin walk) is read whole, and
+reports the distance d, exact exactly when d > T.  So on every route the
+result is exact exactly when d > T, and an inexact value v has d <= v <= T.
 
 Each self-duality fact has one implementation.  A code builds its Gram
 matrix at most once, beside its basis, and :func:`is_self_dual` adds
@@ -154,26 +157,34 @@ class LinearCode:
         return gram(self.basis).is_zero
 
     @cached_property
+    def _twins(self) -> list[list[int]] | None:
+        """The twin classes of the generator's rows when the twin walk
+        (:func:`_twin_walk`) gives the weight counts, else None.
+
+        :func:`_dual_is_cheaper` picks the code's words or its dual's; when
+        that side has more than 2^_BLOCK_BITS words, :func:`_twin_classes`
+        says whether the walk costs less.  Detection runs only then, after
+        the callers' cap check.  The weight counts and the codeword early
+        exit both read this one decision.
+        """
+        n, k = self.length, self.dimension
+        side = n - k if _dual_is_cheaper(self) else k
+        return _twin_classes(self.generator.rows, n, 1 << side) if side > _BLOCK_BITS else None
+
+    @cached_property
     def _weights(self) -> list[int]:
         """Counts of the 2^k codewords, indexed by weight, from one of three
-        exact sides.
-
-        :func:`_dual_is_cheaper` picks the code's words or its dual's.
-        When that side has more than 2^_BLOCK_BITS words, the twin walk over
-        the generator's rows (:func:`_twin_walk`) replaces it if
-        :func:`_twin_classes` finds it cheaper; detection runs only then,
-        after the callers' cap check.  The dual's side counts the
+        exact sides: the twin walk when ``_twins`` holds classes, else the
+        side that :func:`_dual_is_cheaper` picks.  The dual's side counts the
         null-space rows as they are: they are independent, so no second
         elimination is needed.
         """
         n, k = self.length, self.dimension
-        dual = _dual_is_cheaper(self)
-        side = n - k if dual else k
-        if side > _BLOCK_BITS:
-            classes = _twin_classes(self.generator.rows, n, 1 << side)
-            if classes is not None:
-                return _twin_walk(self.generator.rows, classes, n, k)
-        if not dual:
+        # Either side has at most k bits, so with k <= _BLOCK_BITS no
+        # detection runs, and small codes skip the property.
+        if k > _BLOCK_BITS and self._twins is not None:
+            return _twin_walk(self.generator.rows, self._twins, n, k)
+        if not _dual_is_cheaper(self):
             return _weight_counts(self.basis.rows, n)
         rows = nullspace_basis(self.generator).rows
         return _macwilliams(_weight_counts(rows, n), n, len(rows))
@@ -198,9 +209,14 @@ def from_generator(matrix: BitMatrix) -> LinearCode:
 class DistanceResult:
     """Outcome of a minimum-distance search.
 
-    ``exact`` is False when an early-exit threshold stopped the scan, in
-    which case ``value`` is only an upper bound on the true distance.
-    ``witness`` is the minimizing vertex subset when the subset engine ran.
+    With an early-exit threshold T, a search stops after the first block,
+    in its scan order, whose least nonzero weight is <= T; ``value`` is
+    then that weight, an upper bound, and ``exact`` is False.  A route
+    that scans one block or none is read whole.  On every route ``exact``
+    is False exactly when the distance d is <= T, and a value v that is
+    not exact has d <= v <= T.  ``witness`` is the minimizing vertex subset
+    when the subset engine ran: with an early exit, the smallest subset
+    whose eonv is one of the stopping block's minimum words.
     """
 
     value: int
@@ -213,48 +229,29 @@ def codeword_distance_search(
 ) -> DistanceResult:
     """Minimum nonzero codeword weight by exhaustive message-space enumeration.
 
-    Without ``early_exit`` the value is the least nonzero weight of the
-    code's weight counts, the list :func:`weight_distribution` reads, made
-    once per code from the side that ``LinearCode._weights`` picks: the
-    code's words, its dual's, or the twin walk.  With it, the blocks' bit
-    planes from :func:`_weight_planes` are read in the order of the Gray
-    walk over all 2^k messages: each block's positions with 0 < weight <= early_exit are
-    found by comparing the planes with the bound from the top, and the
-    search stops at the walk's first of them, flagged as an upper bound.
-    A block without one gives its least nonzero weight, read from the top
-    plane down.  Neither route shares code with the subset engine, so the two
-    distance routes stay independently checkable.
+    The value is the least nonzero weight of the code's weight counts, the
+    list :func:`weight_distribution` reads, made once per code from the
+    side that ``LinearCode._weights`` picks: the code's words, its dual's,
+    or the twin walk.  An early exit reads those counts whole, exact when
+    no weight is <= early_exit, unless they come from the code's own words
+    over several count-kernel blocks (k > _BLOCK_BITS).  It then reads the
+    blocks' bit planes from :func:`_weight_planes` in Gray order and stops
+    after the first block whose least nonzero weight is <= early_exit,
+    flagged as an upper bound.  Neither route shares code with the subset
+    engine, so the two distance routes stay independently checkable.
     """
     if code.dimension == 0:
         raise ValueError("the zero code has no nonzero codeword")
-    if early_exit is None:
-        counts = _capped_weights(code, "codeword search")
-        return DistanceResult(next(w for w in range(1, len(counts)) if counts[w]), True)
-    check_enum_cap("codeword search", code.dimension)
+    _check_cap(code, "codeword search")
+    if early_exit is None or code.dimension <= _BLOCK_BITS or _dual_is_cheaper(code) or code._twins is not None:
+        counts = code._weights
+        d = next(w for w in range(1, len(counts)) if counts[w])
+        return DistanceResult(d, early_exit is None or d > early_exit)
     best = code.length + 1  # above every weight
-    _, blocks = _weight_planes(code.basis.rows, code.length)
-    for h, planes in enumerate(blocks):
-        # Only the zero word has weight 0.  Positions with weight <= bound,
-        # compared plane by plane from the top: above holds those found
-        # larger, equal those that match the bound so far.
-        nonzero = reduce(or_, planes, 0)
-        bound = min(early_exit, (1 << len(planes)) - 1)
-        above, equal = 0, nonzero
-        for j in reversed(range(len(planes))):
-            if bound >> j & 1:
-                equal &= planes[j]
-            else:
-                above |= equal & planes[j]
-                equal &= ~planes[j]
-        hits = nonzero & ~above
-        if hits:
-            # The walk meets the positions of block h upwards when h is even
-            # and downwards when it is odd: the first stop is the lowest or
-            # the highest hit.
-            q = hits.bit_length() - 1 if h & 1 else (hits & -hits).bit_length() - 1
-            return DistanceResult(sum((plane >> q & 1) << j for j, plane in enumerate(planes)), False)
-        # The block's least nonzero weight, read from the top plane down.
-        cand, w = nonzero, 0
+    for planes in _weight_planes(code.basis.rows, code.length)[1]:
+        # The block's least nonzero weight, read from the top plane down;
+        # only the zero word has weight 0.
+        cand, w = reduce(or_, planes, 0), 0
         for j in reversed(range(len(planes))):
             one = cand & planes[j]
             if one == cand:
@@ -262,6 +259,8 @@ def codeword_distance_search(
             else:
                 cand ^= one
         if cand:
+            if w <= early_exit:
+                return DistanceResult(w, False)
             best = min(best, w)
     return DistanceResult(best, True)
 
@@ -278,14 +277,14 @@ def eonv_distance_search(
     (n > t, with t from :func:`_subset_bits`) scans one subset per coset of
     L (:func:`_subset_quotient`), 2^k in all, all 2^n when there is no
     dependency; its early exit stops after the first block whose least
-    weight is <= early_exit.  A search of one block scans all 2^n subsets,
-    bit-sliced (:func:`_subset_blocks`) when it has more than 8 subsets per
-    edge and otherwise one per step of a Gray walk, step i reaching
-    gray(i) = i ^ (i >> 1); its early exit stops at the walk's first
-    subset with weight <= early_exit.  A stopped search gives an upper
-    bound (``exact`` is False); otherwise every route gives the same value
-    and witness.  The cap counts the 2^n - 1 subsets of the full scan,
-    whichever route runs.
+    weight is <= early_exit, with the smallest subset whose eonv is one of
+    that block's minimum words as the witness.  A search of one block
+    scans all 2^n subsets, bit-sliced (:func:`_subset_blocks`) when it has
+    more than 8 subsets per edge and otherwise one per step of a Gray walk
+    (:func:`_subset_walk`), and is read whole: its result is exact exactly
+    when no weight is <= early_exit.  Without an early exit every route
+    gives the same value and witness.  The cap counts the 2^n - 1 subsets
+    of the full scan, whichever route runs.
     """
     rows = hypergraph.vertex_rows
     if not any(rows):
@@ -294,12 +293,14 @@ def eonv_distance_search(
     check_enum_cap("subset search", n)
     if n > _subset_bits(n, m):
         return _subset_quotient(hypergraph, _vertex_dependencies(rows), early_exit)
-    if 1 << n <= _WALK_WORDS_PER_COLUMN * m:
-        return _subset_walk(hypergraph, early_exit)
-    return _subset_blocks(hypergraph, early_exit)
+    scan = _subset_walk if 1 << n <= _WALK_WORDS_PER_COLUMN * m else _subset_blocks
+    result = scan(hypergraph)
+    if early_exit is not None and result.value <= early_exit:
+        return DistanceResult(result.value, False, result.witness)
+    return result
 
 
-def _subset_walk(hypergraph: Hypergraph, early_exit: int | None) -> DistanceResult:
+def _subset_walk(hypergraph: Hypergraph) -> DistanceResult:
     # One subset per step: one row XOR and one popcount.
     rows = hypergraph.vertex_rows
     # A nonzero row exists, so its singleton subset sets a real minimum.
@@ -314,8 +315,6 @@ def _subset_walk(hypergraph: Hypergraph, early_exit: int | None) -> DistanceResu
         if w < best_w:
             best_w = w
             best_wit = set_bits(i ^ (i >> 1))
-            if early_exit is not None and w <= early_exit:
-                return DistanceResult(best_w, False, best_wit)
         elif w == best_w:
             mask = i ^ (i >> 1)
             if (mask & -mask).bit_length() - 1 <= best_wit[0]:
@@ -331,35 +330,19 @@ def _subset_bits(n: int, m: int) -> int:
     return max(0, min(n, _SUBSET_BLOCK_BITS, _TABLE_BITS - (m - 1).bit_length()))
 
 
-def _subset_blocks(hypergraph: Hypergraph, early_exit: int | None) -> DistanceResult:
+def _subset_blocks(hypergraph: Hypergraph) -> DistanceResult:
     """The subset search of one kernel block (n <= t) by
     :func:`_subset_minima`, with the result of :func:`_subset_walk`.
 
-    An early exit takes the lowest position with 0 < weight <= early_exit,
-    the walk's first.  Otherwise a greedy pass over the vertices finds the
-    lexicographically smallest minimizer: it stops when the subset of the
-    vertices chosen so far is a candidate, and otherwise keeps the
-    candidates that contain the next vertex whenever any do.
+    A greedy pass over the vertices finds the lexicographically smallest
+    minimizer: it stops when the subset of the vertices chosen so far is a
+    candidate, and otherwise keeps the candidates that contain the next
+    vertex whenever any do.
     """
-    n, m = hypergraph.num_vertices, hypergraph.num_edges
+    n = hypergraph.num_vertices
     member = _gray_tables(n)
     # A nonzero row exists, so the block has a nonzero weight.
-    _, w, cand, planes = next(_subset_minima(n, hypergraph.edges, n))
-    if early_exit is not None and w <= early_exit:
-        # Positions with weight <= bound, compared plane by plane from the
-        # top; no weight exceeds m < 2^len(planes).
-        bound = min(early_exit, m)
-        above, equal = 0, (1 << (1 << n)) - 1
-        for j in reversed(range(len(planes))):
-            if bound >> j & 1:
-                equal &= planes[j]
-            else:
-                above |= equal & planes[j]
-                equal &= ~planes[j]
-        hits = reduce(or_, planes) & ~above
-        q = (hits & -hits).bit_length() - 1
-        w = sum((plane >> q & 1) << j for j, plane in enumerate(planes))
-        return DistanceResult(w, False, set_bits(q ^ (q >> 1)))
+    _, w, cand = next(_subset_minima(n, hypergraph.edges, n))
     at = v = 0  # at: position of the subset of the vertices chosen so far
     while cand & (cand - 1):
         if cand >> at & 1:
@@ -374,13 +357,12 @@ def _subset_blocks(hypergraph: Hypergraph, early_exit: int | None) -> DistanceRe
     return DistanceResult(w, True, set_bits(q ^ (q >> 1)))
 
 
-def _subset_minima(n: int, edges: Sequence[Edge], t: int) -> Iterator[tuple[int, int, int, list[int]]]:
+def _subset_minima(n: int, edges: Sequence[Edge], t: int) -> Iterator[tuple[int, int, int]]:
     """The subset kernel over the n vertices of ``edges``, in blocks of 2^t
     subsets that share their high vertices (those >= t): block h holds the
     subsets whose high vertices are gray(h), bit q for the low subset
     gray(q).  For each block with a nonzero weight it yields h, the block's
-    least nonzero weight, the positions that reach it, and the block's bit
-    planes of the weights.
+    least nonzero weight, and the positions that reach it.
 
     Each edge gets a 2^t-bit column whose bit q is the parity of its
     intersection with the low subset gray(q), and a carry-save vertical
@@ -453,7 +435,7 @@ def _subset_minima(n: int, edges: Sequence[Edge], t: int) -> Iterator[tuple[int,
                 w |= 1 << j
             else:
                 cand ^= one
-        yield h, w, cand, planes
+        yield h, w, cand
 
 
 def _vertex_dependencies(rows: tuple[int, ...]) -> list[int]:
@@ -524,7 +506,7 @@ def _subset_quotient(
     k, m = len(keep), len(quotient)
     t = _subset_bits(k, m)
     best_w, minima, exact = m + 1, [], True
-    for h, w, positions, _ in _subset_minima(k, quotient, t):
+    for h, w, positions in _subset_minima(k, quotient, t):
         if w < best_w:
             best_w, minima = w, []
         if w == best_w:
@@ -566,12 +548,11 @@ def _dual_is_cheaper(code: LinearCode) -> bool:
     return n - k < k and (1 << (n - k)) + n * n < (1 << k)
 
 
-def _capped_weights(code: LinearCode, search: str) -> list[int]:
+def _check_cap(code: LinearCode, search: str) -> None:
     # Both callers charge the one scan the same figure, the nonzero words of
     # the scanned side, each under its own name.
     n, k = code.length, code.dimension
     check_enum_cap(search, n - k if _dual_is_cheaper(code) else k)
-    return code._weights
 
 
 def _twin_classes(rows: tuple[int, ...], n: int, words: int | None = None) -> list[list[int]] | None:
@@ -788,19 +769,18 @@ def _count_blocks(rows: tuple[int, ...], n: int) -> list[int]:
 
 def _weight_planes(rows: tuple[int, ...], n: int) -> tuple[int, Iterator[list[int]]]:
     """The block size t, and the bit planes of the 2^k codewords' weights
-    block by block in walk order: plane j holds bit j of every word's weight.
+    block by block in Gray order: plane j holds bit j of every word's weight.
 
     Block h holds the 2^t words whose high rows (those >= t) combine to
     gray(h) = h ^ (h >> 1), bit q for the word whose low rows combine to
-    gray(q); step h * 2^t + q of the Gray walk over all messages reaches
-    position q when h is even and 2^t - 1 - q when h is odd.  Each
-    coordinate's k-bit pattern over the rows is read once.  The coordinates
-    fall into classes by their pattern gamma over the high rows,
-    complemented together by the parity of gray(h) & gamma, so a class adds
-    to each word the sum S of its columns over the low rows or |gamma| - S,
-    both built once as bit planes by a carry-save vertical counter.  A
-    column is the XOR of three entries of :func:`_chunk_tables`, looked up
-    by the coordinate's pattern over each third of the low rows.
+    gray(q): the steps h * 2^t to (h + 1) * 2^t - 1 of the Gray walk over
+    all messages.  Each coordinate's k-bit pattern over the rows is read
+    once.  The coordinates fall into classes by their pattern gamma over
+    the high rows, complemented together by the parity of gray(h) & gamma,
+    so a class adds to each word the sum S of its columns over the low rows
+    or |gamma| - S, both built once as bit planes by a carry-save vertical
+    counter.  A column is the XOR of three entries of :func:`_chunk_tables`,
+    looked up by the coordinate's pattern over each third of the low rows.
 
     The block sums are a Walsh-Hadamard transform over the classes, taken
     by halving (:func:`_halve`): high row b merges the classes gamma and
@@ -1081,8 +1061,8 @@ def weight_distribution(code: LinearCode) -> dict[int, int]:
     nonzero words of the side that its rule weighs, the code's or the
     dual's, whichever route then runs.
     """
-    counts = _capped_weights(code, "weight distribution")
-    return {w: c for w, c in enumerate(counts) if c}
+    _check_cap(code, "weight distribution")
+    return {w: c for w, c in enumerate(code._weights) if c}
 
 
 def dual(code: LinearCode) -> LinearCode:

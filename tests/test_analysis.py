@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+import hypercode.codes as codes
 from hypercode import (
     BitMatrix,
     EngineDisagreement,
@@ -51,10 +52,13 @@ class TestAnalyzeHypergraph:
         assert report.distance_exact is False
         assert report.min_distance >= 3
 
-    def test_both_takes_the_lower_of_two_inexact_bounds(self):
-        # With T = 13 the codeword engine stops at a weight-13 word and the
-        # subset engine at the weight-9 edge set of vertex 1: two different
+    def test_both_takes_the_lower_of_two_inexact_bounds(self, monkeypatch):
+        # With the count kernel's blocks lowered to 2 words and T = 13, the
+        # codeword engine stops after its first block, {0, r0}, at the
+        # weight-13 basis row r0.  The subset engine reads its one block
+        # whole and finds d = 9, the edge set of vertex 1: two different
         # upper bounds, which is no disagreement.
+        monkeypatch.setattr(codes, "_BLOCK_BITS", 1)
         hg = complete_3partite(3)
         by_codewords = analyze_hypergraph(hg, method="codeword", early_exit=13)
         by_subsets = analyze_hypergraph(hg, method="eonv", early_exit=13)

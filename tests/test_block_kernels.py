@@ -4,31 +4,35 @@ Both exhaustive engines walk a small scan one word per step and count a
 larger one in blocks of 2^t words, t at most ``codes._BLOCK_BITS`` for the
 weight counts and ``codes._SUBSET_BLOCK_BITS`` for the subset search.  Here
 each kernel is called directly and must return exactly what the walk
-returns, witness and early-exit stop included.  The subset kernel scans
-one block (n <= t) directly, held to the walk at every threshold; a search
-over several blocks (n > t) takes the quotient by the vertex dependencies,
-one subset per coset, early exits included.  Its exact result is held to
-the walk over all subsets, witness included, and its early exit to a
-brute-force oracle of its rule: the first block, in Gray order of the kept
-high vertices, whose least weight is within the threshold, and the
-smallest subset whose row sum is one of that block's minimum words.  The
-inputs span several blocks with the subset bound lowered to 14, or to 1, 2
-and 3, with ties across blocks, odd blocks, repeated edges and repeated
-vertex rows, and one spy holds an early exit to the subsets the exact
-search scans.  The codeword early exit reads the count kernel's blocks
-whatever the code's size, so it is held to the per-word Gray loop it
-replaced, with the bound lowered to 1, 2 and 3 to spread small codes over
-many blocks, and to a plain walk over all the words at every threshold,
-with the bound at 2, 3 and 4.  In the same way the halving over the high
-rows is held, block by block and position by position, to the per-block
-class loop it replaced and to the words themselves, the Four Russians
-tables the columns are read from to the message tables, and the counts of
-a code that holds the all-ones word, taken by halves, to the walk over its
-whole basis.  The quotient is also held to the walk on its own inputs:
-repeated edges, identical vertex rows, a witness that is not the member of
-its coset that the route scans, and codes whose every nonzero word is a
-minimum word.  Its edges, cut from the hypergraph's, are held to the
-columns of the kept vertex rows.
+returns, witness included.  Every early exit follows one rule: stop after
+the first block, in scan order, whose least nonzero weight is within the
+threshold, and report that weight as an upper bound; a scan of one block
+or none is read whole.  The subset kernel scans one block (n <= t)
+directly, held to the walk, and its early exit reads it whole at every
+threshold; a search over several blocks (n > t) takes the quotient by the
+vertex dependencies, one subset per coset, early exits included.  Its
+exact result is held to the walk over all subsets, witness included, and
+its early exit to a brute-force oracle of the rule: the first block, in
+Gray order of the kept high vertices, whose least weight is within the
+threshold, and the smallest subset whose row sum is one of that block's
+minimum words.  The inputs span several blocks with the subset bound
+lowered to 14, or to 1, 2 and 3, with ties across blocks, odd blocks,
+repeated edges and repeated vertex rows, and one spy holds an early exit
+to the subsets the exact search scans.  The codeword early exit reads the
+count kernel's blocks when the exact counts come from more than one block
+of the code's own words, so it is held to the per-word Gray loop cut into
+blocks of 2^t steps, with the bound lowered to 1, 2 and 3 to spread small
+codes over many blocks, and to a plain walk over all the words cut the
+same way at every threshold, with the bound at 2, 3 and 4.  In the same
+way the halving over the high rows is held, block by block and position by
+position, to the per-block class loop it replaced and to the words
+themselves, the Four Russians tables the columns are read from to the
+message tables, and the counts of a code that holds the all-ones word,
+taken by halves, to the walk over its whole basis.  The quotient is also
+held to the walk on its own inputs: repeated edges, identical vertex rows,
+a witness that is not the member of its coset that the route scans, and
+codes whose every nonzero word is a minimum word.  Its edges, cut from the
+hypergraph's, are held to the columns of the kept vertex rows.
 """
 
 from __future__ import annotations
@@ -74,14 +78,22 @@ DEFAULT_SUBSET_BLOCK = codes._SUBSET_BLOCK_BITS
 SUBSET_BLOCK = 14  # the subset bound that TestSubsetBlocks sizes its inputs against
 
 
+def read_whole(exact, early_exit: int | None):
+    """The early exit of a route that scans one block or none: the exact
+    result, flagged inexact when its value is <= early_exit."""
+    if early_exit is None or exact.value > early_exit:
+        return exact
+    return codes.DistanceResult(exact.value, False, exact.witness)
+
+
 def assert_same_search(hg: Hypergraph, early_exit: int | None = None):
-    """One block (n <= t): the kernel, the walk and the engine agree."""
+    """One block (n <= t): the kernel, the walk and the engine agree, and
+    an early exit reads the block whole."""
     assert hg.num_vertices <= codes._subset_bits(hg.num_vertices, hg.num_edges)
-    kernel = _subset_blocks(hg, early_exit)
-    assert kernel == _subset_walk(hg, early_exit)
-    assert eonv_distance_search(hg, early_exit=early_exit) == kernel
-    if early_exit is None:
-        assert_same_quotient(hg, kernel)
+    kernel = _subset_blocks(hg)
+    assert kernel == _subset_walk(hg)
+    assert eonv_distance_search(hg, early_exit=early_exit) == read_whole(kernel, early_exit)
+    assert_same_quotient(hg, kernel)
     return kernel
 
 
@@ -125,7 +137,7 @@ def quotient_early_exit(hg: Hypergraph, early_exit: int):
                 sums.append(sums[mask & (mask - 1)] ^ rows[(mask & -mask).bit_length() - 1])
             witness = min(set_bits(mask) for mask, word in enumerate(sums) if word in minimum)
             return h, codes.DistanceResult(least, False, witness)
-    return None, _subset_walk(hg, None)
+    return None, _subset_walk(hg)
 
 
 def assert_same_blocks_search(hg: Hypergraph, early_exit: int | None = None):
@@ -134,7 +146,7 @@ def assert_same_blocks_search(hg: Hypergraph, early_exit: int | None = None):
     assert hg.num_vertices > codes._subset_bits(hg.num_vertices, hg.num_edges)
     result = eonv_distance_search(hg, early_exit=early_exit)
     if early_exit is None:
-        assert result == _subset_walk(hg, None)
+        assert result == _subset_walk(hg)
         assert_same_quotient(hg, result)
     else:
         assert result == quotient_early_exit(hg, early_exit)[1], early_exit
@@ -151,7 +163,7 @@ def assert_same_counts(code):
 
 def test_small_scans_walk_and_larger_ones_use_blocks(monkeypatch):
     calls = []
-    monkeypatch.setattr(codes, "_subset_blocks", lambda hg, e: calls.append("subset"))
+    monkeypatch.setattr(codes, "_subset_blocks", lambda hg: calls.append("subset") or codes.DistanceResult(1, True))
     monkeypatch.setattr(codes, "_count_blocks", lambda rows, n: calls.append("count") or [1])
     # 2^3 subsets for 1 edge, 2 codewords for 1 coordinate: walked.
     eonv_distance_search(Hypergraph(3, ((0, 1, 2),)))
@@ -304,26 +316,27 @@ def spy_quotient(monkeypatch) -> list:
 
 class TestSubsetKernelAtEveryThreshold:
     """Every threshold from 0 to m + 1, and none.  At the default subset
-    bound each input fits in one block, and ``_subset_blocks`` is held to
-    ``_subset_walk``: the exact value and witness, and the early-exit stop.
-    The bound lowered to 1, 2 and 3 spreads each input over many blocks, so
-    the engine takes the quotient, held to the walk when exact and to
-    :func:`quotient_early_exit` at each early exit."""
+    bound each input fits in one block: ``_subset_blocks`` is held to
+    ``_subset_walk``'s value and witness, and each early exit reads the
+    block whole (:func:`read_whole`).  The bound lowered to 1, 2 and 3
+    spreads each input over many blocks, so the engine takes the quotient,
+    held to the walk when exact and to :func:`quotient_early_exit` at each
+    early exit."""
 
     def assert_every_threshold(self, monkeypatch, hg):
         thresholds = [None, *range(hg.num_edges + 2)]
-        expected = {e: _subset_walk(hg, e) for e in thresholds}
+        exact = _subset_walk(hg)
         monkeypatch.setattr(codes, "_SUBSET_BLOCK_BITS", DEFAULT_SUBSET_BLOCK)
-        for early_exit, result in expected.items():
-            assert _subset_blocks(hg, early_exit) == result, early_exit
-            assert eonv_distance_search(hg, early_exit=early_exit) == result, early_exit
+        assert _subset_blocks(hg) == exact
+        for early_exit in thresholds:
+            assert eonv_distance_search(hg, early_exit=early_exit) == read_whole(exact, early_exit), early_exit
         quotients = spy_quotient(monkeypatch)
         for bits in (1, 2, 3):
             monkeypatch.setattr(codes, "_SUBSET_BLOCK_BITS", bits)
             for early_exit in thresholds:
                 assert_same_blocks_search(hg, early_exit)
         assert len(quotients) == 3 * len(thresholds)
-        return expected[None]
+        return exact
 
     @pytest.mark.parametrize("k, m", [(2, 2), (4, 1), (6, 1), (3, 2), (2, 3)])
     def test_tie_heavy_block_circulants(self, monkeypatch, k, m):
@@ -357,13 +370,13 @@ class TestSubsetKernelAtEveryThreshold:
             self.assert_every_threshold(monkeypatch, hypergraph_from_rows(rows))
 
     def test_smallest_minimizer_in_a_block_after_the_first_tie(self, monkeypatch):
-        # The walk meets {0, 5} first.  At the bound 3, {0, 1, 6} and
-        # {0, 1, 2, 6} tie it in one later block, and the smallest of the
-        # three is the witness.
+        # {0, 5} is in block 0 at the bound 3.  {0, 1, 6} and {0, 1, 2, 6}
+        # tie it in one later block, and the smallest of the three is the
+        # witness of the exact search and of the one-block early exit at 1.
         ties = [((0, 5), 5), ((0, 1, 6), 6), ((0, 1, 2, 6), 2)]
         hg = hypergraph_from_rows(tie_rows(random.Random(34), 8, ties))
         assert minimizers(hg) == [(0, 1, 2, 6), (0, 1, 6), (0, 5)]
-        assert _subset_walk(hg, 1).witness == (0, 5)
+        assert eonv_distance_search(hg, early_exit=1) == codes.DistanceResult(1, False, (0, 1, 2, 6))
         assert self.assert_every_threshold(monkeypatch, hg).witness == (0, 1, 2, 6)
 
     def test_shorter_prefix_in_block_zero_wins(self, monkeypatch):
@@ -377,11 +390,12 @@ class TestSubsetKernelAtEveryThreshold:
 
     def test_smallest_minimizer_in_the_second_block_at_the_default_bound(self):
         # {0, 5} in the first block; {0, 1, 16} and {0, 2, 16} tie it in
-        # the second, the block of vertex 16.
+        # the second, the block of vertex 16.  The early exit at 1 stops
+        # after the first block, with {0, 5} as its witness.
         ties = [((0, 5), 5), ((0, 1, 16), 16), ((0, 2, 16), 2)]
         hg = hypergraph_from_rows(tie_rows(random.Random(36), 17, ties))
         assert DEFAULT_SUBSET_BLOCK == 16
-        assert _subset_walk(hg, 1).witness == (0, 5)
+        assert quotient_early_exit(hg, 1)[0] == 0
         assert assert_same_blocks_search(hg) == codes.DistanceResult(1, True, (0, 1, 16))
         assert assert_same_blocks_search(hg, 1) == codes.DistanceResult(1, False, (0, 5))
 
@@ -408,7 +422,7 @@ class TestSubsetQuotient:
     def search(monkeypatch, hg, bits=3):
         monkeypatch.setattr(codes, "_SUBSET_BLOCK_BITS", bits)
         result = eonv_distance_search(hg)
-        assert result == _subset_walk(hg, None), bits
+        assert result == _subset_walk(hg), bits
         return result
 
     @given(hypergraphs(max_vertices=10, max_edges=8))
@@ -515,7 +529,7 @@ class TestSubsetQuotient:
         assert seen == [(len(kept), list(oracle))]
         # No edge is left empty: a pivot's row is a sum of kept rows.
         assert len(oracle) == hg.num_edges
-        assert result == _subset_walk(hg, None)
+        assert result == _subset_walk(hg)
 
     @pytest.mark.parametrize("k, copies", [(12, 1), (5, 3), (5, 4)])
     def test_every_word_of_minimum_weight(self, monkeypatch, quotients, k, copies):
@@ -665,70 +679,91 @@ class TestCountBlocks:
         assert_same_counts(code)
 
 
-def gray_loop_search(code, early_exit):
-    """The codeword early exit as a per-word Gray loop, with the step it stopped at.
+def takes_blocks(code):
+    """Whether the codeword early exit reads the count kernel's blocks: the
+    exact counts come from the code's own words, more than 2^_BLOCK_BITS
+    of them, and not from the dual or the twin walk."""
+    return code.dimension > codes._BLOCK_BITS and not codes._dual_is_cheaper(code) and code._twins is None
 
-    Step i XORs one basis row and reaches the message gray(i); the first
-    weight <= early_exit stops it with an upper bound.  Without a stop the
-    step is None and the least weight met is exact.
+
+def gray_loop_search(code, early_exit, t):
+    """The codeword early exit as the per-word Gray loop cut into blocks of
+    2^t steps, with the block it stopped after.
+
+    Step i XORs one basis row and reaches the message gray(i), and block h
+    holds the steps h 2^t to (h + 1) 2^t - 1.  The loop stops after the
+    first block whose least nonzero weight is <= early_exit, with that
+    weight as an upper bound.  Without a stop the block is None and the
+    least weight met is exact.
     """
     rows = code.basis.rows
-    best = code.length + 1
+    best = least = code.length + 1
     acc = 0
     for i in range(1, 1 << len(rows)):
         acc ^= rows[(i & -i).bit_length() - 1]
-        w = acc.bit_count()
-        if w < best:
-            best = w
-            if w <= early_exit:
-                return codes.DistanceResult(best, False), i
+        if acc:
+            least = min(least, acc.bit_count())
+        if not (i + 1) % (1 << t):  # the last step of block i >> t
+            if least <= early_exit:
+                return codes.DistanceResult(least, False), i >> t
+            best, least = min(best, least), code.length + 1
     return codes.DistanceResult(best, True), None
 
 
-def assert_same_early_exits(code):
-    """Every threshold from 0 to n + 1 against the loop; the steps that stopped."""
-    steps = []
+def assert_same_early_exits(code, t=None):
+    """Every threshold from 0 to n + 1: against the loop over blocks of 2^t
+    steps (t = min(k, _BLOCK_BITS) unless given) when the search reads the
+    count kernel's blocks, and otherwise against the exact result read
+    whole.  Returns the blocks that the loop stopped after."""
+    exact = codeword_distance_search(code)
+    blocks = takes_blocks(code)
+    if t is None:
+        t = min(code.dimension, codes._BLOCK_BITS)
+    stops = []
     for early_exit in range(code.length + 2):
-        expected, step = gray_loop_search(code, early_exit)
+        if blocks:
+            expected, stop = gray_loop_search(code, early_exit, t)
+            stops.append(stop)
+        else:
+            expected = read_whole(exact, early_exit)
         assert codeword_distance_search(code, early_exit=early_exit) == expected, early_exit
-        steps.append(step)
-    return steps
+    return stops
 
 
 class TestCountEarlyExit:
-    """Block h of the count kernel is walked upwards when h is even and
-    downwards when it is odd, so a stop takes the block's lowest or highest
-    position with 0 < weight <= early_exit."""
+    """Over several count-kernel blocks (k > _BLOCK_BITS) the codeword
+    early exit reads the blocks' planes in Gray order and stops after the
+    first block whose least nonzero weight is <= early_exit: it is held to
+    the Gray loop cut into blocks of 2^t steps."""
 
     @pytest.mark.parametrize("bits", [1, 2, 3])
     def test_every_threshold_over_many_blocks(self, monkeypatch, bits):
         monkeypatch.setattr(codes, "_BLOCK_BITS", bits)
         rng = random.Random(40 + bits)
-        odd_stops = 0
+        later_stops = 0
         for _ in range(60):
             k, n = rng.randint(bits + 1, 10), rng.randint(4, 16)
             code = from_generator(BitMatrix(k, n, tuple(rng.getrandbits(n) for _ in range(k))))
             if not code.dimension:
                 continue
-            for step in assert_same_early_exits(code):
-                if step is not None and code.dimension > bits:
-                    odd_stops += step >> bits & 1
-        assert odd_stops > 0
+            later_stops += sum(stop is not None and stop > 0 for stop in assert_same_early_exits(code))
+        assert later_stops > 0
 
     @pytest.mark.parametrize("all_ones", [False, True])
     @pytest.mark.parametrize("bits", [2, 3, 4])
     def test_planes_against_a_plain_walk(self, monkeypatch, bits, all_ones):
         # The weights of all 2^k words in walk order, step i reaching the
-        # message gray(i); at every threshold the search must stop at the
-        # first step with 0 < weight <= threshold, or be exact.  The codes
-        # are built reduced, row i with pivot i and its other bits above k:
-        # dense low rows, and high rows that mostly lie near a low row, so
-        # that many thresholds stop past block 0, some in odd blocks that
-        # hold hits of another weight later in the walk.  The walk meets
-        # such a block's highest position first.
+        # message gray(i), cut into blocks of 2^bits steps; at every
+        # threshold the search must stop after the first block whose least
+        # nonzero weight is <= threshold, with that weight, or be exact.
+        # The codes are built reduced, row i with pivot i and its other bits
+        # above k: dense low rows, and high rows that mostly lie near a low
+        # row, so that many thresholds stop past block 0, some in blocks
+        # whose least weight the walk meets after a heavier one within the
+        # threshold.
         monkeypatch.setattr(codes, "_BLOCK_BITS", bits)
         rng = random.Random(140 + 10 * all_ones + bits)
-        odd_stops = 0
+        lighter_stops = 0
         for _ in range(30):
             k, rest = rng.randint(bits + 1, 9), rng.randint(8, 14)
             n = k + rest
@@ -744,44 +779,47 @@ class TestCountEarlyExit:
             code = from_generator(BitMatrix(k, n, rows))
             assert code.basis.rows == rows
             assert (reduce(xor, rows) == (1 << n) - 1) == all_ones
+            assert takes_blocks(code)
             weights = [0]
             for i in range(1, 1 << k):
                 weights.append(weights[-1] ^ rows[(i & -i).bit_length() - 1])
             weights = [word.bit_count() for word in weights]
+            blocks = [[w for w in weights[h : h + (1 << bits)] if w] for h in range(0, 1 << k, 1 << bits)]
             for threshold in range(n + 1):
-                hits = [i for i, w in enumerate(weights) if 0 < w <= threshold]
-                if not hits:
+                stop = next((block for block in blocks if block and min(block) <= threshold), None)
+                if stop is None:
                     expected = codes.DistanceResult(min(weights[1:]), True)
                 else:
-                    expected = codes.DistanceResult(weights[hits[0]], False)
-                    block = hits[0] >> bits
-                    odd_stops += block & 1 and len({weights[i] for i in hits if i >> bits == block}) > 1
+                    expected = codes.DistanceResult(min(stop), False)
+                    lighter_stops += min(stop) < next(w for w in stop if w <= threshold)
                 assert codeword_distance_search(code, early_exit=threshold) == expected, threshold
-        assert odd_stops > 0
+        assert lighter_stops > 0
 
-    def test_early_exit_in_an_odd_block_takes_its_highest_position(self, monkeypatch):
+    def test_early_exit_in_an_odd_block_takes_its_least_weight(self, monkeypatch):
         # Basis rows r0, r1 in the low block bits and r2 high, so block 1
         # holds r2 plus the low words.  Block 0 has no weight <= 4; block 1
-        # is walked downwards and meets r1 ^ r2 (weight 3) at its highest
-        # position before r0 ^ r2 (weight 4) at a lower one.
+        # has r0 ^ r2 (weight 4) and r1 ^ r2 (weight 3), and the stop
+        # after it reports its least weight, 3.
         monkeypatch.setattr(codes, "_BLOCK_BITS", 2)
         rows = (0b101110001, 0b011111010, 0b001111100)
         code = from_generator(BitMatrix(3, 9, rows))
         assert code.basis.rows == rows
         assert [(rows[2] ^ r).bit_count() for r in rows[:2]] == [4, 3]
         assert codeword_distance_search(code, early_exit=4) == codes.DistanceResult(3, False)
-        assert gray_loop_search(code, 4) == (codes.DistanceResult(3, False), 4)
+        assert gray_loop_search(code, 4, 2) == (codes.DistanceResult(3, False), 1)
 
     def test_zero_word_is_never_a_stop(self, monkeypatch):
         # The zero word sits at position 0 of block 0: threshold 0 finds no
-        # stop, and threshold n stops at the walk's first word, row 0.
+        # stop, and threshold n stops after block 0 with the least weight
+        # of the words spanned by its rows, the first two.
         monkeypatch.setattr(codes, "_BLOCK_BITS", 2)
         rng = random.Random(41)
         for k in (1, 2, 5):
             code = from_generator(BitMatrix(k, 12, tuple(rng.getrandbits(12) for _ in range(k))))
             exact = codeword_distance_search(code)
             assert codeword_distance_search(code, early_exit=0) == exact
-            first = code.basis.rows[0].bit_count()
+            low = code.basis.rows[:2]
+            first = min(word.bit_count() for word in (*low, reduce(xor, low)))
             assert codeword_distance_search(code, early_exit=12) == codes.DistanceResult(first, False)
             assert_same_early_exits(code)
 
@@ -794,13 +832,15 @@ class TestCountEarlyExit:
         for k, n in ((3, 10), (5, 12), (6, 16)):
             code = from_generator(BitMatrix(k, n, tuple(rng.getrandbits(n) for _ in range(k))))
             assert codes._weight_planes(code.basis.rows, n)[0] == 0
-            assert_same_early_exits(code)
+            assert takes_blocks(code)
+            assert_same_early_exits(code, 0)
 
     def test_budget_lowered_t_gives_the_same_result(self, monkeypatch):
-        # 40 columns of 2^8 bits exceed 2^12 bits, so t drops below k = 8.
-        # Rows 0..6 are heavy and row 7 has weight 2, so some thresholds
-        # first stop past block 0.
+        # 40 columns of 2^7 bits exceed 2^12 bits, so t drops below the
+        # block bound 7 < k = 8.  Rows 0..6 are heavy and row 7 has weight
+        # 2, so some thresholds first stop past block 0.
         monkeypatch.setattr(codes, "_TABLE_BITS", 12)
+        monkeypatch.setattr(codes, "_BLOCK_BITS", 7)
         rng = random.Random(42)
         rows = tuple(1 << i | rng.getrandbits(32) << 8 for i in range(7)) + (1 << 7 | 1 << 8,)
         code = from_generator(BitMatrix(8, 40, rows))
@@ -808,8 +848,8 @@ class TestCountEarlyExit:
         t, blocks = codes._weight_planes(code.basis.rows, code.length)
         blocks = sum(1 for _ in blocks)
         assert blocks == 1 << (8 - t) > 1
-        steps = assert_same_early_exits(code)
-        assert any(step is not None and step >= (1 << 8) // blocks for step in steps)
+        stops = assert_same_early_exits(code, t)
+        assert any(stop is not None and stop > 0 for stop in stops)
 
 
 def per_block_weights(rows, n, t):

@@ -144,11 +144,10 @@ class TestEngineEquivalence:
 
 class TestSearchControls:
     def test_early_exit_reports_upper_bound(self):
+        # The 16 codewords are one scan, read whole: d = 3 <= 7, so the
+        # value is d, flagged as an upper bound.
         result = codeword_distance_search(FANO_CODE, early_exit=7)
-        assert not result.exact
-        # the first enumerated codeword is the first basis row
-        assert result.value == FANO_CODE.basis.rows[0].bit_count()
-        assert result.value >= 3
+        assert result == DistanceResult(3, False)
 
     def test_early_exit_with_tight_threshold(self):
         result = codeword_distance_search(FANO_CODE, early_exit=3)
@@ -185,8 +184,8 @@ class TestWeightDistribution:
         if positive:
             d = min(positive)
             assert d == brute_min_distance(m.rows)
-            # early_exit=0 never stops: the early-exit reading of the count
-            # kernel's blocks is checked against the exact value.
+            # early_exit=0 never stops: no nonzero weight is 0, so the
+            # early exit gives the exact value.
             assert codeword_distance_search(code, early_exit=0) == DistanceResult(d, True)
             assert codeword_distance_search(code) == DistanceResult(d, True)
 

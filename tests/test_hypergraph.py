@@ -252,7 +252,8 @@ class TestEonvMin:
         assert result.value >= 3
 
     def test_early_exit_stops_at_the_first_weight_within_the_threshold(self):
-        # gray(1) = {0} is the first subset scanned and already has weight 3
+        # The 2^7 subsets are one block, read whole: d = 3 <= 3, flagged as
+        # an upper bound, with the exact witness {0}.
         result = eonv_distance_search(fano_circulant(), early_exit=3)
         assert result == DistanceResult(3, False, (0,))
 
