@@ -93,8 +93,10 @@ reports the distance d, exact exactly when d > T.  So on every route the
 result is exact exactly when d > T, and an inexact value v has d <= v <= T.
 
 Each self-duality fact has one implementation.  A code builds its Gram
-matrix at most once, beside its basis, and :func:`is_self_dual` adds
-only the dimension test 2k = n.  On the hypergraph side the counting criterion for
+matrix at most once, beside its basis, and none above rate 1/2: a code
+inside its dual has k <= n - k (MacWilliams & Sloane, ch. 19), so when
+2k > n the rate alone answers.  :func:`is_self_dual` adds only the
+dimension test 2k = n.  On the hypergraph side the counting criterion for
 connected graphs is :func:`structural_self_orthogonality` plus the edge
 count m = 2n - 2, and that route counts the vertex pairs of each edge
 instead of forming a matrix product.
@@ -154,7 +156,9 @@ class LinearCode:
 
     @cached_property
     def _gram_is_zero(self) -> bool:
-        return gram(self.basis).is_zero
+        # A code inside its dual has k <= n - k, so above rate 1/2 the
+        # answer needs no Gram matrix.
+        return 2 * self.dimension <= self.length and gram(self.basis).is_zero
 
     @cached_property
     def _twins(self) -> list[list[int]] | None:
@@ -1079,7 +1083,8 @@ def is_self_orthogonal(code: LinearCode) -> bool:
     """Whether the code is contained in its dual (all pairwise products vanish).
 
     The Gram matrix of the basis is built on the first call for a code and
-    its verdict reused after that.
+    its verdict reused after that; above rate 1/2 (2k > n) none is built,
+    since such a code cannot lie inside its dual.
     """
     return code._gram_is_zero
 

@@ -12,9 +12,10 @@ Everything here is a pure function on immutable values, with one
 exception: a matrix keeps its own reduction.  :func:`rref` computes a
 matrix's reduced row-echelon form at most once and stores it on the
 matrix; every elimination route (:func:`rank`, :func:`nullspace_basis`,
-:func:`row_space_equal`, a code's basis and its dual) reads that one
-result.  The stored pair is not a field, so equality, hashing and
-``repr`` ignore it.
+a code's basis and its dual) reads that one result, and
+:func:`row_space_equal` reads its first matrix's and reduces the second's
+rows by it, so the second is never reduced.  The stored pair is not a
+field, so equality, hashing and ``repr`` ignore it.
 """
 
 from __future__ import annotations
@@ -122,16 +123,22 @@ def rref(matrix: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     if known is not None:
         return known
     basis: dict[int, int] = {}  # pivot bit (lowest set bit) -> reduced row
+    pivot_mask = 0
     for row in matrix.rows:
-        for bit, reduced in basis.items():
-            if row & bit:
-                row ^= reduced
+        # The held rows are reduced, so each holds one pivot bit and one XOR
+        # per pivot bit of the row clears them all, in any order.
+        hits = row & pivot_mask
+        while hits:
+            bit = hits & -hits
+            row ^= basis[bit]
+            hits ^= bit
         if row:
             low = row & -row
             for bit, reduced in basis.items():
                 if reduced & low:
                     basis[bit] = reduced ^ row
             basis[low] = row
+            pivot_mask |= low
     bits = sorted(basis)
     rows = tuple(basis[bit] for bit in bits) + (0,) * (matrix.num_rows - len(bits))
     pivots = tuple(bit.bit_length() - 1 for bit in bits)
@@ -193,19 +200,39 @@ def gram(matrix: BitMatrix) -> BitMatrix:
 def row_space_equal(a: BitMatrix, b: BitMatrix) -> bool:
     """Whether two matrices span the same row space.
 
-    Each matrix is reduced at most once (see :func:`rref`), and ``b`` not at
-    all when it has fewer rows than ``a`` has rank, since it cannot span
-    ``a``'s row space then.
+    Only ``a`` is reduced, at most once (see :func:`rref`).  ``b`` is read
+    once and never reduced, and not read at all when it has fewer rows than
+    ``a`` has rank, since it cannot span ``a``'s row space then.  Each row of
+    ``b`` is reduced by ``a``'s RREF, and the first that leaves a remainder
+    lies outside ``a``'s row space.  When none does, a row's bits in ``a``'s
+    pivot columns are its coordinates in ``a``'s reduced basis, so ``b``
+    spans that row space exactly when those coordinates have rank(``a``).
     """
     if a.num_cols != b.num_cols:
         raise ValueError(
             f"cannot compare row spaces of width {a.num_cols} and {b.num_cols}"
         )
-    ra, pa = rref(a)
-    if b.num_rows < len(pa):
+    reduced, pivots = rref(a)
+    if b.num_rows < len(pivots):
         return False
-    rb, pb = rref(b)
-    return ra.rows[: len(pa)] == rb.rows[: len(pb)]
+    basis = {1 << p: row for p, row in zip(pivots, reduced.rows)}
+    pivot_mask = sum(basis)
+    spanned: dict[int, int] = {}  # lowest set bit -> coordinates, in echelon form
+    for row in b.rows:
+        coordinates = hits = row & pivot_mask
+        while hits:
+            bit = hits & -hits
+            row ^= basis[bit]
+            hits ^= bit
+        if row:
+            return False
+        while coordinates and len(spanned) < len(pivots):
+            low = coordinates & -coordinates
+            if low not in spanned:
+                spanned[low] = coordinates
+                break
+            coordinates ^= spanned[low]
+    return len(spanned) == len(pivots)
 
 
 def row_combination(matrix: BitMatrix, indices: Iterable[int]) -> int:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 from math import comb
+from operator import xor
 
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import hypercode.codes as codes
 import hypercode.verify as verify
 from conftest import bit_matrices, brute_min_distance, hypergraphs, random_connected_graph, span_words
+from test_early_exit import KNOWN, row
 from hypercode import (
     BitMatrix,
     DistanceResult,
@@ -412,6 +415,79 @@ class TestSelfDuality:
     def test_agrees_with_row_space_comparison(self, m):
         code = from_generator(m)
         assert is_self_dual(code) == row_space_equal(m, nullspace_basis(m))
+
+
+def extended(code) -> BitMatrix:
+    """The basis of a code with an overall parity bit appended to each row."""
+    n = code.length
+    return BitMatrix(code.dimension, n + 1, tuple(r | (r.bit_count() & 1) << n for r in code.basis.rows))
+
+
+# The extended Hamming [8,4,4] and extended Golay [24,12,8] codes: self-dual,
+# rate exactly 1/2.
+EXTENDED_HAMMING = extended(FANO_CODE)
+EXTENDED_GOLAY = extended(
+    from_generator(incidence_matrix(circulant_hypergraph(row(*KNOWN["golay-23"][:2]))))
+)
+
+
+@st.composite
+def planted_self_orthogonal(draw):
+    """Generators of self-orthogonal codes: each row next to a copy of itself,
+    or sums of rows of a self-dual code (even pairwise overlaps, zero or
+    repeated sums included), with the columns permuted."""
+    if draw(st.booleans()):
+        half = draw(bit_matrices(max_rows=8, max_cols=8, min_cols=1))
+        w = half.num_cols
+        rows = [r | r << w for r in half.rows]
+        n = 2 * w
+    else:
+        source = draw(st.sampled_from([EXTENDED_HAMMING, EXTENDED_GOLAY]))
+        n = source.num_cols
+        picks = st.lists(st.booleans(), min_size=source.num_rows, max_size=source.num_rows)
+        rows = [
+            reduce(xor, (r for r, take in zip(source.rows, draw(picks)) if take), 0)
+            for _ in range(draw(st.integers(0, source.num_rows + 2)))
+        ]
+    order = draw(st.permutations(range(n)))
+    rows = [sum(1 << order[j] for j in range(n) if r >> j & 1) for r in rows]
+    return BitMatrix(len(rows), n, tuple(rows))
+
+
+class TestRateRule:
+    """Above rate 1/2 no Gram matrix is built; the flags must still be the
+    full product's and the full row-space comparison's, at every rate."""
+
+    @staticmethod
+    def assert_flags(m):
+        code = from_generator(m)
+        assert is_self_orthogonal(code) == gram(m).is_zero
+        assert is_self_dual(code) == row_space_equal(m, nullspace_basis(m))
+
+    @given(bit_matrices(max_rows=12, max_cols=10, min_cols=1))
+    def test_random_generators_of_every_rate(self, m):
+        self.assert_flags(m)
+
+    @given(planted_self_orthogonal())
+    def test_planted_self_orthogonal_generators(self, m):
+        assert gram(m).is_zero
+        self.assert_flags(m)
+
+    @pytest.mark.parametrize(
+        "m,shape", [(EXTENDED_HAMMING, (8, 4)), (EXTENDED_GOLAY, (24, 12))], ids=["hamming-8", "golay-24"]
+    )
+    def test_rate_one_half(self, m, shape):
+        code = from_generator(m)
+        assert (code.length, code.dimension) == shape
+        assert is_self_dual(code) and row_space_equal(m, nullspace_basis(m))
+        self.assert_flags(m)
+        # One flipped bit leaves rate 1/2 but breaks self-orthogonality.
+        flipped = BitMatrix(m.num_rows, m.num_cols, (m.rows[0] ^ 1,) + m.rows[1:])
+        assert not is_self_dual(from_generator(flipped))
+        self.assert_flags(flipped)
+
+    def test_extended_golay_weights(self):
+        assert weight_distribution(from_generator(EXTENDED_GOLAY)) == {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
 
 
 class TestStructuralSelfOrthogonality:

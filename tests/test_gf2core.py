@@ -127,6 +127,50 @@ class TestRref:
         assert all(r == 0 for r in reduced.rows[len(pivots) :])
 
 
+def per_pivot_rref(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
+    """The former forward step: each row tested against every held pivot."""
+    basis: dict[int, int] = {}
+    for row in m.rows:
+        for bit, reduced in basis.items():
+            if row & bit:
+                row ^= reduced
+        if row:
+            low = row & -row
+            for bit, reduced in basis.items():
+                if reduced & low:
+                    basis[bit] = reduced ^ row
+            basis[low] = row
+    bits = sorted(basis)
+    rows = tuple(basis[bit] for bit in bits) + (0,) * (m.num_rows - len(bits))
+    return BitMatrix(m.num_rows, m.num_cols, rows), tuple(bit.bit_length() - 1 for bit in bits)
+
+
+def circulant(n: int, support) -> BitMatrix:
+    return BitMatrix(n, n, tuple(sum(1 << (i + s) % n for s in support) for i in range(n)))
+
+
+class TestRrefAgainstPerPivotLoop:
+    """The forward step walks the pivot bits a row holds; the former loop,
+    which tests every pivot, is the oracle for the pair it returns."""
+
+    @pytest.mark.parametrize(
+        "n,support",
+        [(64, (0, 1, 2)), (252, (0, 1, 3)), (200, (0, 5, 17)), (255, (0, 7, 100))],
+    )
+    def test_banded_circulants(self, n, support):
+        m = circulant(n, support)
+        assert rref(m) == per_pivot_rref(m)
+
+    @pytest.mark.parametrize("n,ones,seed", [(256, 64, 1), (512, 64, 2), (1024, 64, 3)])
+    def test_dense_wide_circulants(self, n, ones, seed):
+        m = circulant(n, random.Random(seed).sample(range(n), ones))
+        assert rref(m) == per_pivot_rref(m)
+
+    @given(st.one_of(bit_matrices(max_rows=10, max_cols=12), WIDE))
+    def test_random_matrices(self, m):
+        assert rref(m) == per_pivot_rref(m)
+
+
 class TestRank:
     def test_identity(self):
         assert rank(BitMatrix.from_strings(["10000", "01000", "00100", "00010", "00001"])) == 5
@@ -245,6 +289,40 @@ class TestRowSpaceEqual:
                 BitMatrix.from_strings(["10", "01"]), BitMatrix.from_strings(["100", "010", "001"])
             )
 
+    def test_enough_rows_inside_but_lower_rank_differ(self):
+        # Every row of b lies in a's row space, and b has rank(a) rows or
+        # more, but spans less of it.
+        a = BitMatrix.from_strings(["100", "010", "001"])
+        for lines in (["110", "110", "000"], ["101", "011", "110"], ["100", "100", "100", "000"]):
+            b = BitMatrix.from_strings(lines)
+            assert rank(b) < 3 and not row_space_equal(a, b)
+        assert not row_space_equal(FANO, BitMatrix(7, 7, (FANO.rows[0],) * 7))
+
+    def test_repeated_and_zero_rows_that_span(self):
+        rows = list(FANO.rows) * 2 + [0, 0, FANO.rows[1] ^ FANO.rows[2]]
+        random.Random(5).shuffle(rows)
+        assert row_space_equal(FANO, BitMatrix(len(rows), 7, tuple(rows)))
+        # Four independent Fano rows span the whole [7,4] code.
+        assert row_space_equal(FANO, BitMatrix(6, 7, (0,) + FANO.rows[:4] + (0,)))
+
+    def test_zero_matrices(self):
+        zero = BitMatrix(3, 5, (0, 0, 0))
+        assert row_space_equal(zero, BitMatrix(2, 5, (0, 0)))
+        assert row_space_equal(zero, BitMatrix(0, 5, ()))
+        assert not row_space_equal(zero, BitMatrix(1, 5, (0b100,)))
+        assert not row_space_equal(BitMatrix(1, 5, (0b100,)), zero)
+
+    def test_b_is_read_once_and_never_reduced(self):
+        # A b that spans a takes the full route: every row reduced by a's
+        # stored RREF, then the rank of their coordinates.
+        rows = FANO.rows[3:] + FANO.rows + (0,)
+        b = counted(BitMatrix(len(rows), 7, rows))
+        a = counted(FANO)
+        assert row_space_equal(a, b)
+        assert b.rows.walks == 2 and a.rows.walks == 2
+        assert "_rref" not in b.__dict__
+        assert row_space_equal(a, b) and a.rows.walks == 2 and b.rows.walks == 3
+
 
 class CountedRows(tuple):
     """A row tuple that counts how often it is walked: once when its matrix
@@ -279,7 +357,7 @@ def set_bits_nullspace(m: BitMatrix) -> BitMatrix:
 @st.composite
 def row_space_pairs(draw):
     # b mixes combinations of a's rows with random rows, and is often
-    # shorter than a's rank, where row_space_equal answers without reducing it.
+    # shorter than a's rank, where row_space_equal answers without reading it.
     a = draw(bit_matrices(max_rows=6, max_cols=8, min_cols=1))
     rows = []
     for _ in range(draw(st.integers(0, 7))):
@@ -333,8 +411,10 @@ class TestOneReduction:
         expected = span_words(a.rows) == span_words(b.rows)
         b = counted(b)
         assert row_space_equal(a, b) == expected
-        # b is reduced only when it has enough rows to span a's row space.
+        # b is read once, and only when it has enough rows to span a's row
+        # space; it is never reduced.
         assert b.rows.walks == (1 if b.num_rows < rank(a) else 2)
+        assert "_rref" not in b.__dict__
 
     def test_wide_incidence_nullspace_is_unchanged(self):
         m = incidence_matrix(complete_3partite(6))
