@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 from .codes import (
     LinearCode,
+    _check_cap,
+    _check_subset_cap,
     codeword_distance_search,
     eonv_distance_search,
     from_generator,
@@ -23,6 +25,7 @@ from .codes import (
 )
 from .gf2core import BitMatrix
 from .hypergraph import Hypergraph, from_incidence_matrix, incidence_matrix
+from .limits import EnumerationCapError
 
 METHODS = ("codeword", "eonv", "both")
 
@@ -113,6 +116,22 @@ def _analyze(
     if early_exit is not None and early_exit < 0:
         # No weight is negative, so the scan could never stop early.
         raise ValueError(f"early_exit must be non-negative, got {early_exit}")
+
+    # So that a cap error costs no scan, every cap is checked before any
+    # scan runs.  Each engine checks its own cap as it starts, and the
+    # weights charge what the codeword search charges, so only the caps of
+    # later scans are checked here.  An error names the first cap to fail
+    # in the order the scans run: the codeword search, the subset search,
+    # the weights.
+    if code.dimension > 0 and method == "both":
+        try:
+            _check_subset_cap(eonv_input)
+        except EnumerationCapError:
+            _check_cap(code, "codeword search")
+            raise
+    elif code.dimension > 0 and method == "eonv" and weights:
+        _check_subset_cap(eonv_input)
+        _check_cap(code, "weight distribution")
 
     value: int | None = None
     witness: tuple[int, ...] | None = None

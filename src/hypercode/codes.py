@@ -33,7 +33,7 @@ itself); every permutation within a class then does, so a word's weight
 depends only on its count vector a, the a_i rows it takes from class c_i,
 and A_w = 2^-(r-k) sum prod_i C(|c_i|, a_i) over the vectors of weight w,
 one row XOR and one popcount per vector.  One rule picks it: when the side
-chosen above spans several count-kernel blocks (over 2^14 words), the
+chosen above spans several count-kernel blocks (over 2^15 words), the
 classes are detected, and the walk runs when its prod_i (|c_i| + 1)
 vectors, at 64 kernel words each, cost less than that side's words.
 ``complete_3partite(n)``, three classes of n, takes (n + 1)^3 vectors
@@ -41,7 +41,7 @@ instead of 2^(3n-2) words.  The cap counts the nonzero words of the side
 that the rule weighs, whichever route then runs.
 
 The weight counts and the subset search are bit-sliced block kernels.  A
-block is 2^t words that share their high rows (or vertices), with t <= 14
+block is 2^t words that share their high rows (or vertices), with t <= 15
 in the weight counts and t <= 16 in the subset search; each coordinate
 (or edge) holds one 2^t-bit column, bit q for the block's word q, so that
 one big-int operation acts on every word of the block.  A
@@ -78,7 +78,7 @@ only the half spanned by all basis rows but the last.  The columns, or
 the sums that the kernel holds at once, take at most 2^23 bits (1 MB),
 built on each call; the truth tables they start from, and for each t the
 count kernel's 2^c-entry table for each third of its low rows (c <= 5;
-160 KB at t = 14), are built on first use and kept.  A scan of at most 8
+384 KB at t = 15), are built on first use and kept.  A scan of at most 8
 words per column walks one word per Gray step instead, one XOR and one
 popcount per word, which costs less than building the columns; the tests
 hold each kernel to its walk.
@@ -120,15 +120,18 @@ from .limits import check_enum_cap
 # sums that the count kernel holds at once, take at most 2^_TABLE_BITS bits
 # in all, with t <= _BLOCK_BITS in the count kernel and
 # t <= _SUBSET_BLOCK_BITS in the subset kernel.  At 8 words per column or
-# fewer, building the columns costs more than walking the words.
+# fewer, building the columns costs more than walking the words.  Timed on
+# one core over t = 13..16 (random codes of 17-19 rows), the count kernel
+# at t = 15 is fastest or within 5% of it up to length 512; at 1024, t = 14
+# is 2-8% faster, and at 2048 the budget takes t = 14 either way.
 _TABLE_BITS = 23
-_BLOCK_BITS = 14
+_BLOCK_BITS = 15
 _SUBSET_BLOCK_BITS = 16
 _WALK_WORDS_PER_COLUMN = 8
 # The twin walk's time per count vector, in count-kernel words: timed on
-# one core, 33-140 on codes of length 64-343 (complete_3partite(6)-(9),
-# random [64,16] and [64,18]), 5-20 on lengths 512-2048, where each kernel
-# word costs more.
+# one core, 32-177 on codes of length 64-512 (complete_3partite(6)-(8),
+# random [64,16] and [64,18]), 5-12 on random codes of length 512-2048,
+# where each kernel word costs more.
 _TWIN_VECTOR_COST = 64
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # '0'/'1' text to false/true bytes
 
@@ -294,7 +297,7 @@ def eonv_distance_search(
     if not any(rows):
         raise ValueError("the incidence matrix is zero; there is no nonzero codeword")
     n, m = hypergraph.num_vertices, hypergraph.num_edges
-    check_enum_cap("subset search", n)
+    _check_subset_cap(hypergraph)
     if n > _subset_bits(n, m):
         return _subset_quotient(hypergraph, _vertex_dependencies(rows), early_exit)
     scan = _subset_walk if 1 << n <= _WALK_WORDS_PER_COLUMN * m else _subset_blocks
@@ -559,6 +562,12 @@ def _check_cap(code: LinearCode, search: str) -> None:
     check_enum_cap(search, n - k if _dual_is_cheaper(code) else k)
 
 
+def _check_subset_cap(hypergraph: Hypergraph) -> None:
+    # The subset engine charges the 2^n - 1 subsets of the full scan,
+    # whichever route runs.
+    check_enum_cap("subset search", hypergraph.num_vertices)
+
+
 def _twin_classes(rows: tuple[int, ...], n: int, words: int | None = None) -> list[list[int]] | None:
     """Classes of twin rows, as lists of row indices, every row in one.
 
@@ -731,9 +740,10 @@ def _count_blocks(rows: tuple[int, ...], n: int) -> list[int]:
     """The counts of :func:`_count_walk`, read from :func:`_weight_planes`.
 
     Each block's positions are split by weight only over the planes above
-    its lowest nonzero plane; that plane is read by popcounts, so no group
-    of the last level is kept, and a group that it does not split costs
-    one popcount.
+    its lowest nonzero plane; a plane that leaves a group whole passes it
+    on as it is.  The lowest plane is read by popcounts, so no group of the
+    last level is kept, and a group that it does not split costs one
+    popcount.
     """
     t, blocks = _weight_planes(rows, n)
     full = (1 << (1 << t)) - 1
@@ -752,9 +762,12 @@ def _count_blocks(rows: tuple[int, ...], n: int) -> list[int]:
                 split = []
                 for w, s in groups:
                     one = s & plane
-                    if one:
+                    if not one:
+                        split.append((w, s))
+                    elif one == s:
+                        split.append((w | 1 << j, s))
+                    else:
                         split.append((w | 1 << j, one))
-                    if one != s:
                         split.append((w, s ^ one))
                 groups = split
         bit, plane = 1 << low, planes[low]
@@ -964,8 +977,8 @@ def _chunk_tables(t: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, 
     # the low rows fall into three chunks of c = ceil(t / 3) rows, at most
     # 5 for t <= 15, the last one with what is left, and entry v of a
     # chunk's table is the XOR of its rows' entries for the set bits of v.
-    # A column then takes three lookups.  At t = 14 the 80 entries take
-    # 160 KB.
+    # A column then takes three lookups.  At t = 15 the 96 entries take
+    # 384 KB.
     rows = _message_tables(t)
     c = -(-t // 3)
     tables = []

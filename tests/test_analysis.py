@@ -84,6 +84,35 @@ class TestAnalyzeHypergraph:
             analyze_hypergraph(fano_circulant())
 
     @pytest.mark.parametrize(
+        "method, weights, cap, message",
+        [
+            ("both", False, 200, "subset search needs 511"),
+            ("both", True, 100, "codeword search needs 127"),
+            ("eonv", True, 200, "subset search needs 511"),
+            ("codeword", True, 100, "codeword search needs 127"),
+            ("both", True, 511, None),
+        ],
+    )
+    def test_every_cap_is_checked_before_any_scan(self, monkeypatch, method, weights, cap, message):
+        # complete_3partite(3), [27,7] on 9 vertices: the codeword search
+        # and the weights charge 2^7 - 1 = 127 words, the subset search
+        # 2^9 - 1 = 511 subsets.  A cap error names the first scan whose
+        # cap fails, in the order the scans run, and no scan has run.
+        scans = []
+        for name in ("_weight_counts", "_subset_minima"):
+            real = getattr(codes, name)
+            monkeypatch.setattr(codes, name, lambda *args, real=real, name=name: scans.append(name) or real(*args))
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", str(cap))
+        hg = complete_3partite(3)
+        if message is None:
+            analyze_hypergraph(hg, method=method, weights=weights)
+            assert scans == ["_weight_counts", "_subset_minima"]
+            return
+        with pytest.raises(EnumerationCapError, match=f"^{message} evaluations, above the cap of {cap}$"):
+            analyze_hypergraph(hg, method=method, weights=weights)
+        assert scans == []
+
+    @pytest.mark.parametrize(
         "run",
         [
             lambda: analyze_hypergraph(fano_circulant()),

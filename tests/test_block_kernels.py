@@ -663,10 +663,25 @@ class TestCountBlocks:
 
     def test_wide_codes_over_several_blocks(self):
         rng = random.Random(8)
-        for k, n in ((15, 512), (16, 600)):
+        for k, n in ((16, 480), (17, 600)):
             code = from_generator(BitMatrix(k, n, tuple(rng.getrandbits(n) for _ in range(k))))
             assert code.dimension == k > BLOCK
             assert_same_counts(code)
+
+    @pytest.mark.parametrize("k", [BLOCK, BLOCK + 1])
+    def test_one_and_two_blocks_at_the_block_bound(self, k):
+        # k = BLOCK is one block of 2^BLOCK words, k = BLOCK + 1 two.  In
+        # the even-weight code, whose rows end in their parity bit, plane 0
+        # is zero in every block and the counts are read at the plane above.
+        rng = random.Random(29 + k)
+        n = 64
+        heads = [rng.getrandbits(n - 1) for _ in range(k)]
+        for rows in (tuple(heads), tuple(h | (h.bit_count() & 1) << (n - 1) for h in heads)):
+            t, blocks = codes._weight_planes(rows, n)
+            blocks = list(blocks)
+            assert (t, len(blocks)) == (BLOCK, 1 << (k - BLOCK))
+            assert_same_row_counts(rows, n)
+        assert all(planes[0] == 0 for planes in blocks)
 
     def test_zero_coordinates_and_zero_low_columns(self):
         # Coordinates 0..99 are zero in every row.  The RREF orders its rows
@@ -1071,10 +1086,12 @@ class TestHalving:
         assert {5, 3} <= seen
 
     def test_odd_t_at_the_default_bounds(self):
-        # 600 columns of 2^14 bits exceed 2^23 bits, so the budget rule
-        # takes t = 13: chunks of 5, 5 and 3 rows, and two blocks.
+        # 1100 columns: at t = 14 the one high row splits them into two
+        # classes of about 550, whose columns of 2^14 bits exceed 2^23 bits,
+        # so the budget rule takes t = 13: chunks of 5, 5 and 3 rows, and
+        # four blocks.
         rng = random.Random(28)
-        assert assert_same_blocks(tuple(rng.getrandbits(600) for _ in range(BLOCK)), 600) == 13
+        assert assert_same_blocks(tuple(rng.getrandbits(1100) for _ in range(BLOCK)), 1100) == 13
 
 
 def test_chunk_tables_are_xors_of_the_message_tables():
@@ -1083,7 +1100,7 @@ def test_chunk_tables_are_xors_of_the_message_tables():
     rows each, at most 5, the last one what is left, so that three lookups
     give any low pattern's column."""
     rng = random.Random(130)
-    for t in range(15):
+    for t in range(BLOCK + 1):
         rows = codes._message_tables(t)
         tables = codes._chunk_tables(t)
         c = -(-t // 3)
@@ -1099,8 +1116,8 @@ def test_chunk_tables_are_xors_of_the_message_tables():
             column = reduce(xor, (row for i, row in enumerate(rows) if p >> i & 1), 0)
             mask = (1 << c) - 1
             assert tables[0][p & mask] ^ tables[1][p >> c & mask] ^ tables[2][p >> 2 * c] == column
-    # 32 + 32 + 16 entries of 2^14 bits: 160 KB at the block bound.
-    assert sum(map(len, codes._chunk_tables(BLOCK))) << BLOCK == 160 * 8 * 1024
+    # 32 + 32 + 32 entries of 2^15 bits: 384 KB at the block bound.
+    assert sum(map(len, codes._chunk_tables(BLOCK))) << BLOCK == 384 * 8 * 1024
 
 
 def counted_dimensions(monkeypatch):

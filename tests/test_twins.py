@@ -266,33 +266,37 @@ class TestRule:
 
     @pytest.mark.parametrize("patterns, route", [(2, ["detect", "walk"]), (20, ["detect"])])
     def test_the_rule_on_the_dual_side(self, monkeypatch, patterns, route):
-        # [35,20]: unit rows e_i followed by one of a few 15-bit patterns,
+        # [36,20]: unit rows e_i followed by one of a few 16-bit patterns,
         # so rows with the same pattern are twins.  The side scanned is the
-        # dual's, 2^15 words: two classes of 10 give 121 vectors and take
-        # the walk; 20 distinct patterns are twin-free, 2^20 vectors.
+        # dual's, 2^16 words, two count-kernel blocks: two classes of 10
+        # give 121 vectors and take the walk; 20 distinct patterns are
+        # twin-free, 2^20 vectors.
         rng = random.Random(patterns)
-        tails = rng.sample(range(1, 1 << 15), patterns)
+        tails = rng.sample(range(1, 1 << 16), patterns)
         rows = tuple(1 << i | tails[i % patterns] << 20 for i in range(20))
-        code = from_generator(BitMatrix(20, 35, rows))
-        assert codes._dual_is_cheaper(code)
+        code = from_generator(BitMatrix(20, 36, rows))
+        assert codes._dual_is_cheaper(code) and 36 - 20 > codes._BLOCK_BITS
         calls, counts = self.weights_route(monkeypatch, code)
         assert calls == route
-        assert counts == _weight_counts(code.basis.rows, 35)
+        assert counts == _weight_counts(code.basis.rows, 36)
 
 
 def test_many_distinct_rows_take_no_overlaps(monkeypatch):
-    # The 455 3-subsets of 15 coordinates, padded with 15 zero columns:
-    # [30,15], scanned from the code's 2^15 words.  One weight, so the
-    # weights' bound, 456 * 64 vectors' cost, is below 2^15; but the
-    # overlaps would take 455^2 row ANDs, more than the scan's words.
-    rows = tuple(sum(1 << j for j in s) for s in combinations(range(15), 3))
-    assert _twin_classes(rows, 30, 1 << 15) is None
-    assert sorted(map(len, _twin_classes(rows, 30))) == [1] * 455
+    # The 560 3-subsets of 16 coordinates, padded with 16 zero columns:
+    # [32,16], scanned from the code's 2^16 words, two count-kernel blocks.
+    # One weight, so the weights' bound, 561 * 64 vectors' cost, is below
+    # 2^16; but the overlaps would take 560^2 row ANDs, more than the
+    # scan's words.
+    rows = tuple(sum(1 << j for j in s) for s in combinations(range(16), 3))
+    assert _twin_classes(rows, 32, 1 << 16) is None
+    assert sorted(map(len, _twin_classes(rows, 32))) == [1] * 560
     calls = []
+    monkeypatch.setattr(codes, "_twin_classes", lambda *args: calls.append("detect") or _twin_classes(*args))
     monkeypatch.setattr(codes, "_twin_walk", lambda *args: calls.append("walk"))
-    code = from_generator(BitMatrix(455, 30, rows))
-    assert code._weights == _weight_counts(code.basis.rows, 30)
-    assert calls == []
+    code = from_generator(BitMatrix(560, 32, rows))
+    assert code.dimension == 16 > codes._BLOCK_BITS
+    assert code._weights == _weight_counts(code.basis.rows, 32)
+    assert calls == ["detect"]
 
 
 def test_complete_3partite_7_never_reaches_the_count_kernel(monkeypatch):
