@@ -12,13 +12,15 @@ share no code.  Both check their evaluation count against the one cap in
 
 The exact codeword distance is the least nonzero weight of the weight
 distribution: both read one list of counts by weight, scanned once per code.
-When 2^(n-k) + n^2 < 2^k it comes from the 2^(n-k) words of C⊥ by the exact
-MacWilliams identity (MacWilliams & Sloane, *The Theory of Error-Correcting
-Codes*, ch. 5), 2^(n-k) A_j = sum_i B_i K_j(i), and the n^2 term stands for
-the transform.  C⊥ is counted over the null-space rows that the generator's
-one reduction gives, with no second elimination.  The Krawtchouk sums come
-from one of two transforms, picked by n and the number D of nonzero weights
-of C⊥, both known before either runs.  When n^2 < 2048 (D - 4), the sums
+Its side is decided once per code, as ``LinearCode._side``, the bits of the
+words it scans: k, or n - k when 2^(n-k) + n^2 < 2^k.  The list then comes
+from the 2^(n-k) words of C⊥ by the exact MacWilliams identity (MacWilliams
+& Sloane, *The Theory of Error-Correcting Codes*, ch. 5),
+2^(n-k) A_j = sum_i B_i K_j(i), and the n^2 term stands for the transform.
+C⊥ is counted over the null-space rows that the generator's one reduction
+gives, with no second elimination.  The Krawtchouk sums come from one of
+two transforms, picked by n and the number D of nonzero weights of C⊥,
+both known before either runs.  When n^2 < 2048 (D - 4), the sums
 are the coefficients of sum_i B_i (1 - X)^i (1 + X)^(n-i), packed into one
 integer at X = 2^b (Kronecker substitution) and summed by Horner's rule,
 each factor one shift and one addition, and read back lane by lane.
@@ -32,13 +34,13 @@ are twins when exchanging them maps the multiset of the columns to itself
 itself); every permutation within a class then does, so a word's weight
 depends only on its count vector a, the a_i rows it takes from class c_i,
 and A_w = 2^-(r-k) sum prod_i C(|c_i|, a_i) over the vectors of weight w,
-one row XOR and one popcount per vector.  One rule picks it: when the side
-chosen above spans several count-kernel blocks (over 2^15 words), the
+one row XOR and one popcount per vector.  One rule picks it: when the
+side of ``_side`` spans several count-kernel blocks (over 2^15 words), the
 classes are detected, and the walk runs when its prod_i (|c_i| + 1)
 vectors, at 64 kernel words each, cost less than that side's words.
 ``complete_3partite(n)``, three classes of n, takes (n + 1)^3 vectors
 instead of 2^(3n-2) words.  The cap counts the nonzero words of the side
-that the rule weighs, whichever route then runs.
+of ``_side``, whichever route then runs.
 
 The weight counts and the subset search are bit-sliced block kernels.  A
 block is 2^t words that share their high rows (or vertices), with t <= 15
@@ -164,34 +166,39 @@ class LinearCode:
         return 2 * self.dimension <= self.length and gram(self.basis).is_zero
 
     @cached_property
+    def _side(self) -> int:
+        """The bits of the side whose words give the weight counts, which the
+        cap, the twin rule, the counts and the early exit all read: n - k
+        when 2^(n-k) + n^2 (the transform) < 2^k, else k.
+        """
+        n, k = self.length, self.dimension
+        # n - k >= k fails the dual before any power of two is built.
+        return n - k if n - k < k and (1 << (n - k)) + n * n < (1 << k) else k
+
+    @cached_property
     def _twins(self) -> list[list[int]] | None:
         """The twin classes of the generator's rows when the twin walk
         (:func:`_twin_walk`) gives the weight counts, else None.
 
-        :func:`_dual_is_cheaper` picks the code's words or its dual's; when
-        that side has more than 2^_BLOCK_BITS words, :func:`_twin_classes`
-        says whether the walk costs less.  Detection runs only then, after
-        the callers' cap check.  The weight counts and the codeword early
-        exit both read this one decision.
+        When the side of ``_side`` has more than 2^_BLOCK_BITS words,
+        :func:`_twin_classes` says whether the walk costs less.  Detection
+        runs only then, after the callers' cap check.
         """
-        n, k = self.length, self.dimension
-        side = n - k if _dual_is_cheaper(self) else k
-        return _twin_classes(self.generator.rows, n, 1 << side) if side > _BLOCK_BITS else None
+        side = self._side
+        return _twin_classes(self.generator.rows, self.length, 1 << side) if side > _BLOCK_BITS else None
 
     @cached_property
     def _weights(self) -> list[int]:
         """Counts of the 2^k codewords, indexed by weight, from one of three
         exact sides: the twin walk when ``_twins`` holds classes, else the
-        side that :func:`_dual_is_cheaper` picks.  The dual's side counts the
-        null-space rows as they are: they are independent, so no second
-        elimination is needed.
+        side of ``_side``, the code's words or its dual's.  The dual's side
+        counts the null-space rows as they are: they are independent, so no
+        second elimination is needed.
         """
         n, k = self.length, self.dimension
-        # Either side has at most k bits, so with k <= _BLOCK_BITS no
-        # detection runs, and small codes skip the property.
-        if k > _BLOCK_BITS and self._twins is not None:
+        if self._twins is not None:
             return _twin_walk(self.generator.rows, self._twins, n, k)
-        if not _dual_is_cheaper(self):
+        if self._side == k:
             return _weight_counts(self.basis.rows, n)
         rows = nullspace_basis(self.generator).rows
         return _macwilliams(_weight_counts(rows, n), n, len(rows))
@@ -237,12 +244,13 @@ def codeword_distance_search(
     """Minimum nonzero codeword weight by exhaustive message-space enumeration.
 
     The value is the least nonzero weight of the code's weight counts, the
-    list :func:`weight_distribution` reads, made once per code from the
-    side that ``LinearCode._weights`` picks: the code's words, its dual's,
-    or the twin walk.  An early exit reads those counts whole, exact when
-    no weight is <= early_exit, unless they come from the code's own words
-    over several count-kernel blocks (k > _BLOCK_BITS).  It then reads the
-    blocks' bit planes from :func:`_weight_planes` in Gray order and stops
+    list :func:`weight_distribution` reads, made once per code by
+    ``LinearCode._weights``: from the code's words or its dual's, the side
+    of ``LinearCode._side``, or by the twin walk.  An early exit reads
+    those counts whole, exact when no weight is <= early_exit, unless they
+    come from the code's own words (``_side`` is k) over several
+    count-kernel blocks (k > _BLOCK_BITS) and no twin walk.  It then reads
+    the blocks' bit planes from :func:`_weight_planes` in Gray order and stops
     after the first block whose least nonzero weight is <= early_exit,
     flagged as an upper bound.  Neither route shares code with the subset
     engine, so the two distance routes stay independently checkable.
@@ -250,7 +258,8 @@ def codeword_distance_search(
     if code.dimension == 0:
         raise ValueError("the zero code has no nonzero codeword")
     _check_cap(code, "codeword search")
-    if early_exit is None or code.dimension <= _BLOCK_BITS or _dual_is_cheaper(code) or code._twins is not None:
+    side = code._side
+    if early_exit is None or side <= _BLOCK_BITS or side < code.dimension or code._twins is not None:
         counts = code._weights
         d = next(w for w in range(1, len(counts)) if counts[w])
         return DistanceResult(d, early_exit is None or d > early_exit)
@@ -548,18 +557,10 @@ def _gray_tables(t: int) -> tuple[int, ...]:
     return tuple(bit[v] ^ bit[v + 1] for v in range(t))
 
 
-def _dual_is_cheaper(code: LinearCode) -> bool:
-    # The dual's words plus the transform, against C's words; n - k >= k
-    # fails it before any power of two is built.
-    n, k = code.length, code.dimension
-    return n - k < k and (1 << (n - k)) + n * n < (1 << k)
-
-
 def _check_cap(code: LinearCode, search: str) -> None:
     # Both callers charge the one scan the same figure, the nonzero words of
     # the scanned side, each under its own name.
-    n, k = code.length, code.dimension
-    check_enum_cap(search, n - k if _dual_is_cheaper(code) else k)
+    check_enum_cap(search, code._side)
 
 
 def _check_subset_cap(hypergraph: Hypergraph) -> None:
@@ -568,7 +569,7 @@ def _check_subset_cap(hypergraph: Hypergraph) -> None:
     check_enum_cap("subset search", hypergraph.num_vertices)
 
 
-def _twin_classes(rows: tuple[int, ...], n: int, words: int | None = None) -> list[list[int]] | None:
+def _twin_classes(rows: tuple[int, ...], n: int, words: int) -> list[list[int]] | None:
     """Classes of twin rows, as lists of row indices, every row in one.
 
     Rows u and v are twins when exchanging them maps the multiset of the
@@ -586,8 +587,8 @@ def _twin_classes(rows: tuple[int, ...], n: int, words: int | None = None) -> li
     transposition conjugated by another being one, so testing against the
     first row finds every class; a twin missed would cost speed only.
 
-    With ``words``, the words of the side the count kernel would scan, this
-    is the rule: None unless the walk's vectors, prod(|c| + 1), times
+    ``words``, the words of the side the count kernel would scan, makes
+    this the rule: None unless the walk's vectors, prod(|c| + 1), times
     ``_TWIN_VECTOR_COST`` are below ``words``.  Each stage stops as soon as
     a lower bound on the vectors breaks it: the rows without copies, by
     weight alone, before any overlap is taken; and by key before any column
@@ -605,11 +606,9 @@ def _twin_classes(rows: tuple[int, ...], n: int, words: int | None = None) -> li
 
     def too_many(groups) -> bool:
         # Whether the walk, with the classes so far and ``groups``, loses.
-        if words is None:
-            return False
         return prod(len(c) + 1 for c in chain(classes, groups)) * _TWIN_VECTOR_COST >= words
 
-    if too_many(by_weight.values()) or (words is not None and len(copies) ** 2 > words):
+    if too_many(by_weight.values()) or len(copies) ** 2 > words:
         return None
     distinct = {row: p for p, row in enumerate(copies)}
     overlaps: dict[int, list[int]] = {}  # row index -> overlaps with the distinct rows
@@ -806,22 +805,21 @@ def _weight_planes(rows: tuple[int, ...], n: int) -> tuple[int, Iterator[list[in
     block (up to 4^K).
     The halves are visited depth first from the top row, the bit-1 half in
     reverse, as the reflected Gray code orders them.  The class of
-    gamma = 0 is never complemented, and is the only one if k <= t.
+    gamma = 0 is never complemented, and is the only one if k <= t.  t is
+    the largest up to _BLOCK_BITS whose planes fit the column budget, from
+    the class sizes alone (:func:`_held_planes`); the classes are built once.
     """
     k = len(rows)
     t = min(k, _BLOCK_BITS)
     # Bit i of coordinate p's pattern is row i's bit p.
     patterns = _columns(rows, n)
-    classes = {0: patterns}  # high pattern -> low patterns of its coordinates
-    while True:
-        if k > t:
-            classes = {}
-            for pattern in patterns:
-                classes.setdefault(pattern >> t, []).append(pattern & ((1 << t) - 1))
-        sizes = {gamma: len(lows) for gamma, lows in classes.items()}
-        if not t or _held_planes(sizes, k - t) << t <= 1 << _TABLE_BITS:
-            break
+    # A Counter keeps the order the classes are built in, which _held_planes reads.
+    while t and _held_planes(Counter(p >> t for p in patterns), k - t) << t > 1 << _TABLE_BITS:
         t -= 1
+    low = (1 << t) - 1
+    classes: dict[int, list[int]] = {}  # high pattern -> low patterns of its coordinates
+    for pattern in patterns:
+        classes.setdefault(pattern >> t, []).append(pattern & low)
     full = (1 << (1 << t)) - 1
     first, second, third = _chunk_tables(t)
     chunk = len(first).bit_length() - 1
@@ -1075,8 +1073,8 @@ def weight_distribution(code: LinearCode) -> dict[int, int]:
     They come from the code's one list of counts, shared with
     :func:`codeword_distance_search`: the code's words, its dual's, or the
     twin walk, as ``LinearCode._weights`` picks.  The cap counts the
-    nonzero words of the side that its rule weighs, the code's or the
-    dual's, whichever route then runs.
+    nonzero words of ``LinearCode._side``, the code's or the dual's,
+    whichever route then runs.
     """
     _check_cap(code, "weight distribution")
     return {w: c for w, c in enumerate(code._weights) if c}

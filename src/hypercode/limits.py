@@ -71,17 +71,20 @@ def check_enum_cap(search: str, bits: int) -> None:
     ``search`` names it in the message, for example ``codeword search needs
     15 evaluations, above the cap of 4``.  Above 64 bits the count is
     written ``2^bits - 1``: in decimal it would run to thousands of digits,
-    and ``str`` refuses more than 4300.  A cap of ASCII digits, after an
-    optional ``-``, is read exactly whatever its length, so a negative one
-    is always refused as negative; a message shows at most 32 characters
-    of a value from the environment.
+    and ``str`` refuses more than 4300.  Only ASCII digits, after an
+    optional ``-``, are a cap, as in the file formats; they are read exactly
+    whatever their length, so a negative cap is always refused as negative.
+    A message shows at most 32 characters of a value from the environment.
     """
     raw = os.environ.get(ENUM_CAP_ENV_VAR)
-    # The cap's magnitude in decimal, once it is read.
-    digits = str(DEFAULT_ENUM_CAP) if raw is None else raw.removeprefix("-")
     if raw is None:
         limit = DEFAULT_ENUM_CAP
-    elif digits.isascii() and digits.isdigit():
+    else:
+        # The cap's magnitude in decimal.
+        digits = raw.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            more = f" and {len(raw) - 32} more characters" if len(raw) > 32 else ""
+            raise ValueError(f"{ENUM_CAP_ENV_VAR} must be an integer, got {raw[:32]!r}{more}")
         # int() refuses more than 4300 digits at once.
         digits = digits.lstrip("0") or "0"
         limit = 0
@@ -90,18 +93,11 @@ def check_enum_cap(search: str, bits: int) -> None:
             limit = limit * 10 ** len(piece) + int(piece)
         if raw[0] == "-":
             limit = -limit
-    else:
-        try:
-            limit = int(raw)
-        except ValueError:
-            more = f" and {len(raw) - 32} more characters" if len(raw) > 32 else ""
-            raise ValueError(
-                f"{ENUM_CAP_ENV_VAR} must be an integer, got {raw[:32]!r}{more}"
-            ) from None
-        digits = str(abs(limit))
     evaluations = (1 << bits) - 1
     if evaluations <= limit:
         return
+    if raw is None:
+        digits = str(limit)
     value = "-" * (limit < 0) + digits
     if len(value) > 32:
         value = f"{value[:32]}... ({len(digits)} digits)"

@@ -698,7 +698,7 @@ def takes_blocks(code):
     """Whether the codeword early exit reads the count kernel's blocks: the
     exact counts come from the code's own words, more than 2^_BLOCK_BITS
     of them, and not from the dual or the twin walk."""
-    return code.dimension > codes._BLOCK_BITS and not codes._dual_is_cheaper(code) and code._twins is None
+    return code._side == code.dimension > codes._BLOCK_BITS and code._twins is None
 
 
 def gray_loop_search(code, early_exit, t):
@@ -1199,7 +1199,7 @@ class TestAllOnesHalving:
             row = rng.getrandbits(n)
             rows.append(row ^ (row.bit_count() & 1))
         code = from_generator(BitMatrix(k, n, tuple(rows)))
-        assert code.dimension == k and codes._dual_is_cheaper(code)
+        assert code.dimension == k and code._side == n - k
         expected = _count_walk(code.basis.rows, n)
         seen = counted_dimensions(monkeypatch)
         assert code._weights == expected

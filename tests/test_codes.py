@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from functools import reduce
 from math import comb
 from operator import xor
@@ -38,7 +39,7 @@ from hypercode import (
     structural_self_orthogonality,
     weight_distribution,
 )
-from hypercode.codes import _dual_is_cheaper, _krawtchouk_sums, _macwilliams, _packed_sums, _weight_counts
+from hypercode.codes import _krawtchouk_sums, _macwilliams, _packed_sums, _weight_counts
 
 FANO_CODE = from_generator(incidence_matrix(fano_circulant()))
 
@@ -117,11 +118,28 @@ class TestMinDistance:
         monkeypatch.setenv("HYPERCODE_ENUM_CAP", "15")
         assert codeword_distance_search(FANO_CODE).value == 3
 
-    @pytest.mark.parametrize("raw", ["many", "-1"])
+    # ASCII digits after an optional "-" are the one form of a cap: no
+    # blank, plus sign, digit separator or non-ASCII digit.
+    @pytest.mark.parametrize("raw", ["many", "-1", " 5", "5 ", "+5", "5_0", "\u0665"])
     def test_cap_must_be_a_non_negative_integer(self, monkeypatch, raw):
         monkeypatch.setenv("HYPERCODE_ENUM_CAP", raw)
-        with pytest.raises(ValueError, match="HYPERCODE_ENUM_CAP"):
+        message = "must be non-negative, got -1" if raw == "-1" else f"must be an integer, got {raw!r}"
+        with pytest.raises(ValueError, match=f"^HYPERCODE_ENUM_CAP {re.escape(message)}$"):
             codeword_distance_search(FANO_CODE)
+
+    def test_cap_with_leading_zeros_is_read_in_decimal(self, monkeypatch):
+        # Fano's 15 evaluations: 007 is the cap 7, and 0015 passes.
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "007")
+        with pytest.raises(
+            EnumerationCapError, match="^codeword search needs 15 evaluations, above the cap of 7$"
+        ):
+            codeword_distance_search(FANO_CODE)
+        monkeypatch.setenv("HYPERCODE_ENUM_CAP", "0015")
+        assert codeword_distance_search(FANO_CODE).value == 3
+
+    def test_subset_search_of_a_zero_incidence_matrix(self):
+        with pytest.raises(ValueError, match="^the incidence matrix is zero; there is no nonzero codeword$"):
+            eonv_distance_search(Hypergraph(3, ()))
 
 
 class TestEngineEquivalence:
@@ -276,7 +294,7 @@ class TestMacWilliams:
             transform = getattr(codes, name)
             monkeypatch.setattr(codes, name, lambda c, n, name=name, f=transform: ran.append(name) or f(c, n))
         code = from_generator(BitMatrix(n - units, n, tuple(1 << v for v in range(units, n))))
-        assert _dual_is_cheaper(code)
+        assert code._side < code.dimension
         assert weight_distribution(code) == {w: comb(n - units, w) for w in range(n - units + 1)}
         assert ran == ["_packed_sums" if packed else "_krawtchouk_sums"]
 
@@ -286,7 +304,7 @@ class TestMacWilliams:
         # weights, past the rule at every length, and A_w = C(n, w) for
         # every even w.  The packed sums, not picked here, must agree.
         code = from_generator(BitMatrix(n - 1, n, tuple(3 << v for v in range(n - 1))))
-        assert _dual_is_cheaper(code) and not codes._packed_is_cheaper(n, 2)
+        assert code._side < code.dimension and not codes._packed_is_cheaper(n, 2)
         assert weight_distribution(code) == {w: comb(n, w) for w in range(0, n + 1, 2)}
         two = [1] + [0] * (n - 1) + [1]
         assert _packed_sums(two, n) == [2 * comb(n, w) if w % 2 == 0 else 0 for w in range(n + 1)]
@@ -295,16 +313,16 @@ class TestMacWilliams:
         # The simplex dual [15,4] has the two weights 0 and 8.
         code = from_generator(incidence_matrix(circulant_hypergraph("110010000000000")))
         assert (code.length, code.dimension) == (15, 11)
-        assert _dual_is_cheaper(code) and not codes._packed_is_cheaper(15, 2)
+        assert code._side < code.dimension and not codes._packed_is_cheaper(15, 2)
         assert weight_distribution(code) == {
             0: 1, 3: 35, 4: 105, 5: 168, 6: 280, 7: 435, 8: 435, 9: 280, 10: 168, 11: 105, 12: 35, 15: 1,
         }
 
     def test_side_rule(self):
-        # 2^(n-k) + n^2 against 2^k.
-        assert not _dual_is_cheaper(FANO_CODE)  # 8 + 49 >= 16
-        assert _dual_is_cheaper(HIGH_RATE_CODE)  # 8 + 576 < 2^21
-        assert not _dual_is_cheaper(dual(HIGH_RATE_CODE))
+        # 2^(n-k) + n^2 against 2^k; _side is the bits of the scanned side.
+        assert FANO_CODE._side == 4  # 8 + 49 >= 16: the code's words
+        assert HIGH_RATE_CODE._side == 3  # 8 + 576 < 2^21: the dual's
+        assert dual(HIGH_RATE_CODE)._side == 3  # n - k = 21 >= k = 3
 
     def test_high_rate_distance_and_weights(self):
         assert codeword_distance_search(HIGH_RATE_CODE) == DistanceResult(2, True)

@@ -68,6 +68,25 @@ def assert_transpose(m):
     assert t.transpose() == m
 
 
+class TestBitMatrixErrors:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((-1, 2, ()), "matrix dimensions must be non-negative"),
+            ((2, -1, ()), "matrix dimensions must be non-negative"),
+            ((2, 3, (0b101,)), "expected 2 rows, got 1"),
+            ((2, 3, (0b101, 0b1000)), "row 1 out of range for 3 columns"),
+        ],
+    )
+    def test_constructor(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BitMatrix(*args)
+
+    def test_rows_of_unequal_length(self):
+        with pytest.raises(ValueError, match="^rows must all have the same length$"):
+            BitMatrix.from_strings(["101", "10"])
+
+
 class TestTranspose:
     @given(WIDE)
     def test_matches_the_definition(self, m):

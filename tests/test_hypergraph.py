@@ -122,6 +122,28 @@ class TestHypergraphType:
         assert hg.vertex_rows == tuple(reference)
 
 
+class TestConstructorErrors:
+    def test_f_count_part_size(self):
+        with pytest.raises(ValueError, match="^part size must be positive$"):
+            f_count(0, 0, 0, 0)
+
+    def test_empty_circulant_row(self):
+        with pytest.raises(ValueError, match="^the first row must be nonempty$"):
+            circulant_hypergraph("")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 3), "need at least one vertex and a non-negative edge count"),
+            ((3, -1), "need at least one vertex and a non-negative edge count"),
+            ((3, 2, 0), "max_edge_size must allow nonempty edges"),
+        ],
+    )
+    def test_random_hypergraph(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_hypergraph(random.Random(0), *args)
+
+
 class TestIncidenceMatrix:
     def test_single_edge_is_all_ones_column(self):
         m = incidence_matrix(Hypergraph(3, ((0, 1, 2),)))

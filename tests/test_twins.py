@@ -39,6 +39,10 @@ from hypercode import (
 )
 from hypercode.codes import _twin_classes, _twin_walk, _weight_counts
 
+# The words of a side that no twin walk of these inputs costs as much as,
+# so that the detection's rule refuses none of them.
+WORDS = 1 << 64
+
 
 def assert_same_counts(rows, n):
     """The twin route with the rule bypassed, detection then the walk,
@@ -48,7 +52,7 @@ def assert_same_counts(rows, n):
     expected = _weight_counts(code.basis.rows, n)
     # The zero code's counts are [1], not a list as long as the code.
     expected += [0] * (n + 1 - len(expected))
-    assert _twin_walk(rows, _twin_classes(rows, n), n, code.dimension) == expected
+    assert _twin_walk(rows, _twin_classes(rows, n, WORDS), n, code.dimension) == expected
 
 
 def preserves_columns(rows, n, u, v):
@@ -101,7 +105,7 @@ def test_families(hg):
 
 
 def test_family_classes():
-    classes = lambda hg: sorted(map(len, _twin_classes(hg.vertex_rows, hg.num_edges)))
+    classes = lambda hg: sorted(map(len, _twin_classes(hg.vertex_rows, hg.num_edges, WORDS)))
     assert classes(complete_3partite(7)) == [7, 7, 7]
     assert classes(complete_3partite(1)) == [3]  # three equal rows
     # Block circulants share edges between twins: 2m classes of k.
@@ -124,14 +128,14 @@ def test_family_classes():
 )
 def test_equal_and_zero_rows(rows, n):
     assert_same_counts(rows, n)
-    assert {frozenset(c) for c in _twin_classes(rows, n)} == brute_classes(rows, n)
+    assert {frozenset(c) for c in _twin_classes(rows, n, WORDS)} == brute_classes(rows, n)
 
 
 def test_high_rate_code_of_the_cap_test():
     # The [24,21] code of the CLI's cap test: unit rows followed by the
     # 3-bit pattern i % 7 + 1, so rows i, i + 7 and i + 14 are twins.
     rows = [1 << i | (i % 7 + 1) << 21 for i in range(21)]
-    assert sorted(map(len, _twin_classes(tuple(rows), 24))) == [3] * 7
+    assert sorted(map(len, _twin_classes(tuple(rows), 24, WORDS))) == [3] * 7
     assert_same_counts(rows, 24)
 
 
@@ -188,7 +192,7 @@ def planted(draw):
 @given(planted())
 def test_planted_twins_and_decoys(case):
     rows, n, planted_classes, decoy = case
-    classes = _twin_classes(rows, n)
+    classes = _twin_classes(rows, n, WORDS)
     assert sorted(i for c in classes for i in c) == list(range(len(rows)))
     # Every reported class is closed under each of its transpositions.
     for members in classes:
@@ -227,7 +231,7 @@ class TestRule:
         calls = []
         real_classes, real_walk = codes._twin_classes, codes._twin_walk
 
-        def classes(rows, n, words=None):
+        def classes(rows, n, words):
             calls.append("detect")
             return real_classes(rows, n, words)
 
@@ -275,7 +279,7 @@ class TestRule:
         tails = rng.sample(range(1, 1 << 16), patterns)
         rows = tuple(1 << i | tails[i % patterns] << 20 for i in range(20))
         code = from_generator(BitMatrix(20, 36, rows))
-        assert codes._dual_is_cheaper(code) and 36 - 20 > codes._BLOCK_BITS
+        assert code._side == 36 - 20 > codes._BLOCK_BITS
         calls, counts = self.weights_route(monkeypatch, code)
         assert calls == route
         assert counts == _weight_counts(code.basis.rows, 36)
@@ -289,7 +293,9 @@ def test_many_distinct_rows_take_no_overlaps(monkeypatch):
     # scan's words.
     rows = tuple(sum(1 << j for j in s) for s in combinations(range(16), 3))
     assert _twin_classes(rows, 32, 1 << 16) is None
-    assert sorted(map(len, _twin_classes(rows, 32))) == [1] * 560
+    # Only a side of more than 64 * 2^560 words lets the 560 classes of one
+    # row through.
+    assert sorted(map(len, _twin_classes(rows, 32, 1 << 567))) == [1] * 560
     calls = []
     monkeypatch.setattr(codes, "_twin_classes", lambda *args: calls.append("detect") or _twin_classes(*args))
     monkeypatch.setattr(codes, "_twin_walk", lambda *args: calls.append("walk"))
@@ -332,7 +338,7 @@ def test_random_512_by_19_takes_the_kernel_and_builds_no_transposition(monkeypat
 
 
 def test_detection_runs_after_the_cap_check(monkeypatch):
-    def refuse(rows, n, words=None):
+    def refuse(rows, n, words):
         raise AssertionError("detection ran")
 
     monkeypatch.setattr(codes, "_twin_classes", refuse)
