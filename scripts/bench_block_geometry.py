@@ -34,7 +34,7 @@ The script imports ``hypercode`` from ``src/`` beside it and records:
 - ``verify``: the last line of ``hypercode verify`` at this commit;
 - ``pairs``: alternated ``perfbench/run.py --trace 0`` runs of both commits,
   as in ``scripts/bench_macwilliams.py``;
-- ``lines``: the net line count of ``src/hypercode`` against the parent.
+- ``lines``: as in ``scripts/bench_macwilliams.py``.
 
 ``--pairs 0`` leaves the benchmark runs out.
 """

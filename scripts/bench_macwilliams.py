@@ -28,7 +28,8 @@ The script imports ``hypercode`` from ``src/`` beside it and records:
   cycle C_2048 at both commits, whole command;
 - ``pairs``: alternated ``perfbench/run.py --trace 0`` runs of both commits,
   seed ``--seed + i`` for pair i, the parent first in even-numbered pairs;
-- ``lines``: the net line count of ``src/hypercode`` against the parent.
+- ``lines``: non-blank, non-comment lines of ``src/hypercode`` (docstrings
+  counted) at both commits, and the net.
 
 ``--pairs 0`` leaves the benchmark runs out.
 """
@@ -305,7 +306,14 @@ def pairs(parent: Path, workloads: list[str], count: int, seconds: int, seed: in
 
 
 def line_count(tree: Path) -> int:
-    return sum(len(path.read_text().splitlines()) for path in (tree / "src" / "hypercode").glob("*.py"))
+    """Non-blank, non-comment lines of ``src/hypercode`` in ``tree``,
+    docstrings counted."""
+    return sum(
+        1
+        for path in (tree / "src" / "hypercode").glob("*.py")
+        for line in path.read_text().splitlines()
+        if line.strip() and not line.lstrip().startswith("#")
+    )
 
 
 def main() -> None:

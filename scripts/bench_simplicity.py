@@ -18,9 +18,12 @@ The script records:
   the sizes of many-small's counts, at both commits in one process (the
   parent's package loaded as ``parent_hypercode``): medians of 20 runs,
   the commit that runs first alternating;
+- ``twin_classes_us``: ``codes._twin_classes`` on the generator rows of
+  PG(4,2), ``complete_3partite(7)`` and ``(10)`` and random full-rank
+  [512,19] and [64,19], with the words of each code's scanned side, timed
+  as ``count_blocks_ms``, and whether both commits find the same classes;
 - ``verify``: the last line of ``hypercode verify`` at this commit;
-- ``lines``: non-blank, non-comment lines of ``src/hypercode`` (docstrings
-  counted) at both commits;
+- ``lines``: as in ``scripts/bench_macwilliams.py``;
 - ``pairs``: alternated ``perfbench/run.py --trace 0`` runs of both commits,
   as in ``scripts/bench_macwilliams.py``.
 
@@ -39,10 +42,17 @@ import statistics
 import sys
 from pathlib import Path
 
-from bench_block_geometry import reports, verify
-from bench_macwilliams import ROOT, pairs, per_call
+from bench_block_geometry import full_rank, reports, verify
+from bench_macwilliams import ROOT, line_count, pairs, per_call
 
-from hypercode import BitMatrix, codes, from_generator
+from hypercode import (
+    BitMatrix,
+    codes,
+    complete_3partite,
+    from_generator,
+    incidence_matrix,
+    projective_geometry,
+)
 
 
 def parent_codes(parent: Path):
@@ -59,38 +69,55 @@ def parent_codes(parent: Path):
     return importlib.import_module("parent_hypercode.codes")
 
 
-def count_blocks_ms(parent: Path, runs: int) -> dict:
+def in_turn(sides: dict, call, runs: int, scale: float) -> dict:
     # Both commits in one process, the side that runs first alternating,
     # so that a process that runs slow as a whole slows both alike.
-    sides = {"parent": parent_codes(parent), "change": codes}
+    times = {side: [] for side in sides}
+    for i in range(runs):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            times[side].append(per_call(lambda: call(sides[side]), 0.1) * scale)
+    row = {side: round(statistics.median(values), 4) for side, values in times.items()}
+    row["change_over_parent"] = round(row["change"] / row["parent"], 3)
+    row["change_lower_in_runs"] = f"{sum(c < p for p, c in zip(times['parent'], times['change']))} of {runs}"
+    return row
+
+
+def count_blocks_ms(sides: dict, runs: int) -> dict:
     rng = random.Random(2036)
     out = {}
     for n, k in ((512, 19), (512, 18), (64, 19), (2048, 17), (20, 10), (16, 9)):
-        while True:
-            code = from_generator(BitMatrix(k, n, tuple(rng.getrandbits(n) for _ in range(k))))
-            if code.dimension == k:
-                break
-        rows = code.basis.rows
-        times = {side: [] for side in sides}
-        for i in range(runs):
-            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                count = sides[side]._count_blocks
-                times[side].append(per_call(lambda: count(rows, n), 0.1) * 1e3)
-        row = {side: round(statistics.median(values), 4) for side, values in times.items()}
-        row["change_over_parent"] = round(row["change"] / row["parent"], 3)
-        row["change_lower_in_runs"] = f"{sum(c < p for p, c in zip(times['parent'], times['change']))} of {runs}"
+        rows = full_rank(rng, k, n)
+        row = in_turn(sides, lambda side: side._count_blocks(rows, n), runs, 1e3)
         print("count_blocks_ms", f"[{n},{k}]", row, flush=True)
         out[f"[{n},{k}]"] = row
     return out
 
 
-def code_lines(tree: Path) -> int:
-    return sum(
-        1
-        for path in (tree / "src" / "hypercode").glob("*.py")
-        for line in path.read_text().splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    )
+def twin_classes_us(sides: dict, runs: int) -> dict:
+    # The generator's rows and the words of the side that the rule weighs,
+    # as ``LinearCode._twins`` passes them.
+    cases = {
+        name: from_generator(incidence_matrix(hg))
+        for name, hg in (
+            ("PG(4,2)", projective_geometry(5)),
+            ("k3partite(7)", complete_3partite(7)),
+            ("k3partite(10)", complete_3partite(10)),
+        )
+    }
+    rng = random.Random(2037)
+    for n, k in ((512, 19), (64, 19)):
+        cases[f"random [{n},{k}]"] = from_generator(BitMatrix(k, n, full_rank(rng, k, n)))
+    out = {}
+    for name, code in cases.items():
+        rows, n, words = code.generator.rows, code.length, 1 << code._side
+        found = {side: sides[side]._twin_classes(rows, n, words) for side in sides}
+        as_sets = {side: classes and sorted(map(sorted, classes)) for side, classes in found.items()}
+        row = in_turn(sides, lambda side: side._twin_classes(rows, n, words), runs, 1e6)
+        row["class_sizes"] = found["change"] and sorted(map(len, found["change"]))
+        row["same_classes"] = as_sets["parent"] == as_sets["change"]
+        print("twin_classes_us", name, row, flush=True)
+        out[name] = row
+    return out
 
 
 def main() -> None:
@@ -102,15 +129,18 @@ def main() -> None:
     parser.add_argument("--workloads", nargs="+", default=["many-small", "exhaustive", "selfdual"])
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_simplicity.json")
     args = parser.parse_args()
+    sides = {"parent": parent_codes(args.parent), "change": codes}
     record = {
-        "what": "one side decision per code, one class build per count, one cap reader, "
-        "no test-only twin mode: the same reports and speeds with less code",
+        "what": "one copy of each decision: equal twin rows, the eonv --weights cap checks, "
+        "the family sizes; the same reports and speeds with less code",
         "machine": f"{os.cpu_count()}-core VM, Python {platform.python_version()}",
         "reports": reports(args.parent),
-        "count_blocks_ms": count_blocks_ms(args.parent, runs=20),
+        "count_blocks_ms": count_blocks_ms(sides, runs=20),
+        "twin_classes_us": twin_classes_us(sides, runs=20),
         "verify": verify(),
-        "lines": {"parent": code_lines(args.parent), "change": code_lines(ROOT)},
+        "lines": {"parent": line_count(args.parent), "change": line_count(ROOT)},
     }
+    record["lines"]["net"] = record["lines"]["change"] - record["lines"]["parent"]
     if args.pairs:
         record["pairs"] = {
             "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0",

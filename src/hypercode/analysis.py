@@ -118,20 +118,17 @@ def _analyze(
         raise ValueError(f"early_exit must be non-negative, got {early_exit}")
 
     # So that a cap error costs no scan, every cap is checked before any
-    # scan runs.  Each engine checks its own cap as it starts, and the
-    # weights charge what the codeword search charges, so only the caps of
-    # later scans are checked here.  An error names the first cap to fail
-    # in the order the scans run: the codeword search, the subset search,
-    # the weights.
+    # scan runs, and an error names the first scan whose cap fails.  Each
+    # engine checks its own cap as it starts, so only the subset search's,
+    # under ``both``, is checked here.  The weights charge the codeword
+    # search's figure, 2^side - 1 words, and side <= rank <= the subset
+    # search's vertices, so their cap never fails first.
     if code.dimension > 0 and method == "both":
         try:
             _check_subset_cap(eonv_input)
         except EnumerationCapError:
             _check_cap(code, "codeword search")
             raise
-    elif code.dimension > 0 and method == "eonv" and weights:
-        _check_subset_cap(eonv_input)
-        _check_cap(code, "weight distribution")
 
     value: int | None = None
     witness: tuple[int, ...] | None = None

@@ -61,7 +61,7 @@ from .hypergraph import (
     incidence_matrix,
     projective_geometry,
 )
-from .limits import MAX_VERTICES, EnumerationCapError, check_size
+from .limits import EnumerationCapError
 from .textformat import FORMATS, format_hypergraph, parse_text
 from .verify import run_criteria
 
@@ -149,39 +149,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_family(args: argparse.Namespace) -> Hypergraph:
-    # Each family's counts are checked in closed form, before anything is
-    # built, by the rule that parse_hypergraph applies to its text.
+    # Each builder checks its own counts, before it builds anything, by the
+    # rule that parse_hypergraph applies to its text.
     kind = args.kind
     if kind == "k3partite":
         if args.n is None or args.n < 1:
             raise ValueError("k3partite needs --n >= 1")
-        check_size(3 * args.n, args.n**3, 3 * args.n**3)
         return complete_3partite(args.n)
     if kind == "pg":
         if args.n is None or args.n < 3:
             raise ValueError("pg needs --n >= 3")
-        if args.n > 64:
-            # Far past the size rule; refused here so that 1 << n stays small.
-            vertices = f"2^{args.n} - 1 vertices"
-            raise ValueError(f"pg --n {args.n} has {vertices}, over the limit of {MAX_VERTICES}")
-        points = (1 << args.n) - 1
-        lines = points * ((1 << (args.n - 1)) - 1) // 3
-        check_size(points, lines, 3 * lines)
         return projective_geometry(args.n)
     if kind == "fano":
         return fano_circulant()
     if kind == "circulant":
         if not args.row:
             raise ValueError("circulant needs --row")
-        # One vertex and one edge per entry of the row, each edge as wide as
-        # the row has ones.
-        length = len(args.row)
-        check_size(length, length, length * args.row.count("1"))
         return circulant_hypergraph(args.row)
     if args.k is None or args.m is None or args.k < 1 or args.m < 1:
         raise ValueError("block-circulant needs --k >= 1 and --m >= 1")
-    length = 2 * args.k * args.m
-    check_size(length, length, length * args.k * args.m)
     return circulant_hypergraph(block_row(args.k, args.m))
 
 

@@ -109,7 +109,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from itertools import chain, combinations_with_replacement, compress
+from itertools import combinations_with_replacement, compress
 from math import prod
 from operator import or_, xor
 from typing import Iterator, Sequence
@@ -575,49 +575,41 @@ def _twin_classes(rows: tuple[int, ...], n: int, words: int) -> list[list[int]] 
     Rows u and v are twins when exchanging them maps the multiset of the
     columns' patterns over the rows to itself; every permutation within a
     class then does, so a word's weight depends only on how many rows it
-    takes from each class.  Equal rows are twins, and a row u with a copy
-    has no other twin: if exchanging u and v permutes the columns, the
-    permutation fixes the copy, so it fixes row u too, which the exchange
-    turns into row v.  The other rows are grouped by a key that twins
-    share, their weight and then the sorted overlaps with the distinct
-    rows.  A candidate must overlap every row as its class's first row
-    does, the two exchanged, and is then verified exactly: the exchange
-    must map the patterns of the columns where the two rows differ to
-    themselves (the others keep theirs).  Twinness is transitive, a
-    transposition conjugated by another being one, so testing against the
-    first row finds every class; a twin missed would cost speed only.
+    takes from each class.  Twins share a key, their weight and then the
+    sorted overlaps with every row, so the rows are grouped by it.  A
+    candidate must overlap every row as its class's first row does, the
+    two exchanged, and is then verified exactly: the exchange must map the
+    patterns of the columns where the two rows differ to themselves (the
+    others keep theirs).  Equal rows pass both: they differ in no column.
+    Twinness is transitive, a transposition conjugated by another being
+    one, so testing against the first row finds every class; a twin missed
+    would cost speed only.
 
     ``words``, the words of the side the count kernel would scan, makes
     this the rule: None unless the walk's vectors, prod(|c| + 1), times
     ``_TWIN_VECTOR_COST`` are below ``words``.  Each stage stops as soon as
-    a lower bound on the vectors breaks it: the rows without copies, by
-    weight alone, before any overlap is taken; and by key before any column
-    is built.  The overlaps are not taken when the distinct rows number d
-    with d^2 > ``words``.
+    a lower bound on the vectors, from groups that the classes can only
+    split, breaks it: by weight alone, before any overlap is taken; and by
+    key before any column is built.  The overlaps are not taken when the r
+    rows have r^2 > ``words``.
     """
-    copies: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        copies.setdefault(row, []).append(i)
-    classes = [members for members in copies.values() if len(members) > 1]
     by_weight: dict[int, list[int]] = {}
-    for row, members in copies.items():
-        if len(members) == 1:
-            by_weight.setdefault(row.bit_count(), []).append(members[0])
+    for i, row in enumerate(rows):
+        by_weight.setdefault(row.bit_count(), []).append(i)
 
     def too_many(groups) -> bool:
-        # Whether the walk, with the classes so far and ``groups``, loses.
-        return prod(len(c) + 1 for c in chain(classes, groups)) * _TWIN_VECTOR_COST >= words
+        # Whether the walk over ``groups``, or over any split of them, loses.
+        return prod(len(c) + 1 for c in groups) * _TWIN_VECTOR_COST >= words
 
-    if too_many(by_weight.values()) or len(copies) ** 2 > words:
+    if too_many(by_weight.values()) or len(rows) ** 2 > words:
         return None
-    distinct = {row: p for p, row in enumerate(copies)}
-    overlaps: dict[int, list[int]] = {}  # row index -> overlaps with the distinct rows
+    overlaps: dict[int, list[int]] = {}  # row index -> overlaps with every row
     keys: dict[tuple[int, ...], list[int]] = {}
     for weight, members in by_weight.items():
         for i in members:
             key = (weight,)
             if len(members) > 1:
-                overlaps[i] = [(rows[i] & row).bit_count() for row in distinct]
+                overlaps[i] = [(rows[i] & row).bit_count() for row in rows]
                 key += tuple(sorted(overlaps[i]))
             keys.setdefault(key, []).append(i)
     if too_many(keys.values()):
@@ -628,8 +620,7 @@ def _twin_classes(rows: tuple[int, ...], n: int, words: int) -> list[list[int]] 
         # Exchanged, u's overlaps must be v's: twins overlap every other
         # row alike.  Then the exact test, on the columns where they differ.
         mine = overlaps[u][:]
-        pu, pv = distinct[rows[u]], distinct[rows[v]]
-        mine[pu], mine[pv] = mine[pv], mine[pu]
+        mine[u], mine[v] = mine[v], mine[u]
         if mine != overlaps[v]:
             return False
         flags = format(rows[u] ^ rows[v], f"0{n}b")[::-1].encode().translate(_BIT_BYTES)
@@ -637,6 +628,7 @@ def _twin_classes(rows: tuple[int, ...], n: int, words: int) -> list[list[int]] 
         swap = 1 << u | 1 << v
         return sorted(moved) == sorted([p ^ swap for p in moved])
 
+    classes: list[list[int]] = []
     for members in keys.values():
         while members:
             first, rest = members[0], []
@@ -645,7 +637,7 @@ def _twin_classes(rows: tuple[int, ...], n: int, words: int) -> list[list[int]] 
                 (found if twins(first, u) else rest).append(u)
             classes.append(found)
             members = rest
-    return None if too_many(()) else classes
+    return None if too_many(classes) else classes
 
 
 def _twin_walk(rows: tuple[int, ...], classes: list[list[int]], n: int, k: int) -> list[int]:
@@ -813,8 +805,9 @@ def _weight_planes(rows: tuple[int, ...], n: int) -> tuple[int, Iterator[list[in
     t = min(k, _BLOCK_BITS)
     # Bit i of coordinate p's pattern is row i's bit p.
     patterns = _columns(rows, n)
-    # A Counter keeps the order the classes are built in, which _held_planes reads.
-    while t and _held_planes(Counter(p >> t for p in patterns), k - t) << t > 1 << _TABLE_BITS:
+    # A Counter keeps the order the classes are built in, which _held_planes
+    # reads.  With no high row, the one class holds all n coordinates.
+    while t and _held_planes({0: n} if t == k else Counter(p >> t for p in patterns), k - t) << t > 1 << _TABLE_BITS:
         t -= 1
     low = (1 << t) - 1
     classes: dict[int, list[int]] = {}  # high pattern -> low patterns of its coordinates

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .gf2core import BitMatrix, parse_row, set_bits
-from .limits import check_size
+from .limits import MAX_VERTICES, check_size
 
 Edge = tuple[int, ...]
 
@@ -135,6 +135,9 @@ def eonv(hypergraph: Hypergraph, subset: Iterable[int]) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Families
+#
+# Each builder checks its family's counts, in closed form, by the size
+# rule (limits.check_size) before it builds anything.
 
 
 def complete_3partite(n: int) -> Hypergraph:
@@ -145,6 +148,7 @@ def complete_3partite(n: int) -> Hypergraph:
     """
     if n < 1:
         raise ValueError("part size must be positive")
+    check_size(3 * n, n**3, 3 * n**3)
     edges = tuple(
         (i, n + j, 2 * n + k)
         for i in range(n)
@@ -183,7 +187,12 @@ def projective_geometry(n: int) -> Hypergraph:
     """
     if n < 3:
         raise ValueError("the geometry needs dimension at least 3")
+    if n > 64:
+        # Far past the size rule; refused here so that 1 << n stays small.
+        raise ValueError(f"2^{n} - 1 vertices exceed the limit of {MAX_VERTICES}")
     top = 1 << n
+    lines = (top - 1) * ((top >> 1) - 1) // 3
+    check_size(top - 1, lines, 3 * lines)
     edges = []
     for a in range(1, top):
         for b in range(a + 1, top):
@@ -210,6 +219,8 @@ def circulant_hypergraph(first_row: str) -> Hypergraph:
     is vertex- and edge-regular with common degree equal to the row weight.
     """
     n = len(first_row)
+    # One vertex and one edge per entry, each edge as wide as the row has ones.
+    check_size(n, n, n * first_row.count("1"))
     support = set_bits(parse_row(first_row))
     if n < 1:
         raise ValueError("the first row must be nonempty")
@@ -223,6 +234,8 @@ def block_row(k: int, m: int) -> str:
     """First row for the block-circulant family: k blocks of m ones then m zeros."""
     if k < 1 or m < 1:
         raise ValueError("block counts must be positive")
+    # The counts of the row's circulant hypergraph.
+    check_size(2 * k * m, 2 * k * m, 2 * k * m * k * m)
     return ("1" * m + "0" * m) * k
 
 
@@ -233,8 +246,6 @@ def block_row(k: int, m: int) -> str:
 def is_connected(hypergraph: Hypergraph) -> bool:
     """Whether the bipartite vertex-edge incidence structure is connected."""
     n = hypergraph.num_vertices
-    if n == 1:
-        return True
     rows = hypergraph.vertex_rows
     seen_vertices = 1
     seen_edges = 0

@@ -7,9 +7,10 @@ the ``HYPERCODE_ENUM_CAP`` environment variable, read at call time, or
 Exceeding the cap raises instead of silently truncating: an exhaustive
 answer is either exact or an error, never a quiet bound.
 
-:func:`check_size` is the one rule on a hypergraph's size.  ``hypercode
-family``, the hypergraph parser and the random sampler all apply it before
-building anything, so every ``family`` output parses.  It bounds no edge
+:func:`check_size` is the one rule on a hypergraph's size.  The family
+builders (from their closed-form counts), the hypergraph parser and the
+random sampler all apply it before building anything, so every ``family``
+output parses.  It bounds no edge
 count: every edge is nonempty, so edges <= incidences, and every family
 passes 2^20 edges only where it breaks the cell bound already
 (``k3partite --n 102``, ``pg --n 12``, a circulant of 2^20 + 1 entries).

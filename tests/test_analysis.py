@@ -6,8 +6,11 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hypercode.codes as codes
+from conftest import bit_matrices, hypergraphs
 from hypercode import (
     BitMatrix,
     EngineDisagreement,
@@ -18,6 +21,7 @@ from hypercode import (
     fano_circulant,
     from_generator,
     from_incidence_matrix,
+    incidence_matrix,
     is_self_dual,
     is_self_orthogonal,
     parse_matrix,
@@ -189,6 +193,21 @@ class TestAnalyzeMatrix:
         monkeypatch.setitem(analysis_globals, "codeword_distance_search", lying_search)
         with pytest.raises(EngineDisagreement):
             analyze_hypergraph(fano_circulant(), method="both")
+
+
+# The weights charge 2^side - 1 words and the subset search 2^vertices - 1,
+# so a weights cap cannot fail after the subset search's has passed.
+@given(hypergraphs(max_vertices=12, max_edges=14))
+def test_side_rank_and_subset_vertices_of_a_hypergraph(hg):
+    code = from_generator(incidence_matrix(hg))
+    assert code._side <= code.dimension <= hg.num_vertices
+
+
+@given(bit_matrices(max_rows=12, max_cols=14, min_rows=1), st.integers(1, 4))
+def test_side_rank_and_subset_vertices_of_a_matrix_with_zero_columns(matrix, zeros):
+    matrix = BitMatrix(matrix.num_rows, matrix.num_cols + zeros, matrix.rows)
+    code = from_generator(matrix)
+    assert code._side <= code.dimension <= from_incidence_matrix(matrix).num_vertices
 
 
 class TestSerialization:

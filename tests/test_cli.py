@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -21,12 +22,13 @@ from hypercode import (
     DEFAULT_ENUM_CAP,
     block_row,
     circulant_hypergraph,
+    complete_3partite,
     connected_uniform_samples,
     format_hypergraph,
     parse_hypergraph,
 )
 from hypercode.cli import main
-from hypercode.limits import MAX_CELLS
+from hypercode.limits import MAX_CELLS, MAX_VERTICES
 from hypercode.textformat import parse_text
 
 
@@ -61,6 +63,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_with_peak(capsys, *argv):
+    # run_cli's results and the peak of the memory the run allocated.
+    tracemalloc.start()
+    try:
+        return (*run_cli(capsys, *argv), tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
 
 
 class TestFamily:
@@ -104,21 +115,6 @@ class TestFamily:
         assert err
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ("k3partite", "--n", "3"),
-            ("pg", "--n", "4"),
-            ("circulant", "--row", "1101000"),
-            ("block-circulant", "--k", "2", "--m", "3"),
-        ],
-    )
-    def test_closed_form_counts_are_those_of_the_built_family(self, monkeypatch, argv):
-        checked = []
-        monkeypatch.setattr(cli, "check_size", lambda *counts: checked.append(counts))
-        hg = cli._make_family(cli.build_parser().parse_args(["family", *argv]))
-        assert checked == [(hg.num_vertices, hg.num_edges, sum(map(len, hg.edges)))]
-
-    @pytest.mark.parametrize(
         "argv,what",
         [
             # One step past the largest k3partite and pg.
@@ -136,29 +132,26 @@ class TestFamily:
             (("pg", "--n", "65"), "vertices"),
         ],
     )
-    def test_too_large_family_exits_2_before_building(self, capsys, monkeypatch, argv, what):
-        for builder in ("complete_3partite", "projective_geometry", "circulant_hypergraph"):
-            monkeypatch.setattr(cli, builder, lambda arg: pytest.fail("built"))
-        code, out, err = run_cli(capsys, "family", *argv)
-        assert (code, out) == (2, "")
-        if argv[0] == "pg":
-            # Each count is the family's own: 2^n - 1 points, (2^n - 1)(2^(n-1) - 1)/3 lines.
-            assert err == "error: " + {
-                "10": f"1023 vertices x 174251 edges exceed the limit of {1 << 26} "
-                "incidence matrix cells",
-                "21": f"2097151 vertices exceed the limit of {1 << 20}",
-                "64": f"18446744073709551615 vertices exceed the limit of {1 << 20}",
-                "65": f"pg --n 65 has 2^65 - 1 vertices, over the limit of {1 << 20}",
-                "1000000000000": "pg --n 1000000000000 has 2^1000000000000 - 1 vertices, "
-                f"over the limit of {1 << 20}",
-            }[argv[2]] + "\n"
-            return
-        message = {
-            "vertices": rf"[0-9]+ vertices exceed the limit of {1 << 20}",
-            "cells": rf"[0-9]+ vertices x [0-9]+ edges exceed the limit of {1 << 26} "
-            "incidence matrix cells",
-        }[what]
-        assert re.fullmatch(f"error: {message}\n", err), err
+    def test_too_large_family_exits_2_before_building(self, capsys, argv, what):
+        # Each count is the family's own: for pg, 2^n - 1 points and
+        # (2^n - 1)(2^(n-1) - 1)/3 lines; for a circulant, one vertex and one
+        # edge per entry of its row.
+        counts = {
+            "69": "207 vertices x 328509 edges",
+            "349526": "1048578 vertices",
+            "10": "1023 vertices x 174251 edges",
+            "1000000000000": "2^1000000000000 - 1 vertices",
+            "524289": "1048578 vertices",
+            "1000000000": "2000000000000000000 vertices",
+            "1" + "0" * 8192: "8193 vertices x 8193 edges",
+            "21": "2097151 vertices",
+            "64": "18446744073709551615 vertices",
+            "65": "2^65 - 1 vertices",
+        }[argv[-1]]
+        bound = {"vertices": MAX_VERTICES, "cells": f"{MAX_CELLS} incidence matrix cells"}[what]
+        code, out, err, peak = run_cli_with_peak(capsys, "family", *argv)
+        assert (code, out, err) == (2, "", f"error: {counts} exceed the limit of {bound}\n")
+        assert peak < 1 << 20
 
     def test_family_and_parser_refuse_with_the_same_message(self, capsys):
         # 207 vertices x 328509 edges, the counts of complete_3partite(69).
@@ -183,11 +176,16 @@ class TestFamily:
             (("circulant", "--row", "1" * 512 + "0" * 7680), "circulant_hypergraph"),
         ],
     )
-    def test_largest_families_pass_the_size_check(self, capsys, monkeypatch, argv, builder):
-        built = []
-        monkeypatch.setattr(cli, builder, lambda arg: built.append(arg) or cli.fano_circulant())
-        assert run_cli(capsys, "family", *argv)[0] == 0
-        assert len(built) == 1
+    def test_largest_families_pass_the_size_check(self, monkeypatch, argv, builder):
+        # The size rule runs in the family's builder, passes the family and
+        # lets it be built.
+        rules = complete_3partite.__globals__
+        real, callers = rules["check_size"], []
+        monkeypatch.setitem(
+            rules, "check_size", lambda *counts: callers.append(sys._getframe(1).f_code.co_name) or real(*counts)
+        )
+        cli._make_family(cli.build_parser().parse_args(["family", *argv]))
+        assert builder in callers
 
     @pytest.mark.parametrize(
         "argv",
@@ -233,14 +231,13 @@ class TestFamily:
         ],
         ids=["bc-1x300000", "bc-1x1449", "bc-64x32", "circulant-60000-ones", "circulant-8192x513"],
     )
-    def test_wide_family_exits_2_before_building(self, capsys, monkeypatch, argv, message):
+    def test_wide_family_exits_2_before_building(self, capsys, argv, message):
         # Edges so wide that the incidences alone would take too much memory;
         # the cell bound or, on few enough vertices and edges, the incidence
-        # bound refuses them, and the builder is never reached.
-        monkeypatch.setattr(cli, "circulant_hypergraph", lambda arg: pytest.fail("built"))
-        code, out, err = run_cli(capsys, "family", *argv)
-        assert (code, out) == (2, "")
-        assert err == f"error: {message}\n"
+        # bound refuses them before anything is built.
+        code, out, err, peak = run_cli_with_peak(capsys, "family", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("target", ["missing/fano.hg", "."])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, target):

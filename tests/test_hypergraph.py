@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 from itertools import chain, combinations
 
@@ -484,8 +485,9 @@ class TestConnectivity:
         assert not is_connected(Hypergraph(3, ((0, 1),)))
 
     def test_single_vertex(self):
-        assert is_connected(Hypergraph(1, ((0,),)))
         assert is_connected(Hypergraph(1, ()))
+        assert is_connected(Hypergraph(1, ((0,),)))
+        assert is_connected(Hypergraph(1, ((0,), (0,))))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_complete_3partite_connected(self, n):
@@ -766,3 +768,108 @@ class TestCheckSize:
         else:
             with pytest.raises(ValueError, match=f"^{message}"):
                 check_size(*counts)
+
+
+
+class TestFamilySizes:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: complete_3partite(3),
+            lambda: projective_geometry(4),
+            lambda: circulant_hypergraph("1101000"),
+            lambda: circulant_hypergraph(block_row(2, 3)),
+        ],
+        ids=["k3partite-3", "pg-4", "circulant", "block-circulant-2x3"],
+    )
+    def test_closed_form_counts_are_those_of_the_built_family(self, monkeypatch, build):
+        # Every check that builds the family, block_row's and then
+        # circulant_hypergraph's for a block circulant, sees its counts.
+        checked = []
+        monkeypatch.setitem(complete_3partite.__globals__, "check_size", lambda *counts: checked.append(counts))
+        hg = build()
+        assert checked and set(checked) == {(hg.num_vertices, hg.num_edges, sum(map(len, hg.edges)))}
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            # One step past the largest of each family.
+            pytest.param(
+                lambda: complete_3partite(69),
+                f"207 vertices x 328509 edges exceed the limit of {MAX_CELLS} incidence matrix cells",
+                id="k3partite-69",
+            ),
+            pytest.param(
+                lambda: projective_geometry(10),
+                f"1023 vertices x 174251 edges exceed the limit of {MAX_CELLS} incidence matrix cells",
+                id="pg-10",
+            ),
+            pytest.param(
+                lambda: block_row(1, 1449),
+                f"{2898 * 1449} incidences exceed the limit of {MAX_INCIDENCES}",
+                id="bc-1x1449",
+            ),
+            pytest.param(
+                lambda: circulant_hypergraph("1" + "0" * 8192),
+                f"8193 vertices x 8193 edges exceed the limit of {MAX_CELLS} incidence matrix cells",
+                id="circulant-8193",
+            ),
+            pytest.param(
+                lambda: circulant_hypergraph("1" * 513 + "0" * 7679),
+                f"{8192 * 513} incidences exceed the limit of {MAX_INCIDENCES}",
+                id="circulant-8192x513",
+            ),
+            # Far past it: each would take gigabytes or hours to build.
+            pytest.param(
+                lambda: complete_3partite(1000),
+                f"3000 vertices x 1000000000 edges exceed the limit of {MAX_CELLS} incidence matrix cells",
+                id="k3partite-1000",
+            ),
+            pytest.param(
+                lambda: complete_3partite(349526),
+                f"1048578 vertices exceed the limit of {MAX_VERTICES}",
+                id="k3partite-349526",
+            ),
+            pytest.param(
+                lambda: projective_geometry(40),
+                f"1099511627775 vertices exceed the limit of {MAX_VERTICES}",
+                id="pg-40",
+            ),
+            # Both sides of 64, above which the count is written 2^n - 1.
+            pytest.param(
+                lambda: projective_geometry(64),
+                f"18446744073709551615 vertices exceed the limit of {MAX_VERTICES}",
+                id="pg-64",
+            ),
+            pytest.param(
+                lambda: projective_geometry(65),
+                f"2^65 - 1 vertices exceed the limit of {MAX_VERTICES}",
+                id="pg-65",
+            ),
+            pytest.param(
+                lambda: projective_geometry(10**12),
+                f"2^1000000000000 - 1 vertices exceed the limit of {MAX_VERTICES}",
+                id="pg-10^12",
+            ),
+            pytest.param(
+                lambda: block_row(10**6, 10**6),
+                f"2000000000000 vertices exceed the limit of {MAX_VERTICES}",
+                id="bc-10^6x10^6",
+            ),
+            pytest.param(
+                lambda: circulant_hypergraph("1" * 60000),
+                f"60000 vertices x 60000 edges exceed the limit of {MAX_CELLS} incidence matrix cells",
+                id="circulant-60000-ones",
+            ),
+        ],
+    )
+    def test_builders_refuse_before_building(self, build, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == message
+        assert peak < 1 << 20
