@@ -52,10 +52,19 @@ weights, from which a few more operations read the block's answer: the
 count of each weight, split plane by plane from the top and read at the
 lowest nonzero plane by popcounts, or the least nonzero weight with the
 words that reach it.
-The subset search moves from block to block by a Gray walk over the high
-vertices, complementing the columns of the edges at the vertex it toggles.
-Over several blocks it sums the copies of an edge once, adding one column
-at the level of each set bit of their number.
+Over several blocks the subset search groups the edges into classes by
+their pattern over the high vertices: a block adds each class's sum S of
+columns over the low vertices, or |class| - S when its high vertices meet
+the pattern oddly.  So each class is summed once, the copies of an edge as
+one column added at the level of each set bit of their number, and the
+blocks come from the class sums by halving over the high vertices, depth
+first in reflected Gray order, as the weight counts take theirs (below).
+Only the states on the current path of the halving are held; a class
+without a partner passes on as it is, flagged when a half complements it,
+and a complement is built only where two classes flagged unlike merge.
+The subset side has its own adder, complement and halving, apart from the
+weight counts', so that the two engines still check each other.  A scan
+of one block adds every copy's column.
 A subset search that spans several blocks (n > t) first finds the vertex
 dependencies, the subsets D with eonv(D) empty, by an elimination of its
 own.  They form a space of dimension n - k, and the kernel scans one
@@ -77,7 +86,7 @@ al., 1970), one per third of the low rows, instead of one XOR per row it
 has.  A code that holds the all-ones word, as every hypergraph whose
 edges all have odd size gives, has A_w = A_{n-w}, and its blocks count
 only the half spanned by all basis rows but the last.  The columns, or
-the sums that the kernel holds at once, take at most 2^23 bits (1 MB),
+the sums that a kernel holds at once, take at most 2^23 bits (1 MB),
 built on each call; the truth tables they start from, and for each t the
 count kernel's 2^c-entry table for each third of its low rows (c <= 5;
 384 KB at t = 15), are built on first use and kept.  A scan of at most 8
@@ -109,19 +118,19 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from itertools import combinations_with_replacement, compress
+from itertools import combinations_with_replacement, compress, repeat
 from math import prod
 from operator import or_, xor
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .gf2core import BitMatrix, _columns, gram, nullspace_basis, rref, set_bits
 from .hypergraph import Edge, Hypergraph, is_connected
 from .limits import check_enum_cap
 
 # The columns of a block kernel, 2^t bits per coordinate (or edge), or the
-# sums that the count kernel holds at once, take at most 2^_TABLE_BITS bits
-# in all, with t <= _BLOCK_BITS in the count kernel and
-# t <= _SUBSET_BLOCK_BITS in the subset kernel.  At 8 words per column or
+# sums that a kernel holds at once, take at most 2^_TABLE_BITS bits in all,
+# with t <= _BLOCK_BITS in the count kernel and t <= _SUBSET_BLOCK_BITS in
+# the subset kernel.  At 8 words per column or
 # fewer, building the columns costs more than walking the words.  Timed on
 # one core over t = 13..16 (random codes of 17-19 rows), the count kernel
 # at t = 15 is fastest or within 5% of it up to length 512; at 1024, t = 14
@@ -290,8 +299,8 @@ def eonv_distance_search(
     the witness is the lexicographically smallest minimizer.  eonv is
     linear, so the subsets D with eonv(D) empty, the dependencies, form a
     space L of dimension n - k.  A search that spans several kernel blocks
-    (n > t, with t from :func:`_subset_bits`) scans one subset per coset of
-    L (:func:`_subset_quotient`), 2^k in all, all 2^n when there is no
+    (:func:`_one_block` fails) scans one subset per coset of L
+    (:func:`_subset_quotient`), 2^k in all, all 2^n when there is no
     dependency; its early exit stops after the first block whose least
     weight is <= early_exit, with the smallest subset whose eonv is one of
     that block's minimum words as the witness.  A search of one block
@@ -307,7 +316,7 @@ def eonv_distance_search(
         raise ValueError("the incidence matrix is zero; there is no nonzero codeword")
     n, m = hypergraph.num_vertices, hypergraph.num_edges
     _check_subset_cap(hypergraph)
-    if n > _subset_bits(n, m):
+    if not _one_block(n, m):
         return _subset_quotient(hypergraph, _vertex_dependencies(rows), early_exit)
     scan = _subset_walk if 1 << n <= _WALK_WORDS_PER_COLUMN * m else _subset_blocks
     result = scan(hypergraph)
@@ -340,10 +349,59 @@ def _subset_walk(hypergraph: Hypergraph) -> DistanceResult:
     return DistanceResult(best_w, True, best_wit)
 
 
-def _subset_bits(n: int, m: int) -> int:
-    # The subset kernel's blocks hold 2^t subsets: t <= _SUBSET_BLOCK_BITS,
-    # and the m columns of 2^t bits take at most 2^_TABLE_BITS bits.
-    return max(0, min(n, _SUBSET_BLOCK_BITS, _TABLE_BITS - (m - 1).bit_length()))
+def _one_block(n: int, m: int) -> bool:
+    # A scan of one block holds one 2^n-bit column per edge: n is at most
+    # _SUBSET_BLOCK_BITS, and the m columns, m rounded up to a power of
+    # two, take at most 2^_TABLE_BITS bits.
+    return n <= min(_SUBSET_BLOCK_BITS, _TABLE_BITS - (m - 1).bit_length())
+
+
+def _subset_bits(n: int, edges: Sequence[Edge]) -> int:
+    """The block size t of the subset kernel over the n vertices of ``edges``.
+
+    One block, t = n, when :func:`_one_block` allows it.  Otherwise the
+    largest t < n, at most _SUBSET_BLOCK_BITS, at which the planes that
+    :func:`_subset_minima` holds at once, bounded by :func:`_subset_held`
+    from the sizes of the edge classes at that t, take at most
+    2^_TABLE_BITS bits.
+    """
+    m = len(edges)
+    if _one_block(n, m):
+        return n
+    bit = [1 << v for v in range(n)]
+    masks = [sum(map(bit.__getitem__, edge)) for edge in edges]
+    t = min(n - 1, _SUBSET_BLOCK_BITS)
+    while t and _subset_held(Counter(mask >> t for mask in masks), n - t) << t > 1 << _TABLE_BITS:
+        t -= 1
+    return t
+
+
+def _subset_held(sizes: dict[int, int], high: int) -> int:
+    """A bound on the planes that :func:`_subset_minima` holds at once over
+    ``high`` high vertices; ``sizes`` maps each high pattern gamma to its
+    number of edges, copies included.
+
+    A class of s edges, and every sum made from it, takes at most
+    s.bit_length() planes.  The kernel holds every class's sum, and below
+    them one state per level, the one on the current path, which adds a
+    new sum for each pair of classes that it merges; a class passed on
+    keeps its planes.  Twice the planes of m, and four more, cover what is
+    being built: a class's waiting planes or a complement, and the
+    temporaries of one full adder.
+    """
+    held = sum(size.bit_length() for size in sizes.values())
+    for level in reversed(range(high)):
+        bit = 1 << level
+        merged: dict[int, int] = {}
+        for gamma, size in sizes.items():
+            gamma &= ~bit
+            if gamma in merged:
+                merged[gamma] += size
+                held += merged[gamma].bit_length()
+            else:
+                merged[gamma] = size
+        sizes = merged
+    return held + 2 * sum(sizes.values()).bit_length() + 4
 
 
 def _subset_blocks(hypergraph: Hypergraph) -> DistanceResult:
@@ -380,78 +438,188 @@ def _subset_minima(n: int, edges: Sequence[Edge], t: int) -> Iterator[tuple[int,
     gray(q).  For each block with a nonzero weight it yields h, the block's
     least nonzero weight, and the positions that reach it.
 
-    Each edge gets a 2^t-bit column whose bit q is the parity of its
-    intersection with the low subset gray(q), and a carry-save vertical
-    counter sums the columns into bit planes, plane j holding bit j of
-    every subset's weight.  When the scan has several blocks, the copies of
-    an edge are summed once: the edge gets a column for each set bit j of
-    its multiplicity, added at level j.  A Gray walk over the high vertices
-    complements, at each step, the columns of the edges at the vertex it
-    toggles.  The columns take at most 2^_TABLE_BITS bits.
+    An edge's column over the low vertices has bit q set when its
+    intersection with gray(q) is odd, and a carry-save vertical counter
+    (:func:`_subset_counter`) sums columns into bit planes, plane j holding
+    bit j of every subset's weight.  One block (n <= t) adds each copy's
+    column.  Over several blocks the edges fall into classes by their
+    pattern gamma over the high vertices: block h adds to each subset the
+    sum S_gamma of the class's columns, or |gamma| - S_gamma when
+    gray(h) & gamma is odd.  So each class is summed once, the copies of an
+    edge as one column added at the level of each set bit of their number,
+    and :func:`_subset_halvings` takes the blocks, in this order, from the
+    planes of the class sums.  :func:`_subset_held` bounds the planes held
+    at once.
     """
-    m = len(edges)
     member = _gray_tables(t)
-    full = (1 << (1 << t)) - 1
-    if n > t:
-        # Several blocks: the copies of an edge are summed once, as one
-        # column added at the level of each set bit of their number.
-        counts = Counter(edges)
-        edges, starts = zip(*[(edge, j) for edge, c in counts.items() for j in range(c.bit_length()) if c >> j & 1])
-    else:
+    if n <= t:
         # One block adds each copy's column once: on small scans, counting
         # the copies costs more than the additions that it saves.
-        starts = [0] * m
-    columns = []
-    flips: list[list[int]] = [[] for _ in range(n - t)]
-    for i, edge in enumerate(edges):
-        column = 0
-        for v in edge:
-            if v < t:
+        columns = []
+        for edge in edges:
+            column = 0
+            for v in edge:
                 column ^= member[v]
-            else:
-                flips[v - t].append(i)
-        columns.append(column)
-    levels = m.bit_length()
-    for h in range(1 << (n - t)):
-        if h:
-            for i in flips[(h & -h).bit_length() - 1]:
-                columns[i] ^= full
-        # Carry-save vertical counter: level j holds an accumulated plane
-        # and at most one plane waiting for a partner; a full adder of the
-        # two and a new plane keeps the sum and carries the majority up.
-        planes = [0] * levels
-        waiting = [0] * levels
-        for x, j in zip(columns, starts):
-            while x:
-                b = waiting[j]
-                if not b:
-                    waiting[j] = x
-                    break
-                waiting[j] = 0
-                a = planes[j]
-                u = a ^ b
-                planes[j] = u ^ x
-                x = (a & b) | (u & x)
-                j += 1
-        carry = nonzero = 0
-        for j in range(levels):
-            a, b = planes[j], waiting[j]
-            u = a ^ b
-            planes[j] = plane = u ^ carry
-            carry = (a & b) | (u & carry)
-            nonzero |= plane
+            columns.append(column)
+        blocks: Iterable[list[int]] = [_subset_counter(zip(columns, repeat(0)), len(edges).bit_length())]
+    else:
+        classes: dict[int, list[tuple[Edge, int]]] = {}  # gamma -> (edge, copies)
+        pattern = [0] * t + [1 << i for i in range(n - t)]
+        for edge, copies in Counter(edges).items():
+            classes.setdefault(sum(map(pattern.__getitem__, edge)), []).append((edge, copies))
+        sums = {}  # gamma -> (|gamma|, planes of S_gamma, not negated)
+        while classes:
+            gamma, members = classes.popitem()
+            size = sum(copies for _, copies in members)
+            terms = (
+                (reduce(xor, [member[v] for v in edge if v < t], 0), j)
+                for edge, copies in members
+                for j in range(copies.bit_length())
+                if copies >> j & 1
+            )
+            sums[gamma] = size, _subset_counter(terms, size.bit_length()), False
+        blocks = _subset_halvings(sums, n - t, False, (1 << (1 << t)) - 1)
+    for h, planes in enumerate(blocks):
+        nonzero = reduce(or_, planes, 0)
         if not nonzero:
             continue
         # Least nonzero weight, read from the top plane down.
         cand = nonzero
         w = 0
-        for j in reversed(range(levels)):
+        for j in reversed(range(len(planes))):
             one = cand & planes[j]
             if one == cand:
                 w |= 1 << j
             else:
                 cand ^= one
+        # Dropped before the next block is built.
+        del planes
         yield h, w, cand
+
+
+def _subset_counter(terms: Iterable[tuple[int, int]], levels: int) -> list[int]:
+    """The ``levels`` bit planes of the sum of the columns x of ``terms``,
+    each added at its level j, that is 2^j times; the sum is below 2^levels.
+
+    Carry-save vertical counter: level j holds an accumulated plane and at
+    most one plane waiting for a partner; a full adder of the two and a new
+    plane keeps the sum and carries the majority up.  A ripple of the
+    waiting planes into the sums ends it.
+    """
+    planes = [0] * levels
+    waiting = [0] * levels
+    for x, j in terms:
+        while x:
+            b = waiting[j]
+            if not b:
+                waiting[j] = x
+                break
+            waiting[j] = 0
+            a = planes[j]
+            u = a ^ b
+            planes[j] = u ^ x
+            x = (a & b) | (u & x)
+            j += 1
+    carry = 0
+    for j in range(levels):
+        a, b = planes[j], waiting[j]
+        u = a ^ b
+        planes[j] = u ^ carry
+        carry = (a & b) | (u & carry)
+    return planes
+
+
+def _subset_halvings(state: dict, level: int, reverse: bool, full: int) -> Iterator[list[int]]:
+    """The planes of the 2^level blocks of ``state``, level >= 1, in Gray
+    order, or in reverse.  ``state`` maps each class gamma over the
+    ``level`` remaining high vertices to (|gamma|, planes, negated): the
+    class adds the planes' count, or |gamma| less it when negated, to each
+    subset whose remaining high vertices meet gamma evenly, and the other
+    one to each subset that meets it oddly.
+
+    Halving over the top remaining vertex b (:func:`_subset_half`) merges
+    the classes gamma and gamma ^ 2^b, where b is absent and where it is
+    present; read forward, the absent half comes first, forward, and the
+    present half after it in reverse, as the reflected Gray code orders
+    them.  A half is built only when it is read, from its parent, and
+    dropped before its sibling is built, so the states held at once are
+    the ones on the current path.
+    """
+    bit = 1 << (level - 1)
+    for present, backwards in ((reverse, False), (not reverse, True)):
+        half = _subset_half(state, bit, present, full)
+        if level > 1:
+            yield from _subset_halvings(half, level - 1, backwards, full)
+        else:
+            size, planes, negated = half[0]
+            yield _subset_complement(planes, size, full) if negated else planes
+        half = planes = None
+
+
+def _subset_half(state: dict, bit: int, present: bool, full: int) -> dict:
+    # The half of ``state`` where the vertex of ``bit`` is present or not:
+    # the classes gamma and gamma ^ bit merge, the one that has the vertex
+    # negated in the present half.  A class without a partner keeps its
+    # planes.  Two classes negated alike add their planes; otherwise the
+    # negated one is complemented first.
+    half = {}
+    for gamma, x in state.items():
+        if gamma & bit:
+            if present:
+                x = x[0], x[1], not x[2]
+            y = state.get(gamma ^ bit)
+            if y is None:
+                half[gamma ^ bit] = x
+            elif x[2] == y[2]:
+                half[gamma ^ bit] = x[0] + y[0], _subset_add(x[1], y[1]), x[2]
+            else:
+                if x[2]:
+                    x, y = y, x
+                half[gamma ^ bit] = x[0] + y[0], _subset_add(x[1], _subset_complement(y[1], y[0], full)), False
+        elif gamma | bit not in state:
+            half[gamma] = x
+    return half
+
+
+def _subset_add(a: list[int], b: list[int]) -> list[int]:
+    # Bit planes of the sum of two bit-sliced counts, carried level by level.
+    if len(a) < len(b):
+        a, b = b, a
+    x, y = a[0], b[0]
+    out = [x ^ y]
+    carry = x & y
+    for j in range(1, len(b)):
+        x, y = a[j], b[j]
+        u = x ^ y
+        out.append(u ^ carry)
+        carry = (x & y) | (u & carry)
+    j = len(b)
+    while carry and j < len(a):
+        x = a[j]
+        out.append(x ^ carry)
+        carry &= x
+        j += 1
+    out += a[j:]
+    if carry:
+        out.append(carry)
+    return out
+
+
+def _subset_complement(planes: list[int], size: int, full: int) -> list[int]:
+    # Bit planes of size - S from those of S <= size, borrowed level by
+    # level: at a one bit of size, the level is the complement of
+    # S ^ borrow; at a zero bit, S ^ borrow itself.
+    out = []
+    borrow = 0
+    for j in range(size.bit_length()):
+        a = planes[j] if j < len(planes) else 0
+        if size >> j & 1:
+            out.append(a ^ borrow ^ full)
+            borrow &= a
+        else:
+            out.append(a ^ borrow)
+            borrow |= a
+    return out
 
 
 def _vertex_dependencies(rows: tuple[int, ...]) -> list[int]:
@@ -520,7 +688,7 @@ def _subset_quotient(
         index = {v: i for i, v in enumerate(keep)}
         quotient = [tuple(index[v] for v in edge if v in index) for edge in quotient]
     k, m = len(keep), len(quotient)
-    t = _subset_bits(k, m)
+    t = _subset_bits(k, quotient)
     best_w, minima, exact = m + 1, [], True
     for h, w, positions in _subset_minima(k, quotient, t):
         if w < best_w:

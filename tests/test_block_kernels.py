@@ -32,12 +32,18 @@ taken by halves, to the walk over its whole basis.  The quotient is also
 held to the walk on its own inputs: repeated edges, identical vertex rows,
 a witness that is not the member of its coset that the route scans, and
 codes whose every nonzero word is a minimum word.  Its edges, cut from the
-hypergraph's, are held to the columns of the kept vertex rows.
+hypergraph's, are held to the columns of the kept vertex rows.  The
+subset kernel's halving over its edge classes is held, block by block, to
+the per-block loop it replaced, which re-summed every edge column in every
+block, on planted class shapes and through the quotient's early exits; on
+inputs of hundreds of classes its memory is held to the column budget.
 """
 
 from __future__ import annotations
 
 import random
+import tracemalloc
+from collections import Counter
 from functools import reduce
 from itertools import chain, combinations
 from operator import or_, xor
@@ -51,6 +57,7 @@ from conftest import bit_matrices, hypergraphs
 from hypercode import (
     BitMatrix,
     Hypergraph,
+    analyze_hypergraph,
     block_row,
     circulant_hypergraph,
     codeword_distance_search,
@@ -89,7 +96,7 @@ def read_whole(exact, early_exit: int | None):
 def assert_same_search(hg: Hypergraph, early_exit: int | None = None):
     """One block (n <= t): the kernel, the walk and the engine agree, and
     an early exit reads the block whole."""
-    assert hg.num_vertices <= codes._subset_bits(hg.num_vertices, hg.num_edges)
+    assert codes._one_block(hg.num_vertices, hg.num_edges)
     kernel = _subset_blocks(hg)
     assert kernel == _subset_walk(hg)
     assert eonv_distance_search(hg, early_exit=early_exit) == read_whole(kernel, early_exit)
@@ -123,7 +130,8 @@ def quotient_early_exit(hg: Hypergraph, early_exit: int):
     rows, n, m = hg.vertex_rows, hg.num_vertices, hg.num_edges
     ranks = [rank(BitMatrix(n - v, m, rows[v:])) for v in range(n)] + [0]
     kept = [v for v in range(n) if ranks[v] > ranks[v + 1]]
-    t = codes._subset_bits(len(kept), m)
+    quotient = from_incidence_matrix(BitMatrix(len(kept), m, tuple(rows[v] for v in kept))).edges
+    t = codes._subset_bits(len(kept), quotient)
     low, high = kept[:t], kept[t:]
     low_sums = [reduce(xor, (rows[low[i]] for i in set_bits(mask)), 0) for mask in range(1 << t)]
     for h in range(1 << len(high)):
@@ -143,7 +151,7 @@ def quotient_early_exit(hg: Hypergraph, early_exit: int):
 def assert_same_blocks_search(hg: Hypergraph, early_exit: int | None = None):
     """Several blocks (n > t): the engine takes the quotient, and gives the
     walk's result without an early exit and the oracle's with one."""
-    assert hg.num_vertices > codes._subset_bits(hg.num_vertices, hg.num_edges)
+    assert not codes._one_block(hg.num_vertices, hg.num_edges)
     result = eonv_distance_search(hg, early_exit=early_exit)
     if early_exit is None:
         assert result == _subset_walk(hg)
@@ -562,6 +570,199 @@ def test_early_exit_reads_no_more_subsets_than_the_exact_search(monkeypatch):
     exact = eonv_distance_search(hg)
     assert eonv_distance_search(hg, early_exit=3) == exact == codes.DistanceResult(4, True, (0, 1))
     assert (hg.num_vertices, scanned) == (24, [7, 7])
+
+
+def per_block_minima(n, edges, t):
+    """The yields of ``codes._subset_minima`` from the per-block loop that
+    the halving replaced, block by block.
+
+    Each edge gets a 2^t-bit column over the low vertices; over several
+    blocks each distinct edge gets one, added at the level of each set bit
+    of its number of copies.  A Gray walk over the high vertices
+    complements, at each step, the columns of the edges at the vertex it
+    toggles, and every block sums all the columns again with a carry-save
+    counter and reads its least nonzero weight from the top plane down.
+    """
+    m = len(edges)
+    member = codes._gray_tables(t)
+    full = (1 << (1 << t)) - 1
+    if n > t:
+        counts = Counter(edges)
+        edges, starts = zip(*[(edge, j) for edge, c in counts.items() for j in range(c.bit_length()) if c >> j & 1])
+    else:
+        starts = [0] * m
+    columns = []
+    flips = [[] for _ in range(n - t)]
+    for i, edge in enumerate(edges):
+        column = 0
+        for v in edge:
+            if v < t:
+                column ^= member[v]
+            else:
+                flips[v - t].append(i)
+        columns.append(column)
+    levels = m.bit_length()
+    for h in range(1 << (n - t)):
+        if h:
+            for i in flips[(h & -h).bit_length() - 1]:
+                columns[i] ^= full
+        planes = [0] * levels
+        waiting = [0] * levels
+        for x, j in zip(columns, starts):
+            carry_save(planes, waiting, x, j)
+        planes = resolve_planes(planes, waiting)
+        nonzero = reduce(or_, planes, 0)
+        if not nonzero:
+            continue
+        cand, w = nonzero, 0
+        for j in reversed(range(levels)):
+            one = cand & planes[j]
+            if one == cand:
+                w |= 1 << j
+            else:
+                cand ^= one
+        yield h, w, cand
+
+
+def planted_edge(rng, t, gamma, high):
+    """An edge with high pattern ``gamma`` over the ``high`` vertices from t
+    on, and a random part over the t low vertices."""
+    low = [v for v in range(t) if rng.random() < 0.5]
+    return tuple(low + [t + i for i in range(high) if gamma >> i & 1])
+
+
+class TestSubsetHalvingAgainstPerBlockLoop:
+    """The subset kernel over several blocks sums each class of edges, by
+    their pattern over the high vertices, once and takes the blocks by
+    halving.  The per-block loop it replaced (:func:`per_block_minima`)
+    is the oracle: the same (h, w, positions) for every block, in the same
+    order, at the same t, and through the quotient the same early exits."""
+
+    @staticmethod
+    def assert_same_blocks(n, edges, t):
+        blocks = list(codes._subset_minima(n, edges, t))
+        assert blocks == list(per_block_minima(n, edges, t))
+        return blocks
+
+    @pytest.mark.parametrize("high", range(1, 7))
+    def test_every_high_pattern_present_or_absent(self, high):
+        # Each of the 2^high patterns gets one to three edges or none: all
+        # of them, about half, or about a quarter.
+        rng = random.Random(200 + high)
+        t = 4
+        for keep in (1.0, 0.5, 0.25):
+            present = [gamma for gamma in range(1 << high) if rng.random() < keep] or [1]
+            edges = [planted_edge(rng, t, gamma, high) for gamma in present for _ in range(rng.randint(1, 3))]
+            edges = [edge for edge in edges if edge] or [(0,)]
+            assert {sum(1 << v for v in edge) >> t for edge in edges} <= set(present) | {0}
+            self.assert_same_blocks(t + high, edges, t)
+
+    @pytest.mark.parametrize("high", range(1, 7))
+    def test_one_edge_classes_and_an_empty_zero_class(self, high):
+        # Every edge has its own nonzero high pattern: each class holds one
+        # edge, and no edge lies in the low vertices alone.
+        rng = random.Random(210 + high)
+        t = 5
+        for size in {1, 2, (1 << high) - 1}:
+            patterns = rng.sample(range(1, 1 << high), min(size, (1 << high) - 1))
+            edges = [planted_edge(rng, t, gamma, high) for gamma in patterns]
+            assert sorted(sum(1 << v for v in edge) >> t for edge in edges) == sorted(patterns)
+            self.assert_same_blocks(t + high, edges, t)
+
+    @pytest.mark.parametrize("copies", [2, 3, 4, 5, 6, 13])
+    def test_copies_of_odd_and_even_number(self, copies):
+        # Two edges repeated `copies` and `copies + 1` times, one in the
+        # class of gamma = 0 and one with a high vertex.
+        rng = random.Random(220 + copies)
+        t, high = 4, 3
+        edges = list(random_hypergraph(rng, t + high, 6).edges)
+        edges += [(0, 2)] * copies + [(1, t + 2)] * (copies + 1)
+        rng.shuffle(edges)
+        self.assert_same_blocks(t + high, edges, t)
+
+    @pytest.mark.parametrize("high", range(1, 7))
+    def test_block_bound_lowered(self, monkeypatch, high):
+        # The subset bound at 9 - high takes t = 9 - high on 9 vertices.
+        rng = random.Random(230 + high)
+        n = 9
+        monkeypatch.setattr(codes, "_SUBSET_BLOCK_BITS", n - high)
+        for _ in range(6):
+            edges = list(random_hypergraph(rng, n, rng.randint(2, 14)).edges)
+            edges += rng.choices(edges, k=rng.randint(0, 4))
+            t = codes._subset_bits(n, edges)
+            assert n - t == high
+            self.assert_same_blocks(n, edges, t)
+
+    def test_quotient_early_exits_around_the_distance(self, monkeypatch):
+        # At d - 1 no block stops the scan; at d and d + 1 the first block
+        # within the threshold does, with the smallest subset of its
+        # minimum words as the witness, from either kernel.
+        rng = random.Random(240)
+        stops = 0
+        for n in (10, 12, 14):
+            for bits in (2, 4, 6):
+                monkeypatch.setattr(codes, "_SUBSET_BLOCK_BITS", bits)
+                edges = random_hypergraph(rng, n, rng.randint(n, 2 * n), max_edge_size=4).edges
+                hg = Hypergraph(n, edges + tuple(rng.choices(edges, k=2)))
+                dependencies = _vertex_dependencies(hg.vertex_rows)
+                d = _subset_quotient(hg, dependencies).value
+                for early_exit in (None, d - 1, d, d + 1):
+                    halved = _subset_quotient(hg, dependencies, early_exit)
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(codes, "_subset_minima", per_block_minima)
+                        assert _subset_quotient(hg, dependencies, early_exit) == halved
+                    assert halved.exact == (early_exit is None or early_exit < d)
+                    stops += not halved.exact
+        assert stops == 18
+
+    def test_early_exit_stop_at_the_block_size_of_the_class_bound(self, monkeypatch):
+        # t comes from the edge classes' planes: 13 on this input, where a
+        # bound on the m columns gave 15.  Block 0 then holds other subsets,
+        # so an early exit at 56 stops at 53 with witness (0, 9), where at
+        # t = 15 it stopped at 51 with (8, 13).  Pinned, so that a change of
+        # t shows here.
+        hg = random_hypergraph(random.Random(24), 24, 200)
+        assert _vertex_dependencies(hg.vertex_rows) == []
+        assert codes._subset_bits(24, hg.edges) == 13
+        assert eonv_distance_search(hg, early_exit=56) == codes.DistanceResult(53, False, (0, 9))
+        monkeypatch.setattr(codes, "_subset_minima", per_block_minima)
+        assert eonv_distance_search(hg, early_exit=56) == codes.DistanceResult(53, False, (0, 9))
+        monkeypatch.setattr(codes, "_subset_bits", lambda n, edges: 15)
+        assert eonv_distance_search(hg, early_exit=56) == codes.DistanceResult(51, False, (8, 13))
+
+
+class TestSubsetHalvingScale:
+    """Searches that the halving brings within a tier-1 run, and its memory
+    on inputs of many edge classes."""
+
+    def test_complete_3partite_10_default_analyze(self):
+        # 2^28 quotient subsets over 2^15 blocks; both engines run and must
+        # agree, or the analysis raises.
+        report = analyze_hypergraph(complete_3partite(10))
+        assert (report.method, report.min_distance, report.distance_exact, report.witness) == ("both", 100, True, (0,))
+
+    def test_projective_geometry_5(self):
+        # PG(4,2): 2^26 quotient subsets.
+        assert eonv_distance_search(projective_geometry(5)) == codes.DistanceResult(15, True, (0,))
+
+    @pytest.mark.parametrize("seed, n, m, d, witness", [(26, 26, 400, 116, (9, 16)), (24, 24, 200, 51, (8, 13))])
+    def test_peak_memory_within_the_budget(self, seed, n, m, d, witness):
+        # Random hypergraphs whose edges fall into hundreds of classes: the
+        # planes held at once take at most 2^_TABLE_BITS bits (1 MiB), and
+        # 256 KiB more covers Python's int headers and 30-bit digits (about
+        # 1/6 on the planes of 2^12 or 2^13 bits here), the edges, the
+        # classes and the states' dicts.  d and the witness are the ones
+        # the per-block loop gave.
+        hg = random_hypergraph(random.Random(seed), n, m)
+        hg.vertex_rows  # built beforehand, as the search receives it
+        tracemalloc.start()
+        try:
+            result = eonv_distance_search(hg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == codes.DistanceResult(d, True, witness)
+        assert peak <= (1 << codes._TABLE_BITS) // 8 + (256 << 10)
 
 
 def spread(columns):
