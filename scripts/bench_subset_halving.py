@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""Measure the subset kernel's halving over its edge classes against the
-parent commit, and record it as JSON.
+"""Measure the subset kernel against the parent commit, and record it as
+JSON: first for its halving over the edge classes
+(``BENCH_subset_halving.json``), then for its columns read from Four
+Russians tables, each quotient edge read once (``BENCH_subset_columns.json``).
 
 Usage:
 
@@ -13,7 +15,8 @@ DIR holds the parent commit's files (``git archive PARENT | tar -x -C DIR``).
 The script records:
 
 - ``searches``: ``eonv_distance_search`` at both commits, each in a process
-  of its own, on ``exhaustive``'s random hypergraphs at seeds 1 and 7,
+  of its own, on ``exhaustive``'s random hypergraphs at seeds 1 and 7, its
+  block circulants (whose quotients fit one block) at seed 1,
   ``complete_3partite(7..10)``, PG(4,2), a connected random multigraph of
   30 vertices and 59 edges, and random hypergraphs of (n = 24, m = 200) and
   (n = 26, m = 400): the median time of runs that fill at least a second
@@ -64,7 +67,7 @@ cases = [
     (f'{item.label} seed {seed}', parse_hypergraph(item.text))
     for seed in (1, 7)
     for item in generate('exhaustive', seed)
-    if item.label.startswith('random_hypergraph')
+    if item.label.startswith('random_hypergraph') or seed == 1 and item.label.startswith('block_circulant')
 ]
 cases += [(f'complete_3partite({n})', complete_3partite(n)) for n in range(7, 11)]
 cases += [('PG(4,2)', projective_geometry(5)), ('multigraph(n=30,m=59)', multigraph(random.Random(2035), 30, 59))]
@@ -72,7 +75,7 @@ cases += [(f'random_hypergraph(n={n},m={m})', random_hypergraph(random.Random(n)
 
 blocks = []
 kernel = codes._subset_minima
-codes._subset_minima = lambda n, edges, t: blocks.append(t) or kernel(n, edges, t)
+codes._subset_minima = lambda *args: blocks.append(args[2]) or kernel(*args)  # (n, edges or patterns, t)
 for label, hypergraph in cases:
     hypergraph.vertex_rows
     times = []
@@ -126,8 +129,7 @@ def main() -> None:
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_subset_halving.json")
     args = parser.parse_args()
     record = {
-        "what": "subset kernel over edge classes: each class summed once, the blocks taken by halving "
-        "over the high vertices, against the per-block loop that re-summed every edge column",
+        "what": f"subset kernel searches, reports and benchmark pairs, change against parent, into {args.out.name}",
         "machine": f"{os.cpu_count()}-core VM, Python {platform.python_version()}",
         "searches": searches(args.parent, args.rounds),
         "reports": reports(args.parent),

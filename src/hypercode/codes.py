@@ -52,27 +52,32 @@ weights, from which a few more operations read the block's answer: the
 count of each weight, split plane by plane from the top and read at the
 lowest nonzero plane by popcounts, or the least nonzero weight with the
 words that reach it.
-Over several blocks the subset search groups the edges into classes by
-their pattern over the high vertices: a block adds each class's sum S of
-columns over the low vertices, or |class| - S when its high vertices meet
-the pattern oddly.  So each class is summed once, the copies of an edge as
-one column added at the level of each set bit of their number, and the
-blocks come from the class sums by halving over the high vertices, depth
-first in reflected Gray order, as the weight counts take theirs (below).
+Over several blocks the subset search reads each edge's pattern over the
+vertices once, from one transposition of the vertex rows, and groups the
+edges into classes by their pattern over the high vertices: a block adds
+each class's sum S of columns over the low vertices, or |class| - S when
+its high vertices meet the pattern oddly.  So each class is summed once,
+the copies of an edge, equal patterns, as one column added at the level of
+each set bit of their number, and the blocks come from the class sums by
+halving over the high vertices, depth first in reflected Gray order, as the
+weight counts take theirs (below).  An edge's column is the XOR of four
+lookups in Four Russians tables of its own, one per quarter of the low
+vertices, instead of one XOR per low vertex it has.
 Only the states on the current path of the halving are held; a class
 without a partner passes on as it is, flagged when a half complements it,
 and a complement is built only where two classes flagged unlike merge.
-The subset side has its own adder, complement and halving, apart from the
-weight counts', so that the two engines still check each other.  A scan
-of one block adds every copy's column.
+The subset side has its own tables, adder, complement and halving, apart
+from the weight counts', so that the two engines still check each other.
+A search of one block adds every copy's column, built from the edges'
+vertex tuples, one XOR per vertex.
 A subset search that spans several blocks (n > t) first finds the vertex
 dependencies, the subsets D with eonv(D) empty, by an elimination of its
 own.  They form a space of dimension n - k, and the kernel scans one
 subset per coset, the 2^k subsets that avoid one pivot vertex per
-dependency (all 2^n if there is none), on the hypergraph's edges cut to
-those vertices.  A greedy over the dependencies turns each minimum word's
-scanned subset into the smallest member of its coset, the witness of the
-full scan.  A search of one block scans all 2^n subsets.  The cap counts
+dependency (all 2^n if there is none), on the edges' patterns over those
+vertices, the columns of their rows.  A greedy over the dependencies turns
+each minimum word's scanned subset into the smallest member of its coset,
+the witness of the full scan.  A search of one block scans all 2^n subsets.  The cap counts
 2^n - 1 subsets on every route.
 The weight counts read a weight as a sum over the generator's columns
 (MacWilliams & Sloane, ch. 5): the coordinates fall into classes by their
@@ -89,10 +94,11 @@ only the half spanned by all basis rows but the last.  The columns, or
 the sums that a kernel holds at once, take at most 2^23 bits (1 MB),
 built on each call; the truth tables they start from, and for each t the
 count kernel's 2^c-entry table for each third of its low rows (c <= 5;
-384 KB at t = 15), are built on first use and kept.  A scan of at most 8
-words per column walks one word per Gray step instead, one XOR and one
-popcount per word, which costs less than building the columns; the tests
-hold each kernel to its walk.
+384 KB at t = 15) and the subset kernel's for each quarter of its low
+vertices (c <= 4; 512 KB at t = 16), are built on first use and kept.  A
+scan of at most 8 words per column walks one word per Gray step instead,
+one XOR and one popcount per word, which costs less than building the
+columns; the tests hold each kernel to its walk.
 
 Both engines stop early by one rule.  With a threshold T, a search stops
 after the first block, in its scan order, whose least nonzero weight is
@@ -124,13 +130,15 @@ from operator import or_, xor
 from typing import Iterable, Iterator, Sequence
 
 from .gf2core import BitMatrix, _columns, gram, nullspace_basis, rref, set_bits
-from .hypergraph import Edge, Hypergraph, is_connected
+from .hypergraph import Hypergraph, is_connected
 from .limits import check_enum_cap
 
 # The columns of a block kernel, 2^t bits per coordinate (or edge), or the
 # sums that a kernel holds at once, take at most 2^_TABLE_BITS bits in all,
 # with t <= _BLOCK_BITS in the count kernel and t <= _SUBSET_BLOCK_BITS in
-# the subset kernel.  At 8 words per column or
+# the subset kernel.  The Four Russians tables that the columns are read
+# from are kept per t outside the budget: 384 KB at t = 15 for the count
+# kernel, 512 KB at t = 16 for the subset kernel.  At 8 words per column or
 # fewer, building the columns costs more than walking the words.  Timed on
 # one core over t = 13..16 (random codes of 17-19 rows), the count kernel
 # at t = 15 is fastest or within 5% of it up to length 512; at 1024, t = 14
@@ -356,8 +364,9 @@ def _one_block(n: int, m: int) -> bool:
     return n <= min(_SUBSET_BLOCK_BITS, _TABLE_BITS - (m - 1).bit_length())
 
 
-def _subset_bits(n: int, edges: Sequence[Edge]) -> int:
-    """The block size t of the subset kernel over the n vertices of ``edges``.
+def _subset_bits(n: int, patterns: Sequence[int]) -> int:
+    """The block size t of the subset kernel over n vertices, from the
+    edges' ``patterns``, bit v set when the edge holds vertex v.
 
     One block, t = n, when :func:`_one_block` allows it.  Otherwise the
     largest t < n, at most _SUBSET_BLOCK_BITS, at which the planes that
@@ -365,13 +374,10 @@ def _subset_bits(n: int, edges: Sequence[Edge]) -> int:
     from the sizes of the edge classes at that t, take at most
     2^_TABLE_BITS bits.
     """
-    m = len(edges)
-    if _one_block(n, m):
+    if _one_block(n, len(patterns)):
         return n
-    bit = [1 << v for v in range(n)]
-    masks = [sum(map(bit.__getitem__, edge)) for edge in edges]
     t = min(n - 1, _SUBSET_BLOCK_BITS)
-    while t and _subset_held(Counter(mask >> t for mask in masks), n - t) << t > 1 << _TABLE_BITS:
+    while t and _subset_held(Counter(p >> t for p in patterns), n - t) << t > 1 << _TABLE_BITS:
         t -= 1
     return t
 
@@ -405,18 +411,29 @@ def _subset_held(sizes: dict[int, int], high: int) -> int:
 
 
 def _subset_blocks(hypergraph: Hypergraph) -> DistanceResult:
-    """The subset search of one kernel block (n <= t) by
-    :func:`_subset_minima`, with the result of :func:`_subset_walk`.
+    """The subset search of one kernel block (n <= t), with the result of
+    :func:`_subset_walk`.
 
-    A greedy pass over the vertices finds the lexicographically smallest
-    minimizer: it stops when the subset of the vertices chosen so far is a
-    candidate, and otherwise keeps the candidates that contain the next
-    vertex whenever any do.
+    Each edge's column has bit q set when its intersection with gray(q) is
+    odd, and :func:`_subset_counter` sums the columns into the bit planes
+    of the block's weights, from which :func:`_subset_least` reads the
+    least one.  A greedy pass over the vertices finds the
+    lexicographically smallest minimizer: it stops when the subset of the
+    vertices chosen so far is a candidate, and otherwise keeps the
+    candidates that contain the next vertex whenever any do.
     """
     n = hypergraph.num_vertices
     member = _gray_tables(n)
+    # Each copy's column is added once: on small scans, counting the copies
+    # costs more than the additions that it saves.
+    columns = []
+    for edge in hypergraph.edges:
+        column = 0
+        for v in edge:
+            column ^= member[v]
+        columns.append(column)
     # A nonzero row exists, so the block has a nonzero weight.
-    _, w, cand = next(_subset_minima(n, hypergraph.edges, n))
+    w, cand = _subset_least(_subset_counter(zip(columns, repeat(0)), len(columns).bit_length()))
     at = v = 0  # at: position of the subset of the vertices chosen so far
     while cand & (cand - 1):
         if cand >> at & 1:
@@ -431,70 +448,67 @@ def _subset_blocks(hypergraph: Hypergraph) -> DistanceResult:
     return DistanceResult(w, True, set_bits(q ^ (q >> 1)))
 
 
-def _subset_minima(n: int, edges: Sequence[Edge], t: int) -> Iterator[tuple[int, int, int]]:
-    """The subset kernel over the n vertices of ``edges``, in blocks of 2^t
-    subsets that share their high vertices (those >= t): block h holds the
-    subsets whose high vertices are gray(h), bit q for the low subset
-    gray(q).  For each block with a nonzero weight it yields h, the block's
-    least nonzero weight, and the positions that reach it.
+def _subset_minima(n: int, patterns: Sequence[int], t: int) -> Iterator[tuple[int, int, int]]:
+    """The subset kernel over n vertices, in blocks of 2^t subsets that
+    share their high vertices (those >= t): block h holds the subsets whose
+    high vertices are gray(h), bit q for the low subset gray(q).  For each
+    block with a nonzero weight it yields h, the block's least nonzero
+    weight, and the positions that reach it.
 
-    An edge's column over the low vertices has bit q set when its
-    intersection with gray(q) is odd, and a carry-save vertical counter
-    (:func:`_subset_counter`) sums columns into bit planes, plane j holding
-    bit j of every subset's weight.  One block (n <= t) adds each copy's
-    column.  Over several blocks the edges fall into classes by their
-    pattern gamma over the high vertices: block h adds to each subset the
-    sum S_gamma of the class's columns, or |gamma| - S_gamma when
-    gray(h) & gamma is odd.  So each class is summed once, the copies of an
-    edge as one column added at the level of each set bit of their number,
-    and :func:`_subset_halvings` takes the blocks, in this order, from the
-    planes of the class sums.  :func:`_subset_held` bounds the planes held
-    at once.
+    ``patterns`` holds each edge's vertices, bit v for vertex v, read once
+    for both t and the classes; copies of an edge are equal patterns.  An
+    edge's column over the low vertices has bit q set when its intersection
+    with gray(q) is odd: the XOR of four lookups in :func:`_subset_tables`,
+    one per chunk of the low vertices.  The edges fall into classes by
+    their pattern gamma over the high vertices: block h adds to each subset
+    the sum S_gamma of the class's columns, or |gamma| - S_gamma when
+    gray(h) & gamma is odd.  So each class is summed once by a carry-save
+    vertical counter (:func:`_subset_counter`) into bit planes, plane j
+    holding bit j of every subset's weight, the copies of an edge as one
+    column added at the level of each set bit of their number, and
+    :func:`_subset_halvings` takes the blocks, in this order, from the
+    planes of the class sums; with no high vertex (n <= t) the one class
+    is the one block.  :func:`_subset_held` bounds the planes held at once.
     """
-    member = _gray_tables(t)
-    if n <= t:
-        # One block adds each copy's column once: on small scans, counting
-        # the copies costs more than the additions that it saves.
-        columns = []
-        for edge in edges:
-            column = 0
-            for v in edge:
-                column ^= member[v]
-            columns.append(column)
-        blocks: Iterable[list[int]] = [_subset_counter(zip(columns, repeat(0)), len(edges).bit_length())]
-    else:
-        classes: dict[int, list[tuple[Edge, int]]] = {}  # gamma -> (edge, copies)
-        pattern = [0] * t + [1 << i for i in range(n - t)]
-        for edge, copies in Counter(edges).items():
-            classes.setdefault(sum(map(pattern.__getitem__, edge)), []).append((edge, copies))
-        sums = {}  # gamma -> (|gamma|, planes of S_gamma, not negated)
-        while classes:
-            gamma, members = classes.popitem()
-            size = sum(copies for _, copies in members)
-            terms = (
-                (reduce(xor, [member[v] for v in edge if v < t], 0), j)
-                for edge, copies in members
-                for j in range(copies.bit_length())
-                if copies >> j & 1
-            )
-            sums[gamma] = size, _subset_counter(terms, size.bit_length()), False
-        blocks = _subset_halvings(sums, n - t, False, (1 << (1 << t)) - 1)
+    low = (1 << t) - 1
+    classes: dict[int, list[tuple[int, int]]] = {}  # gamma -> (low pattern, copies)
+    for pattern, copies in Counter(patterns).items():
+        classes.setdefault(pattern >> t, []).append((pattern & low, copies))
+    first, second, third, fourth = _subset_tables(t)
+    chunk = len(first).bit_length() - 1
+    mask = (1 << chunk) - 1
+    sums = {}  # gamma -> (|gamma|, planes of S_gamma, not negated)
+    while classes:
+        gamma, members = classes.popitem()
+        size = sum(copies for _, copies in members)
+        terms = (
+            (first[p & mask] ^ second[p >> chunk & mask] ^ third[p >> 2 * chunk & mask] ^ fourth[p >> 3 * chunk], j)
+            for p, copies in members
+            for j in range(copies.bit_length())
+            if copies >> j & 1
+        )
+        sums[gamma] = size, _subset_counter(terms, size.bit_length()), False
+    blocks = _subset_halvings(sums, n - t, False, (1 << (1 << t)) - 1) if n > t else [sums[0][1]]
     for h, planes in enumerate(blocks):
-        nonzero = reduce(or_, planes, 0)
-        if not nonzero:
-            continue
-        # Least nonzero weight, read from the top plane down.
-        cand = nonzero
-        w = 0
-        for j in reversed(range(len(planes))):
-            one = cand & planes[j]
-            if one == cand:
-                w |= 1 << j
-            else:
-                cand ^= one
+        w, cand = _subset_least(planes)
         # Dropped before the next block is built.
         del planes
-        yield h, w, cand
+        if cand:
+            yield h, w, cand
+
+
+def _subset_least(planes: list[int]) -> tuple[int, int]:
+    # A block's least nonzero weight and the positions that reach it, read
+    # from the top plane down; no positions when every weight is 0.
+    cand = reduce(or_, planes, 0)
+    w = 0
+    for j in reversed(range(len(planes))):
+        one = cand & planes[j]
+        if one == cand:
+            w |= 1 << j
+        else:
+            cand ^= one
+    return w, cand
 
 
 def _subset_counter(terms: Iterable[tuple[int, int]], levels: int) -> list[int]:
@@ -659,11 +673,13 @@ def _subset_quotient(
     ``dependencies`` is the basis of :func:`_vertex_dependencies`, empty for
     independent rows.  Each coset S + L has exactly one member that avoids
     the pivots, so the kernel (:func:`_subset_minima`) runs over the subsets
-    of the other k vertices, on the hypergraph's edges with the pivots
-    deleted and the kept vertices renumbered in order; as a pivot's row is a
-    sum of kept rows, no edge is left empty.  With no dependency it runs on
-    the hypergraph's own edges, nothing cut.  It keeps every position at the
-    least weight: each is one minimum word.
+    of the other k vertices, on the edges' patterns over them: the columns
+    of the kept vertex rows, read by one transposition, bit i for the i-th
+    kept vertex, so that copies of an edge are equal patterns.  As a pivot's
+    row is a sum of kept rows, no edge is left empty.  With no dependency
+    every row is kept.  The same patterns give the block size t
+    (:func:`_subset_bits`).  It keeps every position at the least weight:
+    each is one minimum word.
 
     The witness is the lexicographically smallest minimizer over all 2^n
     subsets, the smallest member of a minimum word's coset, which need not
@@ -681,16 +697,17 @@ def _subset_quotient(
     block meets the threshold, the result is the exact one.
     """
     keep: Sequence[int] = range(hypergraph.num_vertices)
-    quotient: Sequence[Edge] = hypergraph.edges  # no dependency: every vertex is kept
+    rows: Sequence[int] = hypergraph.vertex_rows  # no dependency: every vertex is kept
     if dependencies:
         pivots = reduce(or_, (d & -d for d in dependencies), 0)
         keep = [v for v in keep if not pivots >> v & 1]
-        index = {v: i for i, v in enumerate(keep)}
-        quotient = [tuple(index[v] for v in edge if v in index) for edge in quotient]
-    k, m = len(keep), len(quotient)
-    t = _subset_bits(k, quotient)
+        rows = [rows[v] for v in keep]
+    k, m = len(keep), hypergraph.num_edges
+    # Bit i of edge e's pattern is bit e of kept row i.
+    patterns = _columns(rows, m)
+    t = _subset_bits(k, patterns)
     best_w, minima, exact = m + 1, [], True
-    for h, w, positions in _subset_minima(k, quotient, t):
+    for h, w, positions in _subset_minima(k, patterns, t):
         if w < best_w:
             best_w, minima = w, []
         if w == best_w:
@@ -723,6 +740,25 @@ def _gray_tables(t: int) -> tuple[int, ...]:
     bit = [full // ((1 << (2 << v)) - 1) * (((1 << (1 << v)) - 1) << (1 << v)) for v in range(t)]
     bit.append(0)
     return tuple(bit[v] ^ bit[v + 1] for v in range(t))
+
+
+@cache
+def _subset_tables(t: int) -> tuple[tuple[int, ...], ...]:
+    # Four Russians tables (Arlazarov et al., 1970) of _gray_tables(t): the
+    # low vertices fall into four chunks of c = ceil(t / 4) vertices, at
+    # most 4 for t <= 16, the last ones with what is left (none, for some
+    # t), and entry p of a chunk's table is the XOR of its vertices'
+    # entries for the set bits of p.  A column then takes four lookups.  At
+    # t = 16 the 64 entries take 512 KB.
+    member = _gray_tables(t)
+    c = -(-t // 4)
+    tables = []
+    for start in (0, c, 2 * c, 3 * c):
+        table = [0]
+        for entry in member[start : start + c]:
+            table += [x ^ entry for x in table]
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 def _check_cap(code: LinearCode, search: str) -> None:

@@ -103,14 +103,14 @@ class TestAnalyzeHypergraph:
         # 2^9 - 1 = 511 subsets.  A cap error names the first scan whose
         # cap fails, in the order the scans run, and no scan has run.
         scans = []
-        for name in ("_weight_counts", "_subset_minima"):
+        for name in ("_weight_counts", "_subset_blocks"):
             real = getattr(codes, name)
             monkeypatch.setattr(codes, name, lambda *args, real=real, name=name: scans.append(name) or real(*args))
         monkeypatch.setenv("HYPERCODE_ENUM_CAP", str(cap))
         hg = complete_3partite(3)
         if message is None:
             analyze_hypergraph(hg, method=method, weights=weights)
-            assert scans == ["_weight_counts", "_subset_minima"]
+            assert scans == ["_weight_counts", "_subset_blocks"]
             return
         with pytest.raises(EnumerationCapError, match=f"^{message} evaluations, above the cap of {cap}$"):
             analyze_hypergraph(hg, method=method, weights=weights)

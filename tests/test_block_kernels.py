@@ -35,8 +35,11 @@ codes whose every nonzero word is a minimum word.  Its edges, cut from the
 hypergraph's, are held to the columns of the kept vertex rows.  The
 subset kernel's halving over its edge classes is held, block by block, to
 the per-block loop it replaced, which re-summed every edge column in every
-block, on planted class shapes and through the quotient's early exits; on
-inputs of hundreds of classes its memory is held to the column budget.
+block, on planted class shapes and through the quotient's early exits, with
+repeated edges, isolated vertices and dependencies; its block sizes are
+pinned on five inputs; on inputs of hundreds of classes its memory is held
+to the column budget.  Its columns, four lookups in its own Four Russians
+tables, are held to the XOR of the Gray tables of their vertices.
 """
 
 from __future__ import annotations
@@ -116,6 +119,11 @@ def assert_same_quotient(hg: Hypergraph, expected):
     assert _subset_quotient(hg, dependencies) == expected
 
 
+def patterns_of(edges):
+    """The kernel's input: each edge's vertices as one int, bit v for vertex v."""
+    return [sum(1 << v for v in edge) for edge in edges]
+
+
 def quotient_early_exit(hg: Hypergraph, early_exit: int):
     """The early exit over several blocks by brute force: the first block,
     h, whose least weight is <= early_exit, and the result, or None and
@@ -131,7 +139,7 @@ def quotient_early_exit(hg: Hypergraph, early_exit: int):
     ranks = [rank(BitMatrix(n - v, m, rows[v:])) for v in range(n)] + [0]
     kept = [v for v in range(n) if ranks[v] > ranks[v + 1]]
     quotient = from_incidence_matrix(BitMatrix(len(kept), m, tuple(rows[v] for v in kept))).edges
-    t = codes._subset_bits(len(kept), quotient)
+    t = codes._subset_bits(len(kept), patterns_of(quotient))
     low, high = kept[:t], kept[t:]
     low_sums = [reduce(xor, (rows[low[i]] for i in set_bits(mask)), 0) for mask in range(1 << t)]
     for h in range(1 << len(high)):
@@ -513,9 +521,10 @@ class TestSubsetQuotient:
     @given(hypergraphs(max_vertices=9, max_edges=12), st.data())
     def test_quotient_edges_are_the_kept_rows_columns(self, hg, data):
         # The oracle is from_incidence_matrix of the kept rows: the edges of
-        # their nonzero columns.  Appended copies of edges, and copies of
-        # vertex rows, which give dependencies, put repeated edges in the
-        # input and in the quotient.
+        # their nonzero columns, as patterns over the kept vertices, which
+        # the kernel reads.  Appended copies of edges, and copies of vertex
+        # rows, which give dependencies, put repeated edges in the input
+        # and in the quotient.
         copies = data.draw(st.lists(st.sampled_from(hg.edges), max_size=4))
         twins = data.draw(st.lists(st.integers(0, hg.num_vertices - 1), max_size=3))
         rows = [*Hypergraph(hg.num_vertices, hg.edges + tuple(copies)).vertex_rows]
@@ -527,14 +536,14 @@ class TestSubsetQuotient:
         seen = []
         real = codes._subset_minima
 
-        def spy(k, edges, t):
-            seen.append((k, list(edges)))
-            return real(k, edges, t)
+        def spy(k, patterns, t):
+            seen.append((k, list(patterns)))
+            return real(k, patterns, t)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(codes, "_subset_minima", spy)
             result = _subset_quotient(hg, dependencies)
-        assert seen == [(len(kept), list(oracle))]
+        assert seen == [(len(kept), patterns_of(oracle))]
         # No edge is left empty: a pivot's row is a sum of kept rows.
         assert len(oracle) == hg.num_edges
         assert result == _subset_walk(hg)
@@ -562,9 +571,9 @@ def test_early_exit_reads_no_more_subsets_than_the_exact_search(monkeypatch):
     scanned = []
     real = codes._subset_minima
 
-    def spy(k, edges, t):
+    def spy(k, patterns, t):
         scanned.append(k)
-        return real(k, edges, t)
+        return real(k, patterns, t)
 
     monkeypatch.setattr(codes, "_subset_minima", spy)
     exact = eonv_distance_search(hg)
@@ -572,30 +581,32 @@ def test_early_exit_reads_no_more_subsets_than_the_exact_search(monkeypatch):
     assert (hg.num_vertices, scanned) == (24, [7, 7])
 
 
-def per_block_minima(n, edges, t):
+def per_block_minima(n, patterns, t):
     """The yields of ``codes._subset_minima`` from the per-block loop that
-    the halving replaced, block by block.
+    the halving replaced, block by block, on the same input: each edge's
+    vertices as a pattern, bit v for vertex v.
 
-    Each edge gets a 2^t-bit column over the low vertices; over several
-    blocks each distinct edge gets one, added at the level of each set bit
-    of its number of copies.  A Gray walk over the high vertices
-    complements, at each step, the columns of the edges at the vertex it
-    toggles, and every block sums all the columns again with a carry-save
-    counter and reads its least nonzero weight from the top plane down.
+    Each edge gets a 2^t-bit column over the low vertices, one XOR of a
+    Gray table per vertex; over several blocks each distinct edge gets one,
+    added at the level of each set bit of its number of copies.  A Gray
+    walk over the high vertices complements, at each step, the columns of
+    the edges at the vertex it toggles, and every block sums all the
+    columns again with a carry-save counter and reads its least nonzero
+    weight from the top plane down.
     """
-    m = len(edges)
+    m = len(patterns)
     member = codes._gray_tables(t)
     full = (1 << (1 << t)) - 1
     if n > t:
-        counts = Counter(edges)
-        edges, starts = zip(*[(edge, j) for edge, c in counts.items() for j in range(c.bit_length()) if c >> j & 1])
+        counts = Counter(patterns)
+        patterns, starts = zip(*[(p, j) for p, c in counts.items() for j in range(c.bit_length()) if c >> j & 1])
     else:
         starts = [0] * m
     columns = []
     flips = [[] for _ in range(n - t)]
-    for i, edge in enumerate(edges):
+    for i, pattern in enumerate(patterns):
         column = 0
-        for v in edge:
+        for v in set_bits(pattern):
             if v < t:
                 column ^= member[v]
             else:
@@ -640,8 +651,9 @@ class TestSubsetHalvingAgainstPerBlockLoop:
 
     @staticmethod
     def assert_same_blocks(n, edges, t):
-        blocks = list(codes._subset_minima(n, edges, t))
-        assert blocks == list(per_block_minima(n, edges, t))
+        patterns = patterns_of(edges)
+        blocks = list(codes._subset_minima(n, patterns, t))
+        assert blocks == list(per_block_minima(n, patterns, t))
         return blocks
 
     @pytest.mark.parametrize("high", range(1, 7))
@@ -689,7 +701,7 @@ class TestSubsetHalvingAgainstPerBlockLoop:
         for _ in range(6):
             edges = list(random_hypergraph(rng, n, rng.randint(2, 14)).edges)
             edges += rng.choices(edges, k=rng.randint(0, 4))
-            t = codes._subset_bits(n, edges)
+            t = codes._subset_bits(n, patterns_of(edges))
             assert n - t == high
             self.assert_same_blocks(n, edges, t)
 
@@ -723,12 +735,81 @@ class TestSubsetHalvingAgainstPerBlockLoop:
         # t shows here.
         hg = random_hypergraph(random.Random(24), 24, 200)
         assert _vertex_dependencies(hg.vertex_rows) == []
-        assert codes._subset_bits(24, hg.edges) == 13
+        assert codes._subset_bits(24, patterns_of(hg.edges)) == 13
         assert eonv_distance_search(hg, early_exit=56) == codes.DistanceResult(53, False, (0, 9))
         monkeypatch.setattr(codes, "_subset_minima", per_block_minima)
         assert eonv_distance_search(hg, early_exit=56) == codes.DistanceResult(53, False, (0, 9))
-        monkeypatch.setattr(codes, "_subset_bits", lambda n, edges: 15)
+        monkeypatch.setattr(codes, "_subset_bits", lambda n, patterns: 15)
         assert eonv_distance_search(hg, early_exit=56) == codes.DistanceResult(51, False, (8, 13))
+
+
+    @pytest.mark.parametrize("bits", [3, 5])
+    def test_repeated_edges_isolated_vertices_and_dependencies(self, monkeypatch, bits):
+        # Random edges on the first n vertices, two of them copied, two
+        # isolated vertices after them (each one a dependency on its own),
+        # and a vertex whose row repeats another's (one more).  Through the
+        # quotient, block by block and at early exits around d, the kernel
+        # gives what the per-block loop gives on the patterns it is handed.
+        monkeypatch.setattr(codes, "_SUBSET_BLOCK_BITS", bits)
+        rng = random.Random(250 + bits)
+        stops = 0
+        for n in (8, 10, 12):
+            edges = list(random_hypergraph(rng, n, rng.randint(n, 2 * n), max_edge_size=5).edges)
+            edges += rng.choices(edges, k=2)
+            rows = [*Hypergraph(n + 2, tuple(edges)).vertex_rows]
+            hg = hypergraph_from_rows(rows + [rows[rng.randrange(n)]])
+            dependencies = _vertex_dependencies(hg.vertex_rows)
+            assert len(dependencies) >= 3
+            handed = []
+            real = codes._subset_minima
+
+            def spy(k, patterns, t):
+                handed.append((k, patterns, t))
+                return real(k, patterns, t)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(codes, "_subset_minima", spy)
+                d = _subset_quotient(hg, dependencies).value
+            (k, patterns, t), = handed
+            assert k > t and len(set(patterns)) < len(patterns)
+            assert list(real(k, patterns, t)) == list(per_block_minima(k, patterns, t))
+            for early_exit in (None, d - 1, d, d + 1):
+                result = _subset_quotient(hg, dependencies, early_exit)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(codes, "_subset_minima", per_block_minima)
+                    assert _subset_quotient(hg, dependencies, early_exit) == result
+                assert result.exact == (early_exit is None or early_exit < d)
+                stops += not result.exact
+        assert stops == 6
+
+    @pytest.mark.parametrize(
+        "name, build, t",
+        [
+            ("PG(4,2)", lambda: projective_geometry(5), 14),
+            ("complete_3partite(9)", lambda: complete_3partite(9), 15),
+            ("random (24, 200)", lambda: random_hypergraph(random.Random(24), 24, 200), 13),
+            ("exhaustive's random (18, 30)", lambda: full_rank_random(random.Random(1), 18, 30), 16),
+            ("exhaustive's random (19, 30)", lambda: full_rank_random(random.Random(1), 19, 30), 16),
+        ],
+    )
+    def test_block_sizes_are_pinned(self, monkeypatch, name, build, t):
+        # The t that the kernel is handed, pinned so that a change of the
+        # block size, which moves early-exit stops, shows here.
+        handed = []
+        real = codes._subset_minima
+        monkeypatch.setattr(codes, "_subset_minima", lambda k, patterns, t: handed.append(t) or real(k, patterns, t))
+        eonv_distance_search(build())
+        assert handed == [t], name
+
+
+def full_rank_random(rng, n, m):
+    """A random hypergraph of n vertices and m edges of random sizes, drawn
+    again until its vertex rows have rank n, as the ``exhaustive``
+    benchmark workload draws its random hypergraphs."""
+    while True:
+        hg = Hypergraph(n, tuple(tuple(sorted(rng.sample(range(n), rng.randint(1, n)))) for _ in range(m)))
+        if rank(incidence_matrix(hg)) == n:
+            return hg
 
 
 class TestSubsetHalvingScale:
@@ -1319,6 +1400,39 @@ def test_chunk_tables_are_xors_of_the_message_tables():
             assert tables[0][p & mask] ^ tables[1][p >> c & mask] ^ tables[2][p >> 2 * c] == column
     # 32 + 32 + 32 entries of 2^15 bits: 384 KB at the block bound.
     assert sum(map(len, codes._chunk_tables(BLOCK))) << BLOCK == 384 * 8 * 1024
+
+
+@pytest.mark.parametrize("t", range(1, codes._SUBSET_BLOCK_BITS + 1))
+def test_subset_tables_give_the_gray_table_columns(t):
+    """The subset kernel's column of a low pattern, four lookups in
+    :func:`codes._subset_tables`, is the XOR of the Gray tables of the
+    pattern's vertices.  The four chunks take ceil(t / 4) vertices each,
+    at most 4, the last ones what is left: below t = 4 some are empty, and
+    at t = 13 and 15 the last is short.  A kernel over one edge and no high
+    vertex yields that column as the positions of weight 1."""
+    member = codes._gray_tables(t)
+    tables = codes._subset_tables(t)
+    c = -(-t // 4)
+    sizes = [len(member[start : start + c]) for start in (0, c, 2 * c, 3 * c)]
+    assert c <= 4 and sum(sizes) == t
+    assert [len(table) for table in tables] == [1 << size for size in sizes]
+    if t < 4:
+        assert sizes.count(0) == 4 - t
+    if t in (13, 15):
+        assert sizes == [4, 4, 4, t - 12]
+    rng = random.Random(140 + t)
+    for p in [0, 1, (1 << t) - 1, 1 << (t - 1)] + [rng.getrandbits(t) for _ in range(20)]:
+        column = reduce(xor, (member[v] for v in set_bits(p)), 0)
+        assert list(codes._subset_minima(t, [p], t)) == ([(0, 1, column)] if p else [])
+
+
+def test_subset_tables_at_the_block_bound_take_512_kb():
+    # 4 tables of 16 entries of 2^16 bits, kept once built.
+    assert codes._SUBSET_BLOCK_BITS == 16
+    tables = codes._subset_tables(16)
+    assert sum(map(len, tables)) <= 64
+    assert sum(map(len, tables)) << 16 == 512 * 8 * 1024
+    assert codes._subset_tables(16) is tables
 
 
 def counted_dimensions(monkeypatch):
